@@ -131,6 +131,10 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleInconsistentError(f"bundle is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BundleInconsistentError(
+            f"bundle must be a JSON object, got {type(doc).__name__}"
+        )
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleVersionError(

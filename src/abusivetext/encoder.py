@@ -17,14 +17,14 @@ generator, so training is bit-reproducible.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Label
-from .errors import DimensionMismatch, EmptyCorpus, EmptyData
+from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
 from .metrics import confusion, macro_f1
 
 CLS_ID = 0
@@ -41,7 +41,8 @@ _LN_EPS = 1e-5
 
 class SubwordTokenizer:
     """Byte-pair tokenizer. ``pieces`` maps ids 3.. in order; ``merges`` is
-    the learned merge list, whose order doubles as merge priority."""
+    the learned merge list, whose order doubles as merge priority. Each
+    instance memoizes word -> piece ids; the memo is not part of equality."""
 
     def __init__(
         self,
@@ -54,6 +55,7 @@ class SubwordTokenizer:
             raise ValueError("tokenizer pieces must be unique")
         self.piece_to_id = {piece: i + 3 for i, piece in enumerate(self.pieces)}
         self._merge_rank = {pair: rank for rank, pair in enumerate(self.merges)}
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -79,6 +81,16 @@ class SubwordTokenizer:
             symbols = _apply_merge(symbols, best_pair)
         return symbols
 
+    def word_ids(self, word: str) -> tuple[int, ...]:
+        """Piece ids of one word, UNK for pieces outside the inventory."""
+        ids = self._word_ids.get(word)
+        if ids is None:
+            ids = tuple(
+                self.piece_to_id.get(p, UNK_ID) for p in self.pieces_of_word(word)
+            )
+            self._word_ids[word] = ids
+        return ids
+
 
 def _apply_merge(symbols: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]:
     merged = pair[0] + pair[1]
@@ -98,12 +110,18 @@ def _apply_merge(symbols: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]
     return out
 
 
+def _pairs(symbols: list[bytes]) -> Counter[tuple[bytes, bytes]]:
+    return Counter(zip(symbols, symbols[1:]))
+
+
 def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     """Greedy byte-pair-merge training until the inventory reaches vocab_size.
 
     Ties in pair counts break toward the lexicographically smallest pair, so
     training is fully deterministic. vocab_size counts the whole inventory:
     the three specials, the corpus's single bytes, and learned merges.
+    Pair counts are kept up to date incrementally: a merge re-counts only the
+    words that contain the merged pair.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train a tokenizer on an empty corpus")
@@ -121,13 +139,13 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     pieces: list[bytes] = sorted({s for symbols, _ in words for s in symbols})
     known = set(pieces)
     merges: list[tuple[bytes, bytes]] = []
-    while 3 + len(pieces) < vocab_size:
-        pair_counts: Counter[tuple[bytes, bytes]] = Counter()
-        for symbols, freq in words:
-            for pair in zip(symbols, symbols[1:]):
-                pair_counts[pair] += freq
-        if not pair_counts:
-            break
+    pair_counts: Counter[tuple[bytes, bytes]] = Counter()
+    words_with: defaultdict[tuple[bytes, bytes], set[int]] = defaultdict(set)
+    for index, (symbols, freq) in enumerate(words):
+        for pair, n in _pairs(symbols).items():
+            pair_counts[pair] += n * freq
+            words_with[pair].add(index)
+    while 3 + len(pieces) < vocab_size and pair_counts:
         top = max(pair_counts.values())
         best = min(pair for pair, count in pair_counts.items() if count == top)
         merges.append(best)
@@ -135,7 +153,22 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
-        words = [(_apply_merge(symbols, best), freq) for symbols, freq in words]
+        # A merge removes every occurrence of its pair, so no word keeps it.
+        for index in words_with.pop(best):
+            symbols, freq = words[index]
+            old = _pairs(symbols)
+            symbols = _apply_merge(symbols, best)
+            words[index] = (symbols, freq)
+            new = _pairs(symbols)
+            for pair, n in new.items():
+                pair_counts[pair] += n * freq
+                words_with[pair].add(index)
+            for pair, n in old.items():
+                pair_counts[pair] -= n * freq
+                if pair_counts[pair] == 0:
+                    del pair_counts[pair]
+                if pair not in new:
+                    words_with[pair].discard(index)
     return SubwordTokenizer(pieces=pieces, merges=merges)
 
 
@@ -146,12 +179,10 @@ def encode(
     max_length. Returns (ids, mask) with mask 1 on real tokens, 0 on padding."""
     ids = [CLS_ID]
     for word in text.split():
-        for piece in tokenizer.pieces_of_word(word):
-            ids.append(tokenizer.piece_to_id.get(piece, UNK_ID))
-            if len(ids) == max_length:
-                break
-        if len(ids) == max_length:
+        if len(ids) >= max_length:
             break
+        ids.extend(tokenizer.word_ids(word))
+    del ids[max_length:]
     n_real = len(ids)
     ids.extend([PAD_ID] * (max_length - n_real))
     mask = [1.0] * n_real + [0.0] * (max_length - n_real)
@@ -172,6 +203,9 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "n_layers", "d_ff", "max_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -337,12 +371,15 @@ def forward_batch(
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run the encoder on a batch. Returns (probabilities, cache); the cache
-    holds every intermediate the backward pass needs. Dropout is applied only
-    when a generator is passed (training mode) and the configured rate is
-    nonzero."""
-    if ids.ndim != 2 or ids.shape[1] != config.max_length:
+    holds every intermediate the backward pass needs. The batch may be
+    narrower than max_length (see trim_padding); positions use the first
+    columns of pos_emb. Dropout is applied only when a generator is passed
+    (training mode) and the configured rate is nonzero; its masks are drawn
+    at full max_length width and sliced, so trimming leaves the random
+    stream unchanged."""
+    if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_length:
         raise DimensionMismatch(
-            f"ids must have shape (batch, {config.max_length}), got {ids.shape}"
+            f"ids must have shape (batch, 1..{config.max_length}), got {ids.shape}"
         )
     if mask.shape != ids.shape:
         raise DimensionMismatch("mask shape must match ids shape")
@@ -351,13 +388,16 @@ def forward_batch(
     score_bias = (mask[:, None, None, :] - 1.0) * _MASK_BIAS
     drop_rate = config.dropout if dropout_rng is not None else 0.0
 
-    def dropout_mask(shape: tuple) -> np.ndarray | None:
+    batch, length = ids.shape
+
+    def dropout_mask() -> np.ndarray | None:
         if drop_rate == 0.0:
             return None
-        keep = dropout_rng.random(shape) >= drop_rate
+        shape = (batch, config.max_length, config.d_model)
+        keep = dropout_rng.random(shape)[:, :length, :] >= drop_rate
         return keep.astype(np.float64) / (1.0 - drop_rate)
 
-    x = params["tok_emb"][ids] + params["pos_emb"][None, :, :]
+    x = params["tok_emb"][ids] + params["pos_emb"][None, :length, :]
     layers = []
     for i in range(config.n_layers):
         p = f"layer{i}."
@@ -374,7 +414,7 @@ def forward_batch(
         attn = exp / exp.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ vh)
         proj = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        attn_drop = dropout_mask(proj.shape)
+        attn_drop = dropout_mask()
         if attn_drop is not None:
             proj = proj * attn_drop
         x1, ln1 = _layer_norm(
@@ -383,7 +423,7 @@ def forward_batch(
         h1 = x1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
         h1r = np.maximum(h1, 0.0)
         f = h1r @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        ffn_drop = dropout_mask(f.shape)
+        ffn_drop = dropout_mask()
         if ffn_drop is not None:
             f = f * ffn_drop
         x, ln2 = _layer_norm(
@@ -421,14 +461,14 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy w.r.t. every parameter tensor."""
     ids = cache["ids"]
-    batch = ids.shape[0]
+    batch, length = ids.shape
     scale = 1.0 / math.sqrt(config.d_head)
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     dlogits = (probs - labels) / batch
     grads["head.w"] += cache["cls"].T @ dlogits
     grads["head.b"] += dlogits.sum()
-    dx = np.zeros((batch, config.max_length, config.d_model))
+    dx = np.zeros((batch, length, config.d_model))
     dx[:, 0, :] = dlogits[:, None] * params["head.w"][None, :]
 
     for i in reversed(range(config.n_layers)):
@@ -471,7 +511,7 @@ def backward_batch(
             dx = dx + dmat @ params[p + f"attn.{name}"].T
 
     np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"] += dx.sum(axis=0)
+    grads["pos_emb"][:length] += dx.sum(axis=0)
     return grads
 
 
@@ -489,9 +529,20 @@ def forward(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> float:
     return float(probs[0])
 
 
+def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a padded batch to its longest real row (at least one column).
+
+    Dropped columns are padding in every row: as keys they get exactly zero
+    attention and as queries they never reach the CLS output, so the result
+    is the full-width one up to float summation order."""
+    real = np.flatnonzero(mask.any(axis=0))
+    width = int(real[-1]) + 1 if real.size else 1
+    return ids[:, :width], mask[:, :width]
+
+
 def predict_probs(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Probabilities for a whole (n, max_length) batch, no dropout."""
-    probs, _ = forward_batch(model.params, model.config, ids, mask)
+    probs, _ = forward_batch(model.params, model.config, *trim_padding(ids, mask))
     return probs
 
 
@@ -549,13 +600,13 @@ def train_encoder(
     report = TrainReportEnc()
     model = EncoderModel(params, enc_config, tokenizer.vocab_size)
 
-    for _ in range(train_config.epochs):
+    for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(len(train))
         for start in range(0, len(order), train_config.batch_size):
             pick = order[start : start + train_config.batch_size]
+            ids, mask = trim_padding(train_ids[pick], train_mask[pick])
             probs, cache = forward_batch(
-                params, enc_config, train_ids[pick], train_mask[pick],
-                dropout_rng=rng,
+                params, enc_config, ids, mask, dropout_rng=rng
             )
             grads = backward_batch(
                 params, enc_config, cache, probs, train_labels[pick]
@@ -563,7 +614,12 @@ def train_encoder(
             for name in params:
                 params[name] -= train_config.learning_rate * grads[name]
         epoch_probs = predict_probs(model, train_ids, train_mask)
-        report.epoch_train_losses.append(batch_loss(epoch_probs, train_labels))
+        loss = batch_loss(epoch_probs, train_labels)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(
+                f"encoder training diverged at epoch {epoch}: train loss {loss}"
+            )
+        report.epoch_train_losses.append(loss)
         dev_pred = [
             Label.ABUSIVE if p >= 0.5 else Label.NON_ABUSIVE
             for p in predict_probs(model, dev_ids, dev_mask)

@@ -46,6 +46,10 @@ class DimensionMismatch(AbusiveTextError):
     """A vector or parameter tensor has the wrong dimension."""
 
 
+class TrainingDiverged(AbusiveTextError):
+    """Training produced a non-finite loss."""
+
+
 class DevRequiredError(AbusiveTextError):
     """The encoder arm was asked to train without a dev split."""
 

@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: happy paths, exit codes, and reproducibility."""
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,15 @@ from abusivetext.corpus import (
 from abusivetext.textprep import CleanPolicy
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(*args: str) -> int:
     return cli.main(list(args))
+
+
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if re.match(r"ERROR [A-Z_]+: ", line)]
 
 
 @pytest.fixture()
@@ -343,6 +353,68 @@ class TestExitCodes:
         rc = run_cli("train", "--config", str(config))
         assert rc == 1
         assert "ERROR CONFIG" in capsys.readouterr().err
+
+    def test_zero_heads_is_config_error(self, tmp_path, synth_files, capsys):
+        train, dev = synth_files
+        path = encoder_config(tmp_path, train, dev, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["encoder"]["n_heads"] = 0
+        path.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(path)) == 1
+        [line] = error_lines(capsys.readouterr().err)
+        assert line.startswith("ERROR CONFIG: ") and "n_heads" in line
+
+    def test_divergent_encoder_fails_at_its_epoch(self, tmp_path, synth_files, capsys):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        path = encoder_config(tmp_path, train, dev, out)
+        doc = json.loads(path.read_text())
+        doc["encoder_train"]["learning_rate"] = 1e300
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        [line] = error_lines(captured.err)
+        assert line.startswith("ERROR DATA: ") and "diverged at epoch 1:" in line
+        assert "epoch 1: train_loss" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["[]", "null", "3"])
+    def test_bundle_that_is_not_an_object_is_5(self, tmp_path, synth_files, raw, capsys):
+        _, dev = synth_files
+        model = tmp_path / "m.json"
+        model.write_text(raw)
+        rc = run_cli(
+            "predict", "--model", str(model), "--input", str(dev),
+            "--out", str(tmp_path / "p.tsv"),
+        )
+        assert rc == 5
+        [line] = error_lines(capsys.readouterr().err)
+        assert line.startswith("ERROR BUNDLE_INCONSISTENT: ")
+
+
+class TestReadmeRecipe:
+    def test_encoder_recipe_reaches_high_dev_macro_f1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Run the README's synth commands and encoder run config as written."""
+        text = README.read_text(encoding="utf-8")
+        synth_commands = re.findall(r"^abusivetext (synth .*)$", text, re.MULTILINE)
+        [run_json] = re.findall(
+            r"^cat > run\.json <<'JSON'\n(.*?)^JSON$", text, re.MULTILINE | re.DOTALL
+        )
+        assert "abusivetext train --config run.json" in text
+        assert len(synth_commands) == 2
+        monkeypatch.chdir(tmp_path)
+        for command in synth_commands:
+            assert run_cli(*shlex.split(command)) == 0
+        Path("run.json").write_text(run_json, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("train", "--config", "run.json") == 0
+        epochs = re.findall(r"^epoch \d+: .* dev_macro_f1 (\S+)$",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert len(epochs) == json.loads(run_json)["encoder_train"]["epochs"]
+        assert float(epochs[-1]) >= 0.95
 
 
 class TestRunConfig:

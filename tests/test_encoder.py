@@ -8,12 +8,21 @@ softmax is invariant to per-row score shifts, so its true gradient is zero
 and both sides of the check are numerical noise; the floored denominator
 below treats that correctly instead of dividing noise by noise.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abusivetext import encoder as enc
 from abusivetext.corpus import Label, VocabProfile, synth_corpus
-from abusivetext.errors import DimensionMismatch, EmptyCorpus, EmptyData
+from abusivetext.errors import (
+    DimensionMismatch,
+    EmptyCorpus,
+    EmptyData,
+    TrainingDiverged,
+)
 from abusivetext.textprep import preprocess
 
 MICRO_CONFIG = enc.EncoderConfig(
@@ -35,6 +44,57 @@ def micro_batch(tokenizer, seed=11, batch=4):
     mask[2, 3:] = 0.0
     labels = rng.integers(0, 2, size=batch).astype(np.float64)
     return ids, mask, labels
+
+
+def reference_train_subword(corpus, vocab_size):
+    """Textbook BPE training: re-count every pair of the whole corpus before
+    each merge. The oracle for the incremental counts in train_subword."""
+    word_freqs = Counter()
+    for text in corpus:
+        word_freqs.update(text.split())
+    words = [
+        ([bytes([b]) for b in word.encode("utf-8")], freq)
+        for word, freq in sorted(word_freqs.items())
+    ]
+    pieces = sorted({s for symbols, _ in words for s in symbols})
+    known = set(pieces)
+    merges = []
+    while 3 + len(pieces) < vocab_size:
+        pair_counts = Counter()
+        for symbols, freq in words:
+            for pair in zip(symbols, symbols[1:]):
+                pair_counts[pair] += freq
+        if not pair_counts:
+            break
+        top = max(pair_counts.values())
+        best = min(pair for pair, count in pair_counts.items() if count == top)
+        merges.append(best)
+        merged = best[0] + best[1]
+        if merged not in known:
+            known.add(merged)
+            pieces.append(merged)
+        words = [(enc._apply_merge(symbols, best), freq) for symbols, freq in words]
+    return pieces, merges
+
+
+def reference_encode(tokenizer, text, max_length):
+    """Piece-by-piece encoding with no memo, truncated to max_length."""
+    ids = [enc.CLS_ID]
+    for word in text.split():
+        for piece in tokenizer.pieces_of_word(word):
+            ids.append(tokenizer.piece_to_id.get(piece, enc.UNK_ID))
+    ids = ids[:max_length]
+    n_real = len(ids)
+    ids += [enc.PAD_ID] * (max_length - n_real)
+    return ids, [1.0] * n_real + [0.0] * (max_length - n_real)
+
+
+# Small alphabets make repeated-symbol words ("aaaa", "abab") and count ties
+# common; the Tamil letters add multi-byte symbols.
+words_st = st.text(alphabet="abcஅம்", min_size=1, max_size=7)
+corpus_st = st.lists(
+    st.lists(words_st, max_size=6).map(" ".join), min_size=1, max_size=6
+)
 
 
 class TestTrainSubword:
@@ -69,6 +129,17 @@ class TestTrainSubword:
         with pytest.raises(ValueError):
             enc.train_subword(["a"], vocab_size=3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=corpus_st, vocab_size=st.integers(4, 48))
+    @example(corpus=["aaaa aaaa abab"], vocab_size=12)
+    @example(corpus=["abab baba", "aaaa"], vocab_size=20)
+    @example(corpus=["ab cd", "cd ab"], vocab_size=10)
+    def test_matches_full_rescan_reference(self, corpus, vocab_size):
+        tokenizer = enc.train_subword(corpus, vocab_size)
+        pieces, merges = reference_train_subword(corpus, vocab_size)
+        assert list(tokenizer.merges) == merges
+        assert list(tokenizer.pieces) == pieces
+
     def test_multibyte_script_roundtrips_through_pieces(self):
         word = "அம்மா"
         tokenizer = enc.train_subword([word, word], vocab_size=64)
@@ -98,10 +169,47 @@ class TestEncode:
         assert ids.shape == (128,)
         assert mask.sum() == 1 + pieces
 
+    def test_max_length_one_is_cls_only(self, toy_tokenizer):
+        ids, mask = enc.encode(toy_tokenizer, "hello aaab world", max_length=1)
+        assert ids.tolist() == [enc.CLS_ID]
+        assert mask.tolist() == [1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.lists(
+            st.text(alphabet="abcdehlorwxyzé", min_size=1, max_size=6), max_size=12
+        ).map(" ".join),
+        max_length=st.integers(1, 24),
+    )
+    def test_memoized_encode_matches_piece_reference(
+        self, toy_tokenizer, text, max_length
+    ):
+        ids, mask = enc.encode(toy_tokenizer, text, max_length)
+        ref_ids, ref_mask = reference_encode(toy_tokenizer, text, max_length)
+        assert ids.tolist() == ref_ids
+        assert mask.tolist() == ref_mask
+
+    def test_memo_contents_do_not_affect_equality(self):
+        corpus = ["the quick brown fox", "the slow brown dog"]
+        first, second = enc.train_subword(corpus, 40), enc.train_subword(corpus, 40)
+        enc.encode(first, "the quick fox", max_length=16)
+        enc.encode(second, "slow brown dog", max_length=16)
+        assert first == second
+
     def test_only_known_ids(self, toy_tokenizer):
         ids, _ = enc.encode(toy_tokenizer, "completely novel éé", max_length=32)
         assert np.all(ids < toy_tokenizer.vocab_size)
         assert np.all(ids >= 0)
+
+
+class TestEncoderConfig:
+    @pytest.mark.parametrize(
+        "field", ["d_model", "n_heads", "n_layers", "d_ff", "max_length"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            enc.EncoderConfig(**{field: value})
 
 
 class TestForward:
@@ -227,6 +335,81 @@ class TestGradients:
         assert np.any(grads["tok_emb"][used] != 0.0)
 
 
+def padded_batch(tokenizer, lengths=(5, 3, 4, 2)):
+    """A micro batch in which every row ends in padding."""
+    ids, mask, labels = micro_batch(tokenizer, batch=len(lengths))
+    mask[:] = 0.0
+    for row, n in enumerate(lengths):
+        mask[row, :n] = 1.0
+    ids[mask == 0.0] = enc.PAD_ID
+    return ids, mask, labels
+
+
+def assert_trimmed_matches_full(config, tokenizer, make_rng=lambda: None):
+    ids, mask, labels = padded_batch(tokenizer)
+    params = enc.init_params(config, tokenizer.vocab_size, seed=7)
+    short_ids, short_mask = enc.trim_padding(ids, mask)
+    assert short_ids.shape == (4, 5) and short_mask.shape == (4, 5)
+
+    full_probs, full_cache = enc.forward_batch(
+        params, config, ids, mask, dropout_rng=make_rng()
+    )
+    full_grads = enc.backward_batch(params, config, full_cache, full_probs, labels)
+    probs, cache = enc.forward_batch(
+        params, config, short_ids, short_mask, dropout_rng=make_rng()
+    )
+    grads = enc.backward_batch(params, config, cache, probs, labels)
+
+    np.testing.assert_allclose(probs, full_probs, rtol=0, atol=1e-12)
+    assert grads.keys() == full_grads.keys()
+    for name in grads:
+        np.testing.assert_allclose(
+            grads[name], full_grads[name], rtol=0, atol=1e-12, err_msg=name
+        )
+    assert np.all(grads["pos_emb"][5:] == 0.0)
+    assert np.all(full_grads["pos_emb"][5:] == 0.0)
+
+
+class TestTrimPadding:
+    def test_cuts_to_longest_real_row(self, toy_tokenizer):
+        ids, mask, _ = padded_batch(toy_tokenizer, lengths=(2, 6, 1))
+        short_ids, short_mask = enc.trim_padding(ids, mask)
+        assert short_ids.shape == short_mask.shape == (3, 6)
+        assert np.array_equal(short_ids, ids[:, :6])
+        assert np.array_equal(short_mask, mask[:, :6])
+
+    def test_full_rows_are_not_cut(self, toy_tokenizer):
+        ids, mask, _ = micro_batch(toy_tokenizer)
+        short_ids, short_mask = enc.trim_padding(ids, mask)
+        assert short_ids.shape == ids.shape and short_mask.shape == mask.shape
+
+    def test_trimmed_batch_matches_full_width(self, toy_tokenizer):
+        assert_trimmed_matches_full(MICRO_CONFIG, toy_tokenizer)
+
+    def test_trimmed_batch_matches_full_width_with_dropout(self, toy_tokenizer):
+        config = enc.EncoderConfig(
+            d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=8, dropout=0.2
+        )
+        assert_trimmed_matches_full(
+            config, toy_tokenizer, make_rng=lambda: np.random.default_rng(3)
+        )
+
+    def test_trimmed_gradients_match_finite_differences(self, toy_tokenizer):
+        ids, mask, labels = padded_batch(toy_tokenizer)
+        ids, mask = enc.trim_padding(ids, mask)
+        params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=5)
+        assert gradient_check(params, MICRO_CONFIG, ids, mask, labels) < 1e-4
+
+    def test_batch_wider_than_max_length_rejected(self, toy_tokenizer):
+        params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=1)
+        width = MICRO_CONFIG.max_length + 1
+        with pytest.raises(DimensionMismatch):
+            enc.forward_batch(
+                params, MICRO_CONFIG,
+                np.zeros((2, width), dtype=np.int64), np.ones((2, width)),
+            )
+
+
 class TestTrainEncoder:
     def small_pairs(self, n_per_class=8):
         split = synth_corpus(
@@ -264,6 +447,16 @@ class TestTrainEncoder:
         assert len(report.epoch_train_losses) == 4
         assert len(report.epoch_dev_macro_f1) == 4
         assert all(0.0 <= f1 <= 1.0 for f1 in report.epoch_dev_macro_f1)
+
+    def test_non_finite_loss_fails_at_its_epoch(self):
+        pairs = self.small_pairs()
+        tokenizer = enc.train_subword([t for t, _ in pairs], vocab_size=64)
+        config = enc.EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=8)
+        train_config = enc.TrainConfigEnc(learning_rate=1e300, epochs=3, batch_size=4)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match="epoch 1:"
+        ):
+            enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
 
     def test_empty_train_or_dev_rejected(self):
         tokenizer = enc.train_subword(["a"], vocab_size=8)
