@@ -195,8 +195,7 @@ def _parse_split(
     )
 
 
-def _has_label_column(path: str | Path, format: str) -> bool:
-    data = _read_file(path)
+def _has_label_column(data: bytes, format: str) -> bool:
     text = data.decode("utf-8", errors="replace")
     if text.startswith("﻿"):
         text = text[1:]
@@ -252,12 +251,23 @@ def _print_report_table(cm: metrics.ConfusionMatrix) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    has_labels = _has_label_column(args.input, args.format)
-    split = _parse_split(
-        args.input, args.format, has_labels,
-        name=SplitName.TRAIN if has_labels else SplitName.TEST,
+def _parse_input(
+    path: str | Path, format: str, labeled_name: SplitName
+) -> DatasetSplit:
+    """Parse a file whose header decides whether it carries labels; the
+    bytes are read once. Unlabeled files become the test split."""
+    data = _read_file(path)
+    has_labels = _has_label_column(data, format)
+    return parse_dataset(
+        data,
+        format=_file_format(format),
+        has_labels=has_labels,
+        name=labeled_name if has_labels else SplitName.TEST,
     )
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    split = _parse_input(args.input, args.format, SplitName.TRAIN)
     for line in _stats_lines(split):
         print(line)
     return EXIT_OK
@@ -410,7 +420,10 @@ def _bundle_probabilities(
     payload = bundle.payload
     max_length = payload.model.config.max_length
     probs: list[float] = []
-    chunk = 64
+    # Encode in large blocks and let predict_probs run the encoder in small
+    # ones: alternating small encode and forward chunks made a fresh process
+    # take several times more minor page faults.
+    chunk = 1024
     for start in range(0, len(cleaned), chunk):
         block = cleaned[start : start + chunk]
         ids = np.empty((len(block), max_length), dtype=np.int64)
@@ -423,10 +436,7 @@ def _bundle_probabilities(
 
 def cmd_predict(args: argparse.Namespace) -> int:
     bundle = bundlemod.load_bundle(Path(_require_path(args.model)))
-    has_labels = _has_label_column(args.input, args.format)
-    split = _parse_split(
-        args.input, args.format, has_labels=has_labels, name=SplitName.TEST
-    )
+    split = _parse_input(args.input, args.format, SplitName.TEST)
     probs = _bundle_probabilities(bundle, [ex.text for ex in split.examples])
     lines = ["id\tprobability\tlabel"]
     for example, p in zip(split.examples, probs):

@@ -33,6 +33,8 @@ UNK_ID = 2
 
 _MASK_BIAS = 1e30
 _LN_EPS = 1e-5
+# Rows per forward pass in predict_probs.
+_PREDICT_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +454,12 @@ def batch_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
 
 
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(batch, length, features) -> (batch * length, features), so a weight
+    gradient summed over batch and positions is one 2-D matrix product."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def backward_batch(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
@@ -479,10 +487,10 @@ def backward_batch(
         grads[p + "ln2.beta"] += db2
 
         df = dr2 if layer["ffn_drop"] is None else dr2 * layer["ffn_drop"]
-        grads[p + "ffn.w2"] += np.einsum("blf,bld->fd", layer["h1r"], df)
+        grads[p + "ffn.w2"] += _flat(layer["h1r"]).T @ _flat(df)
         grads[p + "ffn.b2"] += df.sum(axis=(0, 1))
         dh1 = (df @ params[p + "ffn.w2"].T) * (layer["h1"] > 0.0)
-        grads[p + "ffn.w1"] += np.einsum("bld,blf->df", layer["x1"], dh1)
+        grads[p + "ffn.w1"] += _flat(layer["x1"]).T @ _flat(dh1)
         grads[p + "ffn.b1"] += dh1.sum(axis=(0, 1))
         dx1 = dr2 + dh1 @ params[p + "ffn.w1"].T
 
@@ -491,22 +499,22 @@ def backward_batch(
         grads[p + "ln1.beta"] += db1
 
         dproj = dr1 if layer["attn_drop"] is None else dr1 * layer["attn_drop"]
-        grads[p + "attn.wo"] += np.einsum("bld,ble->de", layer["ctx"], dproj)
+        grads[p + "attn.wo"] += _flat(layer["ctx"]).T @ _flat(dproj)
         grads[p + "attn.bo"] += dproj.sum(axis=(0, 1))
         dctx = _split_heads(dproj @ params[p + "attn.wo"].T, config.n_heads)
 
         attn, vh, qh, kh = layer["attn"], layer["vh"], layer["qh"], layer["kh"]
         dattn = dctx @ vh.transpose(0, 1, 3, 2)
-        dvh = np.einsum("bhql,bhqd->bhld", attn, dctx)
+        dvh = attn.transpose(0, 1, 3, 2) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dqh = dscores @ kh * scale
-        dkh = np.einsum("bhql,bhqd->bhld", dscores, qh) * scale
+        dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
 
-        x_in = layer["x_in"]
+        x_in_t = _flat(layer["x_in"]).T
         dx = dr1
         for name, dhead in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
             dmat = _merge_heads(dhead)
-            grads[p + f"attn.{name}"] += np.einsum("bld,ble->de", x_in, dmat)
+            grads[p + f"attn.{name}"] += x_in_t @ _flat(dmat)
             grads[p + f"attn.b{name[1]}"] += dmat.sum(axis=(0, 1))
             dx = dx + dmat @ params[p + f"attn.{name}"].T
 
@@ -541,8 +549,18 @@ def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def predict_probs(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Probabilities for a whole (n, max_length) batch, no dropout."""
-    probs, _ = forward_batch(model.params, model.config, *trim_padding(ids, mask))
+    """Probabilities for a whole (n, max_length) batch, no dropout.
+
+    Rows run through the encoder in blocks of _PREDICT_BLOCK, each trimmed to
+    its own longest row, so the attention scores stay small whatever n is.
+    Rows do not interact, so the result is the one-call one up to float
+    summation order."""
+    probs = np.empty(len(ids), dtype=np.float64)
+    for start in range(0, len(ids), _PREDICT_BLOCK):
+        block = slice(start, start + _PREDICT_BLOCK)
+        probs[block], _ = forward_batch(
+            model.params, model.config, *trim_padding(ids[block], mask[block])
+        )
     return probs
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,8 +101,95 @@ class TrainReportLR:
     single_class: bool = False
 
 
-def _raw_score(weights: np.ndarray, bias: float, x: SparseVector) -> float:
-    return bias + sum(weights[i] * w for i, w in x.entries)
+def _add_up(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[k] += v for each (k, v) in input order, into float zeros of length
+    size; each slot's terms are added one by one, left to right."""
+    out = np.bincount(keys, weights=values, minlength=size)
+    # bincount gives integer zeros when there are no entries at all.
+    return out.astype(np.float64, copy=False)
+
+
+class _Rows(NamedTuple):
+    """Sparse rows in CSR form: row r holds entries indptr[r]:indptr[r + 1]
+    of indices/data, in their SparseVector order; row_of_entry names the
+    row of each entry."""
+
+    indptr: np.ndarray
+    row_of_entry: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def pack(cls, vectors: Sequence[SparseVector]) -> "_Rows":
+        lengths = [len(x.entries) for x in vectors]
+        n = len(vectors)
+        return cls(
+            np.fromiter(accumulate(lengths, initial=0), dtype=np.intp, count=n + 1),
+            np.repeat(np.arange(n), lengths),
+            np.fromiter((i for x in vectors for i, _ in x.entries), dtype=np.intp),
+            np.fromiter((w for x in vectors for _, w in x.entries), dtype=np.float64),
+        )
+
+    def take(self, rows: Sequence[int]) -> "_Rows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        row_of_entry = np.repeat(np.arange(len(rows)), lengths)
+        picked = np.arange(indptr[-1]) + (starts - indptr[:-1])[row_of_entry]
+        return _Rows(indptr, row_of_entry, self.indices[picked], self.data[picked])
+
+    def scores(self, weights: np.ndarray, bias: float) -> list[float]:
+        """bias + w . x per row, each row's products added in entry order,
+        so a score never depends on how the interpreter's sum() rounds."""
+        products = weights[self.indices] * self.data
+        dots = _add_up(self.row_of_entry, products, len(self.indptr) - 1)
+        return (bias + dots).tolist()
+
+
+def _gradient(
+    weights: np.ndarray,
+    bias: float,
+    rows: _Rows,
+    labels: Sequence[float],
+    l2_penalty: float,
+) -> tuple[np.ndarray, float]:
+    errs = [
+        sigmoid(z) - y for z, y in zip(rows.scores(weights, bias), labels)
+    ]
+    # Explicit += keeps the left-to-right order of the per-entry loop, which
+    # sum() and np.sum do not promise.
+    grad_b = 0.0
+    for err in errs:
+        grad_b += err
+    err_of_entry = np.array(errs)[rows.row_of_entry]
+    grad_w = _add_up(rows.indices, err_of_entry * rows.data, weights.size)
+    grad_w /= len(errs)
+    grad_b /= len(errs)
+    if l2_penalty:
+        grad_w += l2_penalty * weights
+    return grad_w, grad_b
+
+
+def _loss(
+    weights: np.ndarray,
+    bias: float,
+    rows: _Rows,
+    labels: Sequence[float],
+    l2_penalty: float,
+) -> float:
+    total = 0.0
+    for z, y in zip(rows.scores(weights, bias), labels):
+        total += _softplus(z) - y * z
+    return total / len(labels) + 0.5 * l2_penalty * float(weights @ weights)
+
+
+def _split(
+    data: Sequence[tuple[SparseVector, Label]]
+) -> tuple[_Rows, list[float]]:
+    return _Rows.pack([x for x, _ in data]), [float(y) for _, y in data]
 
 
 def predict_proba(model: LinearModel, x: SparseVector) -> float:
@@ -110,7 +198,7 @@ def predict_proba(model: LinearModel, x: SparseVector) -> float:
         raise DimensionMismatch(
             f"vector dimension {x.dimension} != model dimension {model.dimension}"
         )
-    return sigmoid(_raw_score(model.weights, model.bias, x))
+    return sigmoid(_Rows.pack([x]).scores(model.weights, model.bias)[0])
 
 
 def decide(p: float, threshold: float = 0.5) -> Label:
@@ -129,18 +217,7 @@ def batch_gradient(
     (1/|B|) sum (sigmoid(w.x + b) - y) x  plus l2_penalty * w; the bias
     gradient omits the penalty term.
     """
-    grad_w = np.zeros_like(weights)
-    grad_b = 0.0
-    for x, y in batch:
-        err = sigmoid(_raw_score(weights, bias, x)) - float(y)
-        for i, w in x.entries:
-            grad_w[i] += err * w
-        grad_b += err
-    grad_w /= len(batch)
-    grad_b /= len(batch)
-    if l2_penalty:
-        grad_w += l2_penalty * weights
-    return grad_w, grad_b
+    return _gradient(weights, bias, *_split(batch), l2_penalty)
 
 
 def dataset_loss(
@@ -151,11 +228,7 @@ def dataset_loss(
 ) -> float:
     """Mean binary cross-entropy plus the L2 penalty, evaluated stably via
     softplus so saturated probabilities do not produce infinities."""
-    total = 0.0
-    for x, y in data:
-        z = _raw_score(weights, bias, x)
-        total += _softplus(z) - float(y) * z
-    return total / len(data) + 0.5 * l2_penalty * float(weights @ weights)
+    return _loss(weights, bias, *_split(data), l2_penalty)
 
 
 def train_lr(
@@ -180,17 +253,21 @@ def train_lr(
     weights = np.zeros(dimension, dtype=np.float64)
     bias = 0.0
     report = TrainReportLR(single_class=len({y for _, y in data}) < 2)
+    rows, labels = _split(data)
     order = list(range(len(data)))
     rng = Random(config.seed)
     for _ in range(config.epochs):
         if config.shuffle:
             rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
-            batch = [data[i] for i in order[start : start + config.batch_size]]
-            grad_w, grad_b = batch_gradient(weights, bias, batch, config.l2_penalty)
+            pick = order[start : start + config.batch_size]
+            grad_w, grad_b = _gradient(
+                weights, bias, rows.take(pick), [labels[i] for i in pick],
+                config.l2_penalty,
+            )
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
         report.epoch_losses.append(
-            dataset_loss(weights, bias, data, config.l2_penalty)
+            _loss(weights, bias, rows, labels, config.l2_penalty)
         )
     return LinearModel(weights=weights, bias=bias, dimension=dimension), report

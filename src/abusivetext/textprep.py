@@ -40,40 +40,56 @@ def remove_urls(text: str) -> str:
     return _URL_RE.sub(" ", text)
 
 
+class _CharMap(dict):
+    """str.translate table for the per-code-point steps: strip specials,
+    then strip digits, then lowercase Latin. Each code point is worked out
+    on first sight and kept, so a text is cleaned in one translate pass."""
+
+    def __init__(
+        self, strip_specials: bool, strip_digits: bool, lowercase_latin: bool
+    ):
+        super().__init__()
+        self.steps = (strip_specials, strip_digits, lowercase_latin)
+
+    def __missing__(self, code: int) -> str:
+        strip_specials, strip_digits, lowercase_latin = self.steps
+        ch = chr(code)
+        category = unicodedata.category(ch)
+        # Keep letters of any script, combining marks (Tamil/Malayalam vowel
+        # signs are Mc/Mn), decimal digits, and whitespace.
+        if strip_specials and not (
+            category[0] in ("L", "M") or category == "Nd" or ch.isspace()
+        ):
+            ch = " "
+        if strip_digits and unicodedata.category(ch) == "Nd":
+            ch = " "
+        # Latin-only lowercasing: Tamil/Malayalam have no case, and other
+        # cased scripts are left alone. One-to-many lowerings (e.g. U+0130)
+        # are skipped so cleaning never grows the text.
+        if lowercase_latin and "LATIN" in unicodedata.name(ch, ""):
+            lowered = ch.lower()
+            if len(lowered) == 1:
+                ch = lowered
+        self[code] = ch
+        return ch
+
+
 @lru_cache(maxsize=None)
-def _survives_strip(ch: str) -> bool:
-    # Keep letters of any script, combining marks (Tamil/Malayalam vowel
-    # signs are Mc/Mn), decimal digits, and whitespace.
-    category = unicodedata.category(ch)
-    return category[0] in ("L", "M") or category == "Nd" or ch.isspace()
+def _char_map(
+    strip_specials: bool, strip_digits: bool, lowercase_latin: bool
+) -> _CharMap:
+    return _CharMap(strip_specials, strip_digits, lowercase_latin)
 
 
 def strip_specials(text: str) -> str:
     """Replace every code point that is not letter/mark/digit/whitespace
     with a single space."""
-    return "".join(ch if _survives_strip(ch) else " " for ch in text)
-
-
-def _strip_digits(text: str) -> str:
-    return "".join(
-        " " if unicodedata.category(ch) == "Nd" else ch for ch in text
-    )
-
-
-@lru_cache(maxsize=None)
-def _latin_lower(ch: str) -> str:
-    # Latin-only lowercasing: Tamil/Malayalam have no case, and other cased
-    # scripts are left alone. One-to-many lowerings (e.g. U+0130) are skipped
-    # so cleaning never grows the text.
-    if "LATIN" not in unicodedata.name(ch, ""):
-        return ch
-    lowered = ch.lower()
-    return lowered if len(lowered) == 1 else ch
+    return text.translate(_char_map(True, False, False))
 
 
 def lowercase_latin(text: str) -> str:
     """Lowercase Latin-script letters only."""
-    return "".join(_latin_lower(ch) for ch in text)
+    return text.translate(_char_map(False, False, True))
 
 
 def collapse_whitespace(text: str) -> str:
@@ -90,12 +106,9 @@ def preprocess(text: str, policy: CleanPolicy = DEFAULT_POLICY) -> str:
     """
     if policy.remove_urls:
         text = remove_urls(text)
-    if policy.strip_specials:
-        text = strip_specials(text)
-    if policy.strip_digits:
-        text = _strip_digits(text)
-    if policy.lowercase_latin:
-        text = lowercase_latin(text)
+    steps = (policy.strip_specials, policy.strip_digits, policy.lowercase_latin)
+    if any(steps):
+        text = text.translate(_char_map(*steps))
     if policy.collapse_whitespace:
         text = collapse_whitespace(text)
     return text

@@ -393,6 +393,64 @@ class TestExitCodes:
         assert line.startswith("ERROR BUNDLE_INCONSISTENT: ")
 
 
+class TestPredictReadsInputOnce:
+    def test_input_bytes_read_once(self, tmp_path, synth_files, monkeypatch):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
+        reads = []
+        real_read = cli._read_file
+
+        def counting_read(path):
+            reads.append(str(path))
+            return real_read(path)
+
+        monkeypatch.setattr(cli, "_read_file", counting_read)
+        preds = tmp_path / "preds.tsv"
+        assert run_cli(
+            "predict", "--model", str(out), "--input", str(dev), "--out", str(preds)
+        ) == 0
+        assert reads.count(str(dev)) == 1
+        reads.clear()
+        assert run_cli("stats", "--input", str(dev)) == 0
+        assert reads == [str(dev)]
+
+    def test_missing_input_is_2_with_one_error_line(
+        self, tmp_path, synth_files, capsys
+    ):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
+        capsys.readouterr()
+        missing = tmp_path / "missing.tsv"
+        assert run_cli(
+            "predict", "--model", str(out), "--input", str(missing),
+            "--out", str(tmp_path / "p.tsv"),
+        ) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert lines == [f"ERROR FILE_NOT_FOUND: file not found: {missing}"]
+
+    def test_unlabeled_input_predicts_and_labeled_stats_count(
+        self, tmp_path, synth_files, capsys
+    ):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
+        unlabeled = tmp_path / "unlabeled.tsv"
+        unlabeled.write_text("id\ttext\na\tyou idiot\nb\tnice video\n")
+        preds = tmp_path / "p.tsv"
+        assert run_cli(
+            "predict", "--model", str(out), "--input", str(unlabeled),
+            "--out", str(preds),
+        ) == 0
+        assert [line.split("\t")[0] for line in preds.read_text().splitlines()] == [
+            "id", "a", "b",
+        ]
+        capsys.readouterr()
+        assert run_cli("stats", "--input", str(unlabeled)) == 0
+        assert "unlabeled:    2" in capsys.readouterr().out
+
+
 class TestReadmeRecipe:
     def test_encoder_recipe_reaches_high_dev_macro_f1(
         self, tmp_path, monkeypatch, capsys

@@ -483,3 +483,147 @@ class TestTrainEncoder:
         assert config.batch_size == 32
         assert config.eval_strategy == "epoch"
         assert enc.EncoderConfig().max_length == 128
+
+
+def reference_backward_batch(params, config, cache, probs, labels):
+    """The einsum formulation of the backward pass: every weight gradient
+    contracts batch and position axes in one einsum. The oracle for the
+    2-D matrix products in backward_batch."""
+    ids = cache["ids"]
+    batch, length = ids.shape
+    scale = 1.0 / np.sqrt(config.d_head)
+
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    dlogits = (probs - labels) / batch
+    grads["head.w"] += cache["cls"].T @ dlogits
+    grads["head.b"] += dlogits.sum()
+    dx = np.zeros((batch, length, config.d_model))
+    dx[:, 0, :] = dlogits[:, None] * params["head.w"][None, :]
+
+    for i in reversed(range(config.n_layers)):
+        p = f"layer{i}."
+        layer = cache["layers"][i]
+        dr2, dg2, db2 = enc._layer_norm_backward(
+            dx, layer["ln2"], params[p + "ln2.gamma"]
+        )
+        grads[p + "ln2.gamma"] += dg2
+        grads[p + "ln2.beta"] += db2
+
+        df = dr2 if layer["ffn_drop"] is None else dr2 * layer["ffn_drop"]
+        grads[p + "ffn.w2"] += np.einsum("blf,bld->fd", layer["h1r"], df)
+        grads[p + "ffn.b2"] += df.sum(axis=(0, 1))
+        dh1 = (df @ params[p + "ffn.w2"].T) * (layer["h1"] > 0.0)
+        grads[p + "ffn.w1"] += np.einsum("bld,blf->df", layer["x1"], dh1)
+        grads[p + "ffn.b1"] += dh1.sum(axis=(0, 1))
+        dx1 = dr2 + dh1 @ params[p + "ffn.w1"].T
+
+        dr1, dg1, db1 = enc._layer_norm_backward(
+            dx1, layer["ln1"], params[p + "ln1.gamma"]
+        )
+        grads[p + "ln1.gamma"] += dg1
+        grads[p + "ln1.beta"] += db1
+
+        dproj = dr1 if layer["attn_drop"] is None else dr1 * layer["attn_drop"]
+        grads[p + "attn.wo"] += np.einsum("bld,ble->de", layer["ctx"], dproj)
+        grads[p + "attn.bo"] += dproj.sum(axis=(0, 1))
+        dctx = enc._split_heads(dproj @ params[p + "attn.wo"].T, config.n_heads)
+
+        attn, vh, qh, kh = layer["attn"], layer["vh"], layer["qh"], layer["kh"]
+        dattn = dctx @ vh.transpose(0, 1, 3, 2)
+        dvh = np.einsum("bhql,bhqd->bhld", attn, dctx)
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dqh = dscores @ kh * scale
+        dkh = np.einsum("bhql,bhqd->bhld", dscores, qh) * scale
+
+        x_in = layer["x_in"]
+        dx = dr1
+        for name, dhead in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
+            dmat = enc._merge_heads(dhead)
+            grads[p + f"attn.{name}"] += np.einsum("bld,ble->de", x_in, dmat)
+            grads[p + f"attn.b{name[1]}"] += dmat.sum(axis=(0, 1))
+            dx = dx + dmat @ params[p + f"attn.{name}"].T
+
+    np.add.at(grads["tok_emb"], ids, dx)
+    grads["pos_emb"][:length] += dx.sum(axis=0)
+    return grads
+
+
+def mixed_length_batch(vocab_size, n, max_length, seed):
+    """n rows of random ids whose real lengths run from 1 to max_length."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(3, vocab_size, size=(n, max_length))
+    ids[:, 0] = enc.CLS_ID
+    lengths = rng.integers(1, max_length + 1, size=n)
+    mask = (np.arange(max_length)[None, :] < lengths[:, None]).astype(np.float64)
+    ids[mask == 0.0] = enc.PAD_ID
+    labels = rng.integers(0, 2, size=n).astype(np.float64)
+    return ids, mask, labels
+
+
+WIDE_CONFIG = enc.EncoderConfig(
+    d_model=16, n_heads=4, n_layers=2, d_ff=24, max_length=12
+)
+
+
+class TestBackwardMatchesEinsumReference:
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gemm_gradients_match_einsum(self, toy_tokenizer, dropout, seed):
+        config = enc.EncoderConfig(
+            d_model=16, n_heads=4, n_layers=2, d_ff=24, max_length=12,
+            dropout=dropout,
+        )
+        ids, mask, labels = mixed_length_batch(
+            toy_tokenizer.vocab_size, 6, config.max_length, seed
+        )
+        ids, mask = enc.trim_padding(ids, mask)
+        params = enc.init_params(config, toy_tokenizer.vocab_size, seed=seed)
+        rng = np.random.default_rng(seed) if dropout else None
+        probs, cache = enc.forward_batch(params, config, ids, mask, dropout_rng=rng)
+        grads = enc.backward_batch(params, config, cache, probs, labels)
+        expected = reference_backward_batch(params, config, cache, probs, labels)
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            np.testing.assert_allclose(
+                grads[name], expected[name], rtol=0, atol=1e-12, err_msg=name
+            )
+
+    def test_trimmed_widths_down_to_one(self, toy_tokenizer):
+        params = enc.init_params(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=4)
+        for width in (1, 2, 7, WIDE_CONFIG.max_length):
+            ids, mask, labels = mixed_length_batch(
+                toy_tokenizer.vocab_size, 5, width, seed=width
+            )
+            probs, cache = enc.forward_batch(params, WIDE_CONFIG, ids, mask)
+            grads = enc.backward_batch(params, WIDE_CONFIG, cache, probs, labels)
+            expected = reference_backward_batch(
+                params, WIDE_CONFIG, cache, probs, labels
+            )
+            for name in grads:
+                np.testing.assert_allclose(
+                    grads[name], expected[name], rtol=0, atol=1e-12,
+                    err_msg=f"{name} at width {width}",
+                )
+
+
+class TestBlockedPrediction:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    def test_blocks_match_one_forward_call(self, toy_tokenizer, n):
+        params = enc.init_params(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=8)
+        model = enc.EncoderModel(params, WIDE_CONFIG, toy_tokenizer.vocab_size)
+        ids, mask, _ = mixed_length_batch(
+            toy_tokenizer.vocab_size, n, WIDE_CONFIG.max_length, seed=n
+        )
+        expected, _ = enc.forward_batch(params, WIDE_CONFIG, ids, mask)
+        probs = enc.predict_probs(model, ids, mask)
+        assert probs.shape == (n,)
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+
+    def test_no_rows_gives_no_probabilities(self, toy_tokenizer):
+        params = enc.init_params(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=8)
+        model = enc.EncoderModel(params, WIDE_CONFIG, toy_tokenizer.vocab_size)
+        width = WIDE_CONFIG.max_length
+        probs = enc.predict_probs(
+            model, np.zeros((0, width), dtype=np.int64), np.zeros((0, width))
+        )
+        assert probs.shape == (0,)

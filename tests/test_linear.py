@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abusivetext.corpus import Label
+from abusivetext import vectorizer
+from abusivetext.corpus import Label, synth_corpus
 from abusivetext.errors import DimensionMismatch, EmptyData
 from abusivetext.linear import (
     LinearModel,
     TrainConfigLR,
+    _softplus,
     batch_gradient,
     dataset_loss,
     decide,
@@ -20,6 +22,7 @@ from abusivetext.linear import (
     sigmoid,
     train_lr,
 )
+from abusivetext.textprep import preprocess
 from abusivetext.vectorizer import SparseVector
 
 
@@ -219,3 +222,125 @@ class TestTrainLr:
         m1, _ = train_lr(data, TrainConfigLR(epochs=3, batch_size=2, seed=1))
         m2, _ = train_lr(data, TrainConfigLR(epochs=3, batch_size=2, seed=2))
         assert not np.array_equal(m1.weights, m2.weights)
+
+
+def reference_score(weights, bias, x):
+    """w . x + b with the products added one by one, left to right."""
+    total = 0.0
+    for i, w in x.entries:
+        total += weights[i] * w
+    return bias + total
+
+
+def reference_train_lr(data, config):
+    """Per-entry mini-batch gradient descent with explicit += loops: the
+    oracle for the CSR kernels behind train_lr."""
+    weights = np.zeros(data[0][0].dimension)
+    bias = 0.0
+    losses = []
+    order = list(range(len(data)))
+    rng = Random(config.seed)
+    for _ in range(config.epochs):
+        if config.shuffle:
+            rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            batch = [data[i] for i in order[start : start + config.batch_size]]
+            grad_w = np.zeros_like(weights)
+            grad_b = 0.0
+            for x, y in batch:
+                err = sigmoid(reference_score(weights, bias, x)) - float(y)
+                for i, w in x.entries:
+                    grad_w[i] += err * w
+                grad_b += err
+            grad_w /= len(batch)
+            grad_b /= len(batch)
+            if config.l2_penalty:
+                grad_w += config.l2_penalty * weights
+            weights -= config.learning_rate * grad_w
+            bias -= config.learning_rate * grad_b
+        total = 0.0
+        for x, y in data:
+            z = reference_score(weights, bias, x)
+            total += _softplus(z) - float(y) * z
+        losses.append(
+            total / len(data) + 0.5 * config.l2_penalty * float(weights @ weights)
+        )
+    return weights, bias, losses
+
+
+def tfidf_corpus(seed, n_per_class=30, oov_rows=4):
+    """TF-IDF rows of a seeded synth corpus, plus all-OOV (zero) rows."""
+    split = synth_corpus(seed, n_per_class)
+    texts = [preprocess(t) for t in split.texts()]
+    model = vectorizer.fit(texts, vectorizer.TfIdfConfig(ngram_max=2))
+    data = [
+        (vectorizer.transform(model, text), label)
+        for text, label in zip(texts, split.labels())
+    ]
+    zero = vectorizer.transform(model, "zzz-never-seen qqq-unknown")
+    assert zero.entries == ()
+    for k in range(oov_rows):
+        data.insert(7 * k + 3, (zero, Label(k % 2)))
+    return data
+
+
+class TestKernelsMatchPerEntryReference:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainConfigLR(epochs=6, seed=3),
+            TrainConfigLR(epochs=4, batch_size=7, seed=11),
+            TrainConfigLR(epochs=3, batch_size=5, l2_penalty=0.0, seed=2),
+            TrainConfigLR(epochs=3, batch_size=9, shuffle=False, learning_rate=0.5),
+            TrainConfigLR(epochs=2, batch_size=1000, l2_penalty=0.05, seed=4),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_train_lr_is_bit_identical(self, config, seed):
+        data = tfidf_corpus(seed)
+        assert len(data) % 7 and len(data) % 5 and len(data) % 9
+        model, report = train_lr(data, config)
+        weights, bias, losses = reference_train_lr(data, config)
+        assert np.array_equal(model.weights, weights)
+        assert model.bias == bias
+        assert report.epoch_losses == losses
+
+    def test_random_instances_are_bit_identical(self):
+        rng = Random(20240101)
+        for _ in range(20):
+            _, data = random_instance(rng, max_dim=12, max_n=40)
+            config = TrainConfigLR(
+                epochs=3, batch_size=rng.randint(1, 9), seed=rng.randint(0, 99),
+                l2_penalty=rng.choice([0.0, 1e-3]),
+            )
+            model, report = train_lr(data, config)
+            weights, bias, losses = reference_train_lr(data, config)
+            assert np.array_equal(model.weights, weights)
+            assert model.bias == bias
+            assert report.epoch_losses == losses
+
+    def test_public_functions_match_reference(self):
+        data = tfidf_corpus(8)
+        model, _ = train_lr(data, TrainConfigLR(epochs=2, seed=1))
+        for x, _ in data:
+            expected = sigmoid(reference_score(model.weights, model.bias, x))
+            assert predict_proba(model, x) == expected
+        weights, bias, losses = reference_train_lr(
+            data[:13], TrainConfigLR(epochs=1, batch_size=13, shuffle=False)
+        )
+        grad_w, grad_b = batch_gradient(np.zeros_like(weights), 0.0, data[:13], 1e-4)
+        assert np.array_equal(-0.1 * grad_w, weights)
+        assert -0.1 * grad_b == bias
+        assert dataset_loss(weights, bias, data[:13], 1e-4) == losses[0]
+
+    def test_scores_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the sequential sum is 0.0; a
+        # compensated sum (math.fsum, or sum() on CPython >= 3.12) gives 1.0.
+        x = SparseVector(entries=((0, 1e16), (1, 1.0), (2, -1e16)), dimension=3)
+        assert math.fsum(w for _, w in x.entries) == 1.0
+        model = LinearModel(weights=np.ones(3), bias=0.0, dimension=3)
+        assert predict_proba(model, x) == 0.5
+        assert dataset_loss(model.weights, 0.0, [(x, Label(0))], 0.0) == math.log(2.0)
+        grad_w, grad_b = batch_gradient(model.weights, 0.0, [(x, Label(0))], 0.0)
+        assert grad_b == 0.5
+        assert np.array_equal(grad_w, [5e15, 0.5, -5e15])

@@ -173,3 +173,92 @@ class TestProperties:
     def test_collapse_whitespace_result_has_single_spaces(self, text):
         out = collapse_whitespace(text)
         assert "  " not in out and out == out.strip()
+
+
+def reference_strip_specials(text: str) -> str:
+    return "".join(
+        ch
+        if unicodedata.category(ch)[0] in ("L", "M")
+        or unicodedata.category(ch) == "Nd"
+        or ch.isspace()
+        else " "
+        for ch in text
+    )
+
+
+def reference_strip_digits(text: str) -> str:
+    return "".join(" " if unicodedata.category(ch) == "Nd" else ch for ch in text)
+
+
+def reference_lowercase_latin(text: str) -> str:
+    def lower(ch: str) -> str:
+        if "LATIN" not in unicodedata.name(ch, ""):
+            return ch
+        lowered = ch.lower()
+        return lowered if len(lowered) == 1 else ch
+
+    return "".join(lower(ch) for ch in text)
+
+
+def reference_preprocess(text: str, policy: CleanPolicy) -> str:
+    """The cleaning steps one pass each, one code point at a time: the
+    oracle for the single translate pass in preprocess."""
+    if policy.remove_urls:
+        text = remove_urls(text)
+    if policy.strip_specials:
+        text = reference_strip_specials(text)
+    if policy.strip_digits:
+        text = reference_strip_digits(text)
+    if policy.lowercase_latin:
+        text = reference_lowercase_latin(text)
+    if policy.collapse_whitespace:
+        text = collapse_whitespace(text)
+    return text
+
+
+# Arbitrary Unicode plus the code points whose handling differs by step:
+# astral symbols and letters, Tamil/Malayalam letters and vowel signs, the
+# one-to-many lowering U+0130, Nd digits of other scripts, and odd spaces.
+_ANY_CHAR = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0x10000),
+    st.characters(min_codepoint=0x0B80, max_codepoint=0x0BFF),
+    st.characters(min_codepoint=0x0D00, max_codepoint=0x0D7F),
+    st.sampled_from(
+        ["İ", "ẞ", "Ａ", "٣", "௧", "൬", "१", "𝟘", "\u2028", "\xa0", "\x85", "!"]
+    ),
+)
+_POLICIES = st.builds(
+    CleanPolicy,
+    remove_urls=st.booleans(),
+    strip_specials=st.booleans(),
+    collapse_whitespace=st.booleans(),
+    lowercase_latin=st.booleans(),
+    strip_digits=st.booleans(),
+)
+
+
+class TestTranslateTable:
+    @given(
+        st.text(alphabet=_ANY_CHAR, max_size=60)
+        | st.builds(
+            lambda a, b: a + " https://x.co/" + b,
+            st.text(_ANY_CHAR, max_size=30),
+            st.text(_ANY_CHAR, max_size=30),
+        ),
+        _POLICIES,
+    )
+    @settings(max_examples=500)
+    def test_matches_per_character_steps(self, text, policy):
+        assert preprocess(text, policy) == reference_preprocess(text, policy)
+
+    @given(st.text(alphabet=_ANY_CHAR, max_size=60))
+    def test_public_steps_match_per_character_steps(self, text):
+        assert strip_specials(text) == reference_strip_specials(text)
+        assert lowercase_latin(text) == reference_lowercase_latin(text)
+
+    def test_every_policy_on_fixed_script_mix(self):
+        text = "İSTANBUL ١٢٣ ௧௨ Naan அம்மா അമ്മ 😀 x!y www.A.b/ç ẞ 𝟘"
+        for flags in range(32):
+            policy = CleanPolicy(*(bool(flags >> bit & 1) for bit in range(5)))
+            assert preprocess(text, policy) == reference_preprocess(text, policy)
