@@ -37,6 +37,7 @@ from .corpus import (
     Label,
     SplitName,
     compute_stats,
+    decode_text,
     map_label,
     parse_dataset,
     synth_corpus,
@@ -175,10 +176,6 @@ def _read_file(path: str | Path) -> bytes:
     return p.read_bytes()
 
 
-def _file_format(name: str) -> FileFormat:
-    return FileFormat(name)
-
-
 def _parse_split(
     path: str | Path,
     format: str,
@@ -188,7 +185,7 @@ def _parse_split(
 ) -> DatasetSplit:
     return parse_dataset(
         _read_file(path),
-        format=_file_format(format),
+        format=FileFormat(format),
         has_labels=has_labels,
         name=name,
         language_tag=language_tag,
@@ -196,11 +193,8 @@ def _parse_split(
 
 
 def _has_label_column(data: bytes, format: str) -> bool:
-    text = data.decode("utf-8", errors="replace")
-    if text.startswith("﻿"):
-        text = text[1:]
-    header_line = text.split("\n", 1)[0].rstrip("\r")
-    if _file_format(format) is FileFormat.TSV:
+    header_line = decode_text(data).split("\n", 1)[0].rstrip("\r")
+    if FileFormat(format) is FileFormat.TSV:
         header = header_line.split("\t")
     else:
         import csv as _csv
@@ -260,7 +254,7 @@ def _parse_input(
     has_labels = _has_label_column(data, format)
     return parse_dataset(
         data,
-        format=_file_format(format),
+        format=FileFormat(format),
         has_labels=has_labels,
         name=labeled_name if has_labels else SplitName.TEST,
     )
@@ -292,7 +286,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_per_class=args.n_per_class,
         name=SplitName(args.name),
     )
-    Path(args.out).write_bytes(write_dataset(split, _file_format(args.format)))
+    Path(args.out).write_bytes(write_dataset(split, FileFormat(args.format)))
     print(f"wrote {len(split.examples)} examples to {args.out}")
     return EXIT_OK
 
@@ -312,13 +306,14 @@ def _train_tfidf_lr(
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}: train_loss {loss:.6f}")
     if dev_split is not None:
-        gold, pred = [], []
-        for example in dev_split.examples:
-            text = textprep.preprocess(example.text, config.preprocessing)
-            p = linear.predict_proba(model, vectorizer.transform(tfidf, text))
-            gold.append(example.label)
-            pred.append(linear.decide(p))
-        score = metrics.macro_f1(metrics.confusion(gold, pred))
+        vectors = [
+            vectorizer.transform(
+                tfidf, textprep.preprocess(text, config.preprocessing)
+            )
+            for text in dev_split.texts()
+        ]
+        pred = [linear.decide(p) for p in linear.predict_probas(model, vectors)]
+        score = metrics.macro_f1(metrics.confusion(dev_split.labels(), pred))
         print(f"dev macro F1: {score:.4f}")
     payload = bundlemod.TfIdfLrPayload(
         tfidf=tfidf, linear=model, train_config=config.lr, report=report
@@ -411,12 +406,10 @@ def _bundle_probabilities(
     cleaned = [textprep.preprocess(t, bundle.policy) for t in texts]
     if bundle.model_kind == bundlemod.KIND_TFIDF_LR:
         payload = bundle.payload
-        return [
-            linear.predict_proba(
-                payload.linear, vectorizer.transform(payload.tfidf, text)
-            )
-            for text in cleaned
-        ]
+        return linear.predict_probas(
+            payload.linear,
+            [vectorizer.transform(payload.tfidf, text) for text in cleaned],
+        )
     payload = bundle.payload
     max_length = payload.model.config.max_length
     probs: list[float] = []
@@ -454,7 +447,7 @@ def _require_path(path: str) -> str:
 
 def _parse_predictions(path: str | Path) -> dict[str, Label]:
     """Read a predictions TSV (id, probability, label) into id -> label."""
-    text = _read_file(path).decode("utf-8")
+    text = decode_text(_read_file(path))
     lines = [line for line in text.split("\n") if line != ""]
     if not lines:
         raise MalformedRow(1, "predictions file is empty")

@@ -135,6 +135,16 @@ def _rows_from_text(text: str, format: FileFormat) -> Iterable[tuple[int, list[s
             yield reader.line_num, cells
 
 
+def decode_text(data: bytes) -> str:
+    """UTF-8 bytes as text, without a leading byte-order mark; EncodingError
+    for invalid UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
+    return text.removeprefix("\ufeff")
+
+
 def parse_dataset(
     source: BinaryIO | bytes,
     format: FileFormat = FileFormat.TSV,
@@ -150,14 +160,7 @@ def parse_dataset(
     ``row-<k>`` from the 0-based data-row index.
     """
     data = source if isinstance(source, bytes) else source.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
-    if text.startswith("﻿"):
-        text = text[1:]
-
-    rows = _rows_from_text(text, format)
+    rows = _rows_from_text(decode_text(data), format)
     try:
         header_row = next(rows)
     except StopIteration:

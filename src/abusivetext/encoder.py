@@ -5,7 +5,10 @@ finite differences: learned token + position embeddings, post-layer-norm
 blocks of masked multi-head self-attention and a ReLU feed-forward, and a
 single-logit sigmoid head read off the CLS position. Padding keys receive a
 -1e30 additive score before the softmax, which makes the output exactly
-invariant to whatever sits in the PAD tail.
+invariant to whatever sits in the PAD tail. The head reads nothing but the
+CLS row, so the last layer runs its queries, attention rows, residual, layer
+norms and feed-forward on that row alone; its keys and values still span
+every position.
 
 Tokenization is a corpus-trained byte-pair encoder: specials (CLS/PAD/UNK),
 then the corpus's single bytes, then merged pieces. Bytes never seen in
@@ -378,7 +381,9 @@ def forward_batch(
     columns of pos_emb. Dropout is applied only when a generator is passed
     (training mode) and the configured rate is nonzero; its masks are drawn
     at full max_length width and sliced, so trimming leaves the random
-    stream unchanged."""
+    stream unchanged. The last layer computes only the CLS row (the one the
+    head reads), so its cached queries, attention rows and activations have
+    one position."""
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_length:
         raise DimensionMismatch(
             f"ids must have shape (batch, 1..{config.max_length}), got {ids.shape}"
@@ -392,11 +397,11 @@ def forward_batch(
 
     batch, length = ids.shape
 
-    def dropout_mask() -> np.ndarray | None:
+    def dropout_mask(width: int) -> np.ndarray | None:
         if drop_rate == 0.0:
             return None
         shape = (batch, config.max_length, config.d_model)
-        keep = dropout_rng.random(shape)[:, :length, :] >= drop_rate
+        keep = dropout_rng.random(shape)[:, :width, :] >= drop_rate
         return keep.astype(np.float64) / (1.0 - drop_rate)
 
     x = params["tok_emb"][ids] + params["pos_emb"][None, :length, :]
@@ -404,7 +409,10 @@ def forward_batch(
     for i in range(config.n_layers):
         p = f"layer{i}."
         x_in = x
-        q = x @ params[p + "attn.wq"] + params[p + "attn.bq"]
+        # The head reads only the CLS row, so the last layer computes its
+        # queries, and everything after them, for that row alone.
+        rows = x[:, :1, :] if i == config.n_layers - 1 else x
+        q = rows @ params[p + "attn.wq"] + params[p + "attn.bq"]
         k = x @ params[p + "attn.wk"] + params[p + "attn.bk"]
         v = x @ params[p + "attn.wv"] + params[p + "attn.bv"]
         qh = _split_heads(q, config.n_heads)
@@ -416,16 +424,16 @@ def forward_batch(
         attn = exp / exp.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ vh)
         proj = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        attn_drop = dropout_mask()
+        attn_drop = dropout_mask(rows.shape[1])
         if attn_drop is not None:
             proj = proj * attn_drop
         x1, ln1 = _layer_norm(
-            x_in + proj, params[p + "ln1.gamma"], params[p + "ln1.beta"]
+            rows + proj, params[p + "ln1.gamma"], params[p + "ln1.beta"]
         )
         h1 = x1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
         h1r = np.maximum(h1, 0.0)
         f = h1r @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        ffn_drop = dropout_mask()
+        ffn_drop = dropout_mask(rows.shape[1])
         if ffn_drop is not None:
             f = f * ffn_drop
         x, ln2 = _layer_norm(
@@ -476,8 +484,8 @@ def backward_batch(
     dlogits = (probs - labels) / batch
     grads["head.w"] += cache["cls"].T @ dlogits
     grads["head.b"] += dlogits.sum()
-    dx = np.zeros((batch, length, config.d_model))
-    dx[:, 0, :] = dlogits[:, None] * params["head.w"][None, :]
+    # The last layer's output is the CLS row alone.
+    dx = (dlogits[:, None] * params["head.w"][None, :])[:, None, :]
 
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
@@ -510,13 +518,17 @@ def backward_batch(
         dqh = dscores @ kh * scale
         dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
 
-        x_in_t = _flat(layer["x_in"]).T
-        dx = dr1
+        # Keys and values span every input position; queries and the
+        # residual only the rows this layer computed.
+        x_in = layer["x_in"]
+        dx = np.zeros_like(x_in)
+        dx[:, : dr1.shape[1]] = dr1
         for name, dhead in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
             dmat = _merge_heads(dhead)
-            grads[p + f"attn.{name}"] += x_in_t @ _flat(dmat)
+            width = dmat.shape[1]
+            grads[p + f"attn.{name}"] += _flat(x_in[:, :width]).T @ _flat(dmat)
             grads[p + f"attn.b{name[1]}"] += dmat.sum(axis=(0, 1))
-            dx = dx + dmat @ params[p + f"attn.{name}"].T
+            dx[:, :width] += dmat @ params[p + f"attn.{name}"].T
 
     np.add.at(grads["tok_emb"], ids, dx)
     grads["pos_emb"][:length] += dx.sum(axis=0)
@@ -567,7 +579,8 @@ def predict_probs(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> np.
 def attention_maps(
     model: EncoderModel, ids: np.ndarray, mask: np.ndarray
 ) -> list[np.ndarray]:
-    """Per-layer attention probabilities (n_heads, L, L) for one sequence."""
+    """Per-layer attention probabilities for one sequence: (n_heads, L, L)
+    for every layer but the last, whose map is the CLS row, (n_heads, 1, L)."""
     _, cache = forward_batch(
         model.params, model.config, ids[None, :], mask[None, :]
     )

@@ -192,13 +192,24 @@ def _split(
     return _Rows.pack([x for x, _ in data]), [float(y) for _, y in data]
 
 
+def predict_probas(
+    model: LinearModel, vectors: Sequence[SparseVector]
+) -> list[float]:
+    """sigmoid(w . x + b) for each vector, scored in one kernel call; each
+    row's products are added in entry order, so a row's probability does
+    not depend on the rows scored with it."""
+    for x in vectors:
+        if x.dimension != model.dimension:
+            raise DimensionMismatch(
+                f"vector dimension {x.dimension} != model dimension {model.dimension}"
+            )
+    scores = _Rows.pack(vectors).scores(model.weights, model.bias)
+    return [sigmoid(z) for z in scores]
+
+
 def predict_proba(model: LinearModel, x: SparseVector) -> float:
     """sigmoid(w . x + b)."""
-    if x.dimension != model.dimension:
-        raise DimensionMismatch(
-            f"vector dimension {x.dimension} != model dimension {model.dimension}"
-        )
-    return sigmoid(_Rows.pack([x]).scores(model.weights, model.bias)[0])
+    return predict_probas(model, [x])[0]
 
 
 def decide(p: float, threshold: float = 0.5) -> Label:

@@ -43,6 +43,21 @@ def synth_files(tmp_path):
     return train, dev
 
 
+def gold_and_predictions(tmp_path):
+    """A 10-row gold file and a predictions file that agrees with it."""
+    gold = tmp_path / "gold.tsv"
+    rows = ["id\ttext\tlabel"]
+    rows += [f"g{k}\tcomment {k}\t{'Abusive' if k % 2 else 'Non-Abusive'}"
+             for k in range(10)]
+    gold.write_text("\n".join(rows) + "\n")
+    preds = tmp_path / "p.tsv"
+    pred_rows = ["id\tprobability\tlabel"]
+    pred_rows += [f"g{k}\t0.500000\t{'Abusive' if k % 2 else 'Non-Abusive'}"
+                  for k in range(10)]
+    preds.write_text("\n".join(pred_rows) + "\n")
+    return gold, preds
+
+
 def lr_config(tmp_path, train, dev, out, epochs=15, seed=7):
     path = tmp_path / "run.json"
     path.write_text(
@@ -182,16 +197,14 @@ class TestTrainPredictEvaluate:
         assert capsys.readouterr().out == first
 
     def test_evaluate_gold_equals_pred_scores_one(self, tmp_path, capsys):
-        gold = tmp_path / "gold.tsv"
-        rows = ["id\ttext\tlabel"]
-        rows += [f"g{k}\tcomment {k}\t{'Abusive' if k % 2 else 'Non-Abusive'}"
-                 for k in range(10)]
-        gold.write_text("\n".join(rows) + "\n")
-        preds = tmp_path / "p.tsv"
-        pred_rows = ["id\tprobability\tlabel"]
-        pred_rows += [f"g{k}\t0.500000\t{'Abusive' if k % 2 else 'Non-Abusive'}"
-                      for k in range(10)]
-        preds.write_text("\n".join(pred_rows) + "\n")
+        gold, preds = gold_and_predictions(tmp_path)
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 0
+        assert "macro F1:  1.0000" in capsys.readouterr().out
+
+    def test_predictions_with_byte_order_mark_evaluate(self, tmp_path, capsys):
+        # Dataset files may start with a UTF-8 BOM; so may predictions.
+        gold, preds = gold_and_predictions(tmp_path)
+        preds.write_bytes(b"\xef\xbb\xbf" + preds.read_bytes())
         assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 0
         assert "macro F1:  1.0000" in capsys.readouterr().out
 
@@ -346,6 +359,13 @@ class TestExitCodes:
         rc = run_cli("train", "--train", str(bad), "--out", str(tmp_path / "m.json"))
         assert rc == 1
         assert "ERROR MALFORMED_ROW" in capsys.readouterr().err
+
+    def test_predictions_not_utf8_is_encoding_error(self, tmp_path, capsys):
+        gold, preds = gold_and_predictions(tmp_path)
+        preds.write_bytes(preds.read_bytes() + b"g10\t0.5\t\xff\xfe\n")
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 1
+        [line] = error_lines(capsys.readouterr().err)
+        assert line.startswith("ERROR ENCODING: ")
 
     def test_unknown_config_key_is_1(self, tmp_path, capsys):
         config = tmp_path / "c.json"

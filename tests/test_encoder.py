@@ -1,9 +1,9 @@
 """Subword tokenizer, encoder forward invariants, gradient correctness, and
 seeded training behavior.
 
-The gradient check runs a deliberately tiny configuration (d_model 8, one
-layer, two heads, sequence length 8) so central finite differences over every
-parameter tensor stay fast. The key-projection bias is a known special case:
+The gradient checks run deliberately tiny configurations (d_model 8, one or
+two layers, two heads, sequence length 8) so central finite differences over
+every parameter tensor stay fast. The key-projection bias is a known special case:
 softmax is invariant to per-row score shifts, so its true gradient is zero
 and both sides of the check are numerical noise; the floored denominator
 below treats that correctly instead of dividing noise by noise.
@@ -27,6 +27,9 @@ from abusivetext.textprep import preprocess
 
 MICRO_CONFIG = enc.EncoderConfig(
     d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=8
+)
+TWO_LAYER_CONFIG = enc.EncoderConfig(
+    d_model=8, n_heads=2, n_layers=2, d_ff=16, max_length=8
 )
 
 
@@ -275,18 +278,28 @@ class TestForward:
             enc.forward(model, np.zeros(4, dtype=np.int64), np.ones(4))
 
     def test_shapes_at_layer_boundaries(self, toy_tokenizer):
+        # Layer 0 runs every position; the last layer only the CLS row,
+        # which attends over every key.
+        config = TWO_LAYER_CONFIG
         ids, mask, _ = micro_batch(toy_tokenizer, batch=3)
-        params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=4)
-        probs, cache = enc.forward_batch(params, MICRO_CONFIG, ids, mask)
-        b, length, d = 3, MICRO_CONFIG.max_length, MICRO_CONFIG.d_model
-        heads, d_head = MICRO_CONFIG.n_heads, MICRO_CONFIG.d_head
+        params = enc.init_params(config, toy_tokenizer.vocab_size, seed=4)
+        probs, cache = enc.forward_batch(params, config, ids, mask)
+        b, length, d = 3, config.max_length, config.d_model
+        heads, d_head, d_ff = config.n_heads, config.d_head, config.d_ff
         assert probs.shape == (b,)
-        for layer in cache["layers"]:
-            assert layer["qh"].shape == (b, heads, length, d_head)
-            assert layer["attn"].shape == (b, heads, length, length)
-            assert layer["ctx"].shape == (b, length, d)
-            assert layer["x1"].shape == (b, length, d)
-            assert layer["h1"].shape == (b, length, MICRO_CONFIG.d_ff)
+        first, last = cache["layers"]
+        assert first["qh"].shape == (b, heads, length, d_head)
+        assert first["attn"].shape == (b, heads, length, length)
+        assert first["ctx"].shape == (b, length, d)
+        assert first["x1"].shape == (b, length, d)
+        assert first["h1"].shape == (b, length, d_ff)
+        assert last["x_in"].shape == (b, length, d)
+        assert last["kh"].shape == last["vh"].shape == (b, heads, length, d_head)
+        assert last["qh"].shape == (b, heads, 1, d_head)
+        assert last["attn"].shape == (b, heads, 1, length)
+        assert last["ctx"].shape == (b, 1, d)
+        assert last["x1"].shape == (b, 1, d)
+        assert last["h1"].shape == (b, 1, d_ff)
         assert cache["cls"].shape == (b, d)
 
 
@@ -323,6 +336,13 @@ class TestGradients:
         ids, mask, labels = micro_batch(toy_tokenizer)
         params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=5)
         assert gradient_check(params, MICRO_CONFIG, ids, mask, labels) < 1e-4
+
+    def test_two_layers_match_finite_differences(self, toy_tokenizer):
+        # Layer 0 runs full width and the last layer the CLS row only, so
+        # both gradient shapes meet here.
+        ids, mask, labels = padded_batch(toy_tokenizer, lengths=(8, 3, 5, 1))
+        params = enc.init_params(TWO_LAYER_CONFIG, toy_tokenizer.vocab_size, seed=6)
+        assert gradient_check(params, TWO_LAYER_CONFIG, ids, mask, labels) < 1e-4
 
     def test_gradients_flow_to_embeddings_of_used_tokens_only(self, toy_tokenizer):
         ids, mask, labels = micro_batch(toy_tokenizer)
@@ -485,10 +505,78 @@ class TestTrainEncoder:
         assert enc.EncoderConfig().max_length == 128
 
 
+def reference_forward_batch(params, config, ids, mask, dropout_rng=None):
+    """The full-width forward pass: every layer, the last one included,
+    computes queries, attention rows and activations for every position,
+    though the head reads only the CLS row. The oracle for the CLS-only last
+    layer in forward_batch; its cache feeds reference_backward_batch."""
+    scale = 1.0 / np.sqrt(config.d_head)
+    score_bias = (mask[:, None, None, :] - 1.0) * enc._MASK_BIAS
+    drop_rate = config.dropout if dropout_rng is not None else 0.0
+
+    batch, length = ids.shape
+
+    def dropout_mask():
+        if drop_rate == 0.0:
+            return None
+        shape = (batch, config.max_length, config.d_model)
+        keep = dropout_rng.random(shape)[:, :length, :] >= drop_rate
+        return keep.astype(np.float64) / (1.0 - drop_rate)
+
+    x = params["tok_emb"][ids] + params["pos_emb"][None, :length, :]
+    layers = []
+    for i in range(config.n_layers):
+        p = f"layer{i}."
+        x_in = x
+        q = x @ params[p + "attn.wq"] + params[p + "attn.bq"]
+        k = x @ params[p + "attn.wk"] + params[p + "attn.bk"]
+        v = x @ params[p + "attn.wv"] + params[p + "attn.bv"]
+        qh = enc._split_heads(q, config.n_heads)
+        kh = enc._split_heads(k, config.n_heads)
+        vh = enc._split_heads(v, config.n_heads)
+        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + score_bias
+        scores -= scores.max(axis=-1, keepdims=True)
+        exp = np.exp(scores)
+        attn = exp / exp.sum(axis=-1, keepdims=True)
+        ctx = enc._merge_heads(attn @ vh)
+        proj = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+        attn_drop = dropout_mask()
+        if attn_drop is not None:
+            proj = proj * attn_drop
+        x1, ln1 = enc._layer_norm(
+            x_in + proj, params[p + "ln1.gamma"], params[p + "ln1.beta"]
+        )
+        h1 = x1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+        h1r = np.maximum(h1, 0.0)
+        f = h1r @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        ffn_drop = dropout_mask()
+        if ffn_drop is not None:
+            f = f * ffn_drop
+        x, ln2 = enc._layer_norm(
+            x1 + f, params[p + "ln2.gamma"], params[p + "ln2.beta"]
+        )
+        layers.append(
+            dict(
+                x_in=x_in, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
+                ln1=ln1, x1=x1, h1=h1, h1r=h1r, ln2=ln2,
+                attn_drop=attn_drop, ffn_drop=ffn_drop,
+            )
+        )
+    cls = x[:, 0, :]
+    logits = cls @ params["head.w"] + params["head.b"]
+    probs = 1.0 / (1.0 + np.exp(-np.abs(logits)))
+    probs = np.where(logits >= 0, probs, 1.0 - probs)
+    probs = np.clip(probs, 5e-324, np.nextafter(1.0, 0.0))
+    cache = dict(ids=ids, layers=layers, cls=cls, logits=logits)
+    return probs, cache
+
+
 def reference_backward_batch(params, config, cache, probs, labels):
-    """The einsum formulation of the backward pass: every weight gradient
-    contracts batch and position axes in one einsum. The oracle for the
-    2-D matrix products in backward_batch."""
+    """The full-width einsum formulation of the backward pass, run on the
+    cache of reference_forward_batch: every weight gradient contracts batch
+    and position axes in one einsum, and the rows of the last layer that
+    the head never reads carry exact zeros. The oracle for the 2-D matrix
+    products and the CLS-only last layer in backward_batch."""
     ids = cache["ids"]
     batch, length = ids.shape
     scale = 1.0 / np.sqrt(config.d_head)
@@ -581,7 +669,13 @@ class TestBackwardMatchesEinsumReference:
         rng = np.random.default_rng(seed) if dropout else None
         probs, cache = enc.forward_batch(params, config, ids, mask, dropout_rng=rng)
         grads = enc.backward_batch(params, config, cache, probs, labels)
-        expected = reference_backward_batch(params, config, cache, probs, labels)
+        rng = np.random.default_rng(seed) if dropout else None
+        ref_probs, ref_cache = reference_forward_batch(
+            params, config, ids, mask, dropout_rng=rng
+        )
+        expected = reference_backward_batch(
+            params, config, ref_cache, ref_probs, labels
+        )
         assert grads.keys() == expected.keys()
         for name in grads:
             np.testing.assert_allclose(
@@ -596,14 +690,53 @@ class TestBackwardMatchesEinsumReference:
             )
             probs, cache = enc.forward_batch(params, WIDE_CONFIG, ids, mask)
             grads = enc.backward_batch(params, WIDE_CONFIG, cache, probs, labels)
+            ref_probs, ref_cache = reference_forward_batch(
+                params, WIDE_CONFIG, ids, mask
+            )
             expected = reference_backward_batch(
-                params, WIDE_CONFIG, cache, probs, labels
+                params, WIDE_CONFIG, ref_cache, ref_probs, labels
             )
             for name in grads:
                 np.testing.assert_allclose(
                     grads[name], expected[name], rtol=0, atol=1e-12,
                     err_msg=f"{name} at width {width}",
                 )
+
+
+class TestClsOnlyLastLayer:
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_matches_full_width_reference(self, toy_tokenizer, n_layers, dropout):
+        config = enc.EncoderConfig(
+            d_model=16, n_heads=4, n_layers=n_layers, d_ff=24, max_length=12,
+            dropout=dropout,
+        )
+        params = enc.init_params(config, toy_tokenizer.vocab_size, seed=n_layers)
+        for width in range(1, config.max_length + 1):
+            ids, mask, labels = mixed_length_batch(
+                toy_tokenizer.vocab_size, 6, width, seed=width
+            )
+            rng, ref_rng = (
+                (np.random.default_rng(width), np.random.default_rng(width))
+                if dropout else (None, None)
+            )
+            probs, cache = enc.forward_batch(params, config, ids, mask, dropout_rng=rng)
+            grads = enc.backward_batch(params, config, cache, probs, labels)
+            ref_probs, ref_cache = reference_forward_batch(
+                params, config, ids, mask, dropout_rng=ref_rng
+            )
+            expected = reference_backward_batch(
+                params, config, ref_cache, ref_probs, labels
+            )
+            np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+            assert grads.keys() == expected.keys()
+            for name in grads:
+                np.testing.assert_allclose(
+                    grads[name], expected[name], rtol=0, atol=1e-12,
+                    err_msg=f"{name} at width {width}",
+                )
+            if dropout:
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBlockedPrediction:

@@ -19,6 +19,7 @@ from abusivetext.linear import (
     dataset_loss,
     decide,
     predict_proba,
+    predict_probas,
     sigmoid,
     train_lr,
 )
@@ -103,6 +104,12 @@ class TestPredictProba:
         model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
         with pytest.raises(DimensionMismatch):
             predict_proba(model, SparseVector(entries=(), dimension=5))
+
+    def test_dimension_mismatch_anywhere_in_a_batch(self):
+        model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
+        ok = SparseVector(entries=((1, 0.3),), dimension=4)
+        with pytest.raises(DimensionMismatch):
+            predict_probas(model, [ok, SparseVector(entries=(), dimension=5), ok])
 
 
 class TestDecide:
@@ -332,6 +339,18 @@ class TestKernelsMatchPerEntryReference:
         assert np.array_equal(-0.1 * grad_w, weights)
         assert -0.1 * grad_b == bias
         assert dataset_loss(weights, bias, data[:13], 1e-4) == losses[0]
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_batched_probabilities_equal_per_row(self, seed):
+        data = tfidf_corpus(seed)
+        model, _ = train_lr(data, TrainConfigLR(epochs=2, seed=seed))
+        vectors = [x for x, _ in data]
+        probs = predict_probas(model, vectors)
+        assert probs == [predict_proba(model, x) for x in vectors]
+        assert probs == [
+            sigmoid(reference_score(model.weights, model.bias, x)) for x in vectors
+        ]
+        assert predict_probas(model, []) == []
 
     def test_scores_add_left_to_right(self):
         # 1e16 + 1.0 rounds back to 1e16, so the sequential sum is 0.0; a
