@@ -26,8 +26,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import bundle as bundlemod
 from . import encoder as enc
 from . import linear, metrics, textprep, vectorizer
@@ -37,9 +35,9 @@ from .corpus import (
     Label,
     SplitName,
     compute_stats,
-    decode_text,
     map_label,
     parse_dataset,
+    read_table,
     synth_corpus,
     write_dataset,
 )
@@ -80,7 +78,7 @@ class RunConfig:
     train_path: str | None = None
     dev_path: str | None = None
     model_path: str | None = None
-    model_kind: str = bundlemod.KIND_TFIDF_LR
+    model_kind: str = bundlemod.TfIdfLrPayload.KIND
     language_tag: str = ""
     format: str = "tsv"
     seed: int | None = None
@@ -123,8 +121,7 @@ class RunConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict[str, Any]:
-        doc = asdict(self)
-        return doc
+        return asdict(self)
 
     def resolve_seed(self) -> "RunConfig":
         """Fold the run seed (or the env fallback) into the arm configs."""
@@ -179,10 +176,12 @@ def _read_file(path: str | Path) -> bytes:
 def _parse_split(
     path: str | Path,
     format: str,
-    has_labels: bool,
-    name: SplitName,
+    has_labels: bool | None = None,
+    name: SplitName | None = None,
     language_tag: str = "",
 ) -> DatasetSplit:
+    """Parse a dataset file; by default its header decides whether it
+    carries labels, and unlabeled files become the test split."""
     return parse_dataset(
         _read_file(path),
         format=FileFormat(format),
@@ -190,18 +189,6 @@ def _parse_split(
         name=name,
         language_tag=language_tag,
     )
-
-
-def _has_label_column(data: bytes, format: str) -> bool:
-    header_line = decode_text(data).split("\n", 1)[0].rstrip("\r")
-    if FileFormat(format) is FileFormat.TSV:
-        header = header_line.split("\t")
-    else:
-        import csv as _csv
-        import io as _io
-
-        header = next(_csv.reader(_io.StringIO(header_line)), [])
-    return "label" in [cell.strip() for cell in header]
 
 
 def _stats_lines(split: DatasetSplit) -> list[str]:
@@ -245,23 +232,8 @@ def _print_report_table(cm: metrics.ConfusionMatrix) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _parse_input(
-    path: str | Path, format: str, labeled_name: SplitName
-) -> DatasetSplit:
-    """Parse a file whose header decides whether it carries labels; the
-    bytes are read once. Unlabeled files become the test split."""
-    data = _read_file(path)
-    has_labels = _has_label_column(data, format)
-    return parse_dataset(
-        data,
-        format=FileFormat(format),
-        has_labels=has_labels,
-        name=labeled_name if has_labels else SplitName.TEST,
-    )
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
-    split = _parse_input(args.input, args.format, SplitName.TRAIN)
+    split = _parse_split(args.input, args.format)
     for line in _stats_lines(split):
         print(line)
     return EXIT_OK
@@ -291,74 +263,54 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A training split as (cleaned text, label) pairs.
+Pairs = list[tuple[str, Label]]
+
+
 def _train_tfidf_lr(
-    config: RunConfig, train_split: DatasetSplit, dev_split: DatasetSplit | None
-) -> bundlemod.ModelBundle:
-    texts = [
-        textprep.preprocess(t, config.preprocessing) for t in train_split.texts()
-    ]
-    tfidf = vectorizer.fit(texts, config.tfidf)
-    data = [
-        (vectorizer.transform(tfidf, text), example.label)
-        for text, example in zip(texts, train_split.examples)
-    ]
-    model, report = linear.train_lr(data, config.lr)
+    config: RunConfig, train: Pairs, dev: Pairs | None
+) -> bundlemod.TfIdfLrPayload:
+    tfidf = vectorizer.fit([text for text, _ in train], config.tfidf)
+    model, report = linear.train_lr(
+        [(vectorizer.transform(tfidf, text), label) for text, label in train],
+        config.lr,
+    )
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}: train_loss {loss:.6f}")
-    if dev_split is not None:
-        vectors = [
-            vectorizer.transform(
-                tfidf, textprep.preprocess(text, config.preprocessing)
-            )
-            for text in dev_split.texts()
-        ]
-        pred = [linear.decide(p) for p in linear.predict_probas(model, vectors)]
-        score = metrics.macro_f1(metrics.confusion(dev_split.labels(), pred))
-        print(f"dev macro F1: {score:.4f}")
     payload = bundlemod.TfIdfLrPayload(
         tfidf=tfidf, linear=model, train_config=config.lr, report=report
     )
-    return bundlemod.ModelBundle(
-        model_kind=bundlemod.KIND_TFIDF_LR,
-        language_tag=config.language_tag,
-        policy=config.preprocessing,
-        payload=payload,
-    )
+    if dev is not None:
+        probs = payload.probabilities([text for text, _ in dev])
+        score = metrics.decided_macro_f1([label for _, label in dev], probs)
+        print(f"dev macro F1: {score:.4f}")
+    return payload
 
 
 def _train_micro_encoder(
-    config: RunConfig, train_split: DatasetSplit, dev_split: DatasetSplit
-) -> bundlemod.ModelBundle:
-    train_texts = [
-        textprep.preprocess(t, config.preprocessing) for t in train_split.texts()
-    ]
-    dev_texts = [
-        textprep.preprocess(t, config.preprocessing) for t in dev_split.texts()
-    ]
-    tokenizer = enc.train_subword(train_texts, config.encoder_vocab_size)
+    config: RunConfig, train: Pairs, dev: Pairs | None
+) -> bundlemod.MicroEncoderPayload:
+    if dev is None:
+        raise DevRequiredError(
+            "the micro_encoder arm evaluates on dev every epoch; supply --dev"
+        )
+    tokenizer = enc.train_subword([text for text, _ in train], config.encoder_vocab_size)
     model, report = enc.train_encoder(
-        train=list(zip(train_texts, train_split.labels())),
-        dev=list(zip(dev_texts, dev_split.labels())),
-        tokenizer=tokenizer,
-        enc_config=config.encoder,
-        train_config=config.encoder_train,
+        train, dev, tokenizer, config.encoder, config.encoder_train
     )
     for epoch, (loss, f1) in enumerate(
         zip(report.epoch_train_losses, report.epoch_dev_macro_f1), start=1
     ):
         print(f"epoch {epoch}: train_loss {loss:.6f} dev_macro_f1 {f1:.4f}")
-    payload = bundlemod.MicroEncoderPayload(
-        tokenizer=tokenizer,
-        model=model,
-        train_config=config.encoder_train,
-        report=report,
+    return bundlemod.MicroEncoderPayload(
+        tokenizer=tokenizer, model=model, train_config=config.encoder_train, report=report
     )
-    return bundlemod.ModelBundle(
-        model_kind=bundlemod.KIND_MICRO_ENCODER,
-        language_tag=config.language_tag,
-        policy=config.preprocessing,
-        payload=payload,
-    )
+
+
+_TRAINERS = {
+    bundlemod.TfIdfLrPayload.KIND: _train_tfidf_lr,
+    bundlemod.MicroEncoderPayload.KIND: _train_micro_encoder,
+}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -367,10 +319,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("no training file configured (use --train or the config file)")
     if not config.model_path:
         raise ValueError("no model output path configured (use --out)")
-    if config.model_kind not in (
-        bundlemod.KIND_TFIDF_LR, bundlemod.KIND_MICRO_ENCODER
-    ):
-        raise ValueError(f"unknown model_kind {config.model_kind!r}")
+    kind = config.model_kind
+    trainer = _TRAINERS.get(kind) if isinstance(kind, str) else None
+    if trainer is None:
+        raise ValueError(f"unknown model_kind {kind!r}")
 
     train_split = _parse_split(
         config.train_path, config.format, has_labels=True,
@@ -380,88 +332,48 @@ def cmd_train(args: argparse.Namespace) -> int:
     for line in _stats_lines(train_split):
         print(f"  {line}")
 
-    dev_split = None
+    def cleaned(split: DatasetSplit) -> Pairs:
+        return [
+            (textprep.preprocess(ex.text, config.preprocessing), ex.label)
+            for ex in split.examples
+        ]
+
+    dev = None
     if config.dev_path:
-        dev_split = _parse_split(
+        dev = cleaned(_parse_split(
             config.dev_path, config.format, has_labels=True,
             name=SplitName.DEV, language_tag=config.language_tag,
-        )
-    if config.model_kind == bundlemod.KIND_MICRO_ENCODER and dev_split is None:
-        raise DevRequiredError(
-            "the micro_encoder arm evaluates on dev every epoch; supply --dev"
-        )
-
-    if config.model_kind == bundlemod.KIND_TFIDF_LR:
-        result = _train_tfidf_lr(config, train_split, dev_split)
-    else:
-        result = _train_micro_encoder(config, train_split, dev_split)
-    bundlemod.save_bundle(result, config.model_path)
+        ))
+    payload = trainer(config, cleaned(train_split), dev)
+    bundle = bundlemod.ModelBundle(
+        language_tag=config.language_tag, policy=config.preprocessing, payload=payload
+    )
+    bundlemod.save_bundle(bundle, config.model_path)
     print(f"model bundle written to {config.model_path}")
     return EXIT_OK
 
 
-def _bundle_probabilities(
-    bundle: bundlemod.ModelBundle, texts: list[str]
-) -> list[float]:
-    cleaned = [textprep.preprocess(t, bundle.policy) for t in texts]
-    if bundle.model_kind == bundlemod.KIND_TFIDF_LR:
-        payload = bundle.payload
-        return linear.predict_probas(
-            payload.linear,
-            [vectorizer.transform(payload.tfidf, text) for text in cleaned],
-        )
-    payload = bundle.payload
-    max_length = payload.model.config.max_length
-    probs: list[float] = []
-    # Encode in large blocks and let predict_probs run the encoder in small
-    # ones: alternating small encode and forward chunks made a fresh process
-    # take several times more minor page faults.
-    chunk = 1024
-    for start in range(0, len(cleaned), chunk):
-        block = cleaned[start : start + chunk]
-        ids = np.empty((len(block), max_length), dtype=np.int64)
-        mask = np.empty((len(block), max_length), dtype=np.float64)
-        for row, text in enumerate(block):
-            ids[row], mask[row] = enc.encode(payload.tokenizer, text, max_length)
-        probs.extend(float(p) for p in enc.predict_probs(payload.model, ids, mask))
-    return probs
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    bundle = bundlemod.load_bundle(Path(_require_path(args.model)))
-    split = _parse_input(args.input, args.format, SplitName.TEST)
-    probs = _bundle_probabilities(bundle, [ex.text for ex in split.examples])
+    bundle = bundlemod.deserialize_bundle(_read_file(args.model))
+    split = _parse_split(args.input, args.format)
+    probs = bundle.payload.probabilities(
+        [textprep.preprocess(ex.text, bundle.policy) for ex in split.examples]
+    )
     lines = ["id\tprobability\tlabel"]
     for example, p in zip(split.examples, probs):
-        lines.append(f"{example.id}\t{p:.6f}\t{linear.decide(p).to_text()}")
+        lines.append(f"{example.id}\t{p:.6f}\t{metrics.decide(p).to_text()}")
     Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(probs)} predictions to {args.out}")
     return EXIT_OK
 
 
-def _require_path(path: str) -> str:
-    if not Path(path).exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    return path
-
-
-def _parse_predictions(path: str | Path) -> dict[str, Label]:
-    """Read a predictions TSV (id, probability, label) into id -> label."""
-    text = decode_text(_read_file(path))
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines:
-        raise MalformedRow(1, "predictions file is empty")
-    header = lines[0].rstrip("\r").split("\t")
-    columns = {cell.strip(): i for i, cell in enumerate(header)}
+def _parse_predictions(data: bytes) -> dict[str, Label]:
+    """Read predictions TSV bytes (id, probability, label) into id -> label."""
+    header_line, columns, rows = read_table(data, FileFormat.TSV)
     if "id" not in columns or "label" not in columns:
-        raise MalformedRow(1, "predictions header must name 'id' and 'label'")
+        raise MalformedRow(header_line, "predictions header must name 'id' and 'label'")
     out: dict[str, Label] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.rstrip("\r").split("\t")
-        if len(cells) != len(header):
-            raise MalformedRow(
-                number, f"expected {len(header)} columns, found {len(cells)}"
-            )
+    for number, cells in rows:
         row_id = cells[columns["id"]].strip()
         if row_id in out:
             raise MalformedRow(number, f"duplicate id {row_id!r}")
@@ -476,7 +388,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gold_split = _parse_split(
         args.gold, args.format, has_labels=True, name=SplitName.DEV
     )
-    predictions = _parse_predictions(args.pred)
+    predictions = _parse_predictions(_read_file(args.pred))
     gold_ids = [ex.id for ex in gold_split.examples]
     missing_in_pred = [i for i in gold_ids if i not in predictions]
     gold_id_set = set(gold_ids)
@@ -534,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--train", help="training data path")
     p_train.add_argument("--dev", help="dev data path (required for micro_encoder)")
     p_train.add_argument("--out", help="bundle output path")
-    p_train.add_argument(
-        "--model-kind", choices=[bundlemod.KIND_TFIDF_LR, bundlemod.KIND_MICRO_ENCODER]
-    )
+    p_train.add_argument("--model-kind", choices=list(_TRAINERS))
     p_train.add_argument("--language")
     p_train.add_argument("--format", choices=["tsv", "csv"])
     p_train.add_argument("--seed", type=int)
@@ -575,7 +485,7 @@ def _classify_error(exc: Exception) -> tuple[str, int]:
         return "ENCODING", EXIT_ERROR
     if isinstance(exc, (UnknownLabel, AbusiveTextError)):
         return "DATA", EXIT_ERROR
-    if isinstance(exc, (ValueError, KeyError, TypeError, json.JSONDecodeError)):
+    if isinstance(exc, (ValueError, KeyError, TypeError, OverflowError)):
         return "CONFIG", EXIT_ERROR
     return "INTERNAL", EXIT_ERROR
 

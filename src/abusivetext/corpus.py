@@ -15,7 +15,7 @@ import io
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterator
 
 from .errors import EncodingError, MalformedRow, UnknownLabel
 
@@ -118,21 +118,24 @@ class FileFormat(str, enum.Enum):
     CSV = "csv"
 
 
-def _rows_from_text(text: str, format: FileFormat) -> Iterable[tuple[int, list[str]]]:
-    """Yield (1-based row number, cells). The header is row 1. Blank rows are
-    skipped so trailing newlines do not count as data."""
+def _rows_from_text(text: str, format: FileFormat) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based file line, cells). Blank lines are skipped so trailing
+    newlines do not count as data; a CSV record is numbered by the line it
+    ends on."""
     if format is FileFormat.TSV:
         for number, line in enumerate(text.split("\n"), start=1):
             line = line.rstrip("\r")
             if line == "":
                 continue
             yield number, line.split("\t")
-    else:
-        reader = csv.reader(io.StringIO(text, newline=""))
+        return
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         for cells in reader:
-            if not cells:
-                continue
-            yield reader.line_num, cells
+            if cells:
+                yield reader.line_num, cells
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from exc
 
 
 def decode_text(data: bytes) -> str:
@@ -145,40 +148,58 @@ def decode_text(data: bytes) -> str:
     return text.removeprefix("\ufeff")
 
 
+def read_table(
+    data: bytes, format: FileFormat
+) -> tuple[int, dict[str, int], Iterator[tuple[int, list[str]]]]:
+    """Decode UTF-8 table bytes and split off the header, the first non-blank
+    row: (header file line, stripped cell -> column index, data rows as
+    (file line, cells)). A data row whose cell count differs from the
+    header's is a MalformedRow at its file line."""
+    rows = _rows_from_text(decode_text(data), format)
+    first = next(rows, None)
+    if first is None:
+        raise MalformedRow(1, "missing header row")
+    header_line, header = first
+
+    def checked() -> Iterator[tuple[int, list[str]]]:
+        for number, cells in rows:
+            if len(cells) != len(header):
+                raise MalformedRow(
+                    number, f"expected {len(header)} columns, found {len(cells)}"
+                )
+            yield number, cells
+
+    return header_line, {cell.strip(): i for i, cell in enumerate(header)}, checked()
+
+
 def parse_dataset(
     source: BinaryIO | bytes,
     format: FileFormat = FileFormat.TSV,
-    has_labels: bool = True,
+    has_labels: bool | None = None,
     name: SplitName | None = None,
     language_tag: str = "",
 ) -> DatasetSplit:
     """Parse a UTF-8 TSV/CSV byte stream into a DatasetSplit, preserving row order.
 
-    Raises MalformedRow (with the offending row number) for wrong column
-    counts, unknown labels, empty text, or duplicate ids, and EncodingError
-    for invalid UTF-8. When no ``id`` column exists, ids are synthesized as
-    ``row-<k>`` from the 0-based data-row index.
+    Labels are read when the header names a ``label`` column (``has_labels``
+    True requires one, False ignores it), and the split then defaults to
+    TRAIN, otherwise to TEST. Raises MalformedRow (with the offending file
+    line) for wrong column counts, unknown labels, empty text, or duplicate
+    ids, and EncodingError for invalid UTF-8. When no ``id`` column exists,
+    ids are synthesized as ``row-<k>`` from the 0-based data-row index.
     """
     data = source if isinstance(source, bytes) else source.read()
-    rows = _rows_from_text(decode_text(data), format)
-    try:
-        header_row = next(rows)
-    except StopIteration:
-        raise MalformedRow(1, "missing header row") from None
-    header_num, header = header_row
-    columns = {cell.strip(): i for i, cell in enumerate(header)}
+    header_line, columns, rows = read_table(data, format)
     if "text" not in columns:
-        raise MalformedRow(header_num, "header does not name a 'text' column")
-    if has_labels and "label" not in columns:
-        raise MalformedRow(header_num, "header does not name a 'label' column")
+        raise MalformedRow(header_line, "header does not name a 'text' column")
+    if has_labels is None:
+        has_labels = "label" in columns
+    elif has_labels and "label" not in columns:
+        raise MalformedRow(header_line, "header does not name a 'label' column")
 
     examples: list[LabeledExample] = []
     seen_ids: set[str] = set()
     for index, (number, cells) in enumerate(rows):
-        if len(cells) != len(header):
-            raise MalformedRow(
-                number, f"expected {len(header)} columns, found {len(cells)}"
-            )
         example_id = (
             cells[columns["id"]].strip() if "id" in columns else f"row-{index}"
         )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
-from .metrics import confusion, macro_f1
+from .metrics import PROB_CEIL, PROB_FLOOR, decided_macro_f1
 
 CLS_ID = 0
 PAD_ID = 1
@@ -194,6 +194,18 @@ def encode(
     return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float64)
 
 
+def encode_batch(
+    tokenizer: SubwordTokenizer, texts: Sequence[str], max_length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """encode() for each text, stacked into (len(texts), max_length) ids and
+    mask arrays."""
+    ids = np.empty((len(texts), max_length), dtype=np.int64)
+    mask = np.empty((len(texts), max_length), dtype=np.float64)
+    for row, text in enumerate(texts):
+        ids[row], mask[row] = encode(tokenizer, text, max_length)
+    return ids, mask
+
+
 # ---------------------------------------------------------------------------
 # Model configuration and parameters
 # ---------------------------------------------------------------------------
@@ -234,6 +246,8 @@ class TrainConfigEnc:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.epochs < 1:
@@ -451,7 +465,7 @@ def forward_batch(
     probs = 1.0 / (1.0 + np.exp(-np.abs(logits)))
     probs = np.where(logits >= 0, probs, 1.0 - probs)
     # Keep probabilities strictly inside (0, 1) even for saturating logits.
-    probs = np.clip(probs, 5e-324, np.nextafter(1.0, 0.0))
+    probs = np.clip(probs, PROB_FLOOR, PROB_CEIL)
     cache = dict(ids=ids, layers=layers, cls=cls, logits=logits)
     return probs, cache
 
@@ -591,20 +605,6 @@ def attention_maps(
 # Training
 # ---------------------------------------------------------------------------
 
-def _encode_all(
-    data: Sequence[tuple[str, Label]],
-    tokenizer: SubwordTokenizer,
-    max_length: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ids = np.empty((len(data), max_length), dtype=np.int64)
-    mask = np.empty((len(data), max_length), dtype=np.float64)
-    labels = np.empty(len(data), dtype=np.float64)
-    for row, (text, label) in enumerate(data):
-        ids[row], mask[row] = encode(tokenizer, text, max_length)
-        labels[row] = float(label)
-    return ids, mask, labels
-
-
 def train_encoder(
     train: Sequence[tuple[str, Label]],
     dev: Sequence[tuple[str, Label]],
@@ -620,10 +620,10 @@ def train_encoder(
     if len(dev) == 0:
         raise EmptyData("encoder training requires a dev split")
 
-    train_ids, train_mask, train_labels = _encode_all(
-        train, tokenizer, enc_config.max_length
-    )
-    dev_ids, dev_mask, _ = _encode_all(dev, tokenizer, enc_config.max_length)
+    max_length = enc_config.max_length
+    train_ids, train_mask = encode_batch(tokenizer, [t for t, _ in train], max_length)
+    train_labels = np.array([float(y) for _, y in train])
+    dev_ids, dev_mask = encode_batch(tokenizer, [t for t, _ in dev], max_length)
     dev_gold = [label for _, label in dev]
 
     rng = np.random.default_rng(train_config.seed)
@@ -651,9 +651,7 @@ def train_encoder(
                 f"encoder training diverged at epoch {epoch}: train loss {loss}"
             )
         report.epoch_train_losses.append(loss)
-        dev_pred = [
-            Label.ABUSIVE if p >= 0.5 else Label.NON_ABUSIVE
-            for p in predict_probs(model, dev_ids, dev_mask)
-        ]
-        report.epoch_dev_macro_f1.append(macro_f1(confusion(dev_gold, dev_pred)))
+        report.epoch_dev_macro_f1.append(
+            decided_macro_f1(dev_gold, predict_probs(model, dev_ids, dev_mask))
+        )
     return model, report

@@ -16,16 +16,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Label
-from .errors import DimensionMismatch, EmptyData
+from .errors import DimensionMismatch, EmptyData, TrainingDiverged
+from .metrics import PROB_CEIL, PROB_FLOOR
 from .vectorizer import SparseVector
-
-
-# Probabilities stay strictly inside (0, 1): the correctly-rounded sigmoid
-# saturates to exact 0.0/1.0 beyond |z| ~ 37, which would poison downstream
-# log-likelihoods, so saturated values are nudged to the nearest open-interval
-# float64 (the smallest subnormal and 1 - 2^-53).
-_PROB_FLOOR = 5e-324
-_PROB_CEIL = math.nextafter(1.0, 0.0)
 
 
 def sigmoid(z: float) -> float:
@@ -36,7 +29,7 @@ def sigmoid(z: float) -> float:
     else:
         e = math.exp(z)
         p = e / (1.0 + e)
-    return min(max(p, _PROB_FLOOR), _PROB_CEIL)
+    return min(max(p, PROB_FLOOR), PROB_CEIL)
 
 
 def _softplus(z: float) -> float:
@@ -85,14 +78,16 @@ class TrainConfigLR:
 
     def __post_init__(self):
         # lr = 0 is allowed: "no update" runs are useful as a baseline check.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name in ("learning_rate", "l2_penalty"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be >= 0")
 
 
 @dataclass
@@ -212,11 +207,6 @@ def predict_proba(model: LinearModel, x: SparseVector) -> float:
     return predict_probas(model, [x])[0]
 
 
-def decide(p: float, threshold: float = 0.5) -> Label:
-    """Abusive iff p >= threshold; a tie at the threshold goes to Abusive."""
-    return Label.ABUSIVE if p >= threshold else Label.NON_ABUSIVE
-
-
 def batch_gradient(
     weights: np.ndarray,
     bias: float,
@@ -250,7 +240,8 @@ def train_lr(
 
     Shuffling is driven solely by config.seed, so identical data + config
     yield a bit-identical model. The report carries the full-data loss after
-    each epoch and flags degenerate single-class training data.
+    each epoch and flags degenerate single-class training data. Raises
+    TrainingDiverged at the first epoch whose loss is not finite.
     """
     if len(data) == 0:
         raise EmptyData("training data is empty")
@@ -267,7 +258,7 @@ def train_lr(
     rows, labels = _split(data)
     order = list(range(len(data)))
     rng = Random(config.seed)
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         if config.shuffle:
             rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
@@ -278,7 +269,10 @@ def train_lr(
             )
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
-        report.epoch_losses.append(
-            _loss(weights, bias, rows, labels, config.l2_penalty)
-        )
+        loss = _loss(weights, bias, rows, labels, config.l2_penalty)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(
+                f"lr training diverged at epoch {epoch}: train loss {loss}"
+            )
+        report.epoch_losses.append(loss)
     return LinearModel(weights=weights, bias=bias, dimension=dimension), report

@@ -1,16 +1,33 @@
-"""Evaluation arithmetic: confusion matrices, per-class precision/recall/F1, macro-F1.
+"""Evaluation arithmetic: confusion matrices, per-class precision/recall/F1,
+macro-F1, and the probability conventions both model arms share.
 
 Conventions are fixed so reports are reproducible: the Abusive class (1) is
 the positive class, macro-F1 is the unweighted mean of the two per-class F1
-values, and any 0/0 ratio is defined as 0.
+values, any 0/0 ratio is defined as 0, and a probability of at least 0.5
+decides Abusive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Label
 from .errors import EmptyInput, LengthMismatch
+
+# Probabilities stay strictly inside (0, 1): the correctly-rounded sigmoid
+# saturates to exact 0.0/1.0 beyond |z| ~ 37, which would poison downstream
+# log-likelihoods, so saturated values are nudged to the nearest open-interval
+# float64 (the smallest subnormal and 1 - 2^-53).
+PROB_FLOOR = 5e-324
+PROB_CEIL = math.nextafter(1.0, 0.0)
+
+DECISION_THRESHOLD = 0.5
+
+
+def decide(p: float) -> Label:
+    """Abusive iff p >= DECISION_THRESHOLD; a tie goes to Abusive."""
+    return Label.ABUSIVE if p >= DECISION_THRESHOLD else Label.NON_ABUSIVE
 
 
 @dataclass(frozen=True)
@@ -71,30 +88,18 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
+def _prf(hits: int, false_alarms: int, misses: int) -> PRF:
+    precision = _safe_div(hits, hits + false_alarms)
+    recall = _safe_div(hits, hits + misses)
+    return PRF(precision, recall, _safe_div(2 * precision * recall, precision + recall))
+
+
 def per_class_prf(cm: ConfusionMatrix) -> dict[Label, PRF]:
     """Precision/recall/F1 for each class, with the 0/0 -> 0 convention."""
-    p_abusive = _safe_div(cm.tp, cm.tp + cm.fp)
-    r_abusive = _safe_div(cm.tp, cm.tp + cm.fn)
-    p_clean = _safe_div(cm.tn, cm.tn + cm.fn)
-    r_clean = _safe_div(cm.tn, cm.tn + cm.fp)
     return {
-        Label.ABUSIVE: PRF(
-            precision=p_abusive,
-            recall=r_abusive,
-            f1=_safe_div(2 * p_abusive * r_abusive, p_abusive + r_abusive),
-        ),
-        Label.NON_ABUSIVE: PRF(
-            precision=p_clean,
-            recall=r_clean,
-            f1=_safe_div(2 * p_clean * r_clean, p_clean + r_clean),
-        ),
+        Label.ABUSIVE: _prf(cm.tp, cm.fp, cm.fn),
+        Label.NON_ABUSIVE: _prf(cm.tn, cm.fn, cm.fp),
     }
-
-
-def macro_f1(cm: ConfusionMatrix) -> float:
-    """Unweighted mean of the two per-class F1 values."""
-    prf = per_class_prf(cm)
-    return (prf[Label.ABUSIVE].f1 + prf[Label.NON_ABUSIVE].f1) / 2.0
 
 
 def class_report(cm: ConfusionMatrix) -> ClassReport:
@@ -105,3 +110,13 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
         macro_f1=(prf[Label.ABUSIVE].f1 + prf[Label.NON_ABUSIVE].f1) / 2.0,
         accuracy=_safe_div(cm.tp + cm.tn, cm.total),
     )
+
+
+def macro_f1(cm: ConfusionMatrix) -> float:
+    """Unweighted mean of the two per-class F1 values."""
+    return class_report(cm).macro_f1
+
+
+def decided_macro_f1(gold: Sequence[Label], probs: Sequence[float]) -> float:
+    """Macro-F1 of the labels the probabilities decide, against gold."""
+    return macro_f1(confusion(gold, [decide(p) for p in probs]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 # A URL is http://, https://, or www. followed by everything up to whitespace.
@@ -30,6 +30,11 @@ class CleanPolicy:
     collapse_whitespace: bool = True
     lowercase_latin: bool = True
     strip_digits: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must be true or false")
 
 
 DEFAULT_POLICY = CleanPolicy()

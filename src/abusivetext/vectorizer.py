@@ -108,7 +108,8 @@ def tokenize(text: str, ngram_max: int = 1) -> list[str]:
     """
     words = text.split()
     tokens = list(words)
-    for n in range(2, ngram_max + 1):
+    # No n-gram is longer than the text, whatever ngram_max says.
+    for n in range(2, min(ngram_max, len(words)) + 1):
         tokens.extend(
             NGRAM_SEPARATOR.join(words[i : i + n])
             for i in range(len(words) - n + 1)

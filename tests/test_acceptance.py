@@ -27,8 +27,8 @@ from abusivetext.corpus import (
     synth_corpus,
     write_dataset,
 )
-from abusivetext.linear import TrainConfigLR, batch_gradient, dataset_loss, decide, predict_proba, train_lr
-from abusivetext.metrics import ConfusionMatrix, confusion, macro_f1
+from abusivetext.linear import TrainConfigLR, batch_gradient, dataset_loss, predict_proba, train_lr
+from abusivetext.metrics import ConfusionMatrix, confusion, decide, macro_f1
 from abusivetext.textprep import preprocess
 from abusivetext.vectorizer import SparseVector, fit, transform
 

@@ -24,7 +24,6 @@ def tfidf_lr_bundle():
     config = linear.TrainConfigLR(epochs=5, seed=3)
     model, report = linear.train_lr(data, config)
     return bd.ModelBundle(
-        model_kind=bd.KIND_TFIDF_LR,
         language_tag="synthetic",
         policy=CleanPolicy(),
         payload=bd.TfIdfLrPayload(
@@ -43,7 +42,6 @@ def encoder_bundle():
     train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4, seed=5)
     model, report = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
     return bd.ModelBundle(
-        model_kind=bd.KIND_MICRO_ENCODER,
         language_tag="synthetic",
         policy=CleanPolicy(strip_digits=True),
         payload=bd.MicroEncoderPayload(
@@ -76,6 +74,12 @@ class TestRoundTrip:
         path = tmp_path / "model.bundle.json"
         bd.save_bundle(tfidf_lr_bundle, path)
         assert bd.serialize_bundle(bd.load_bundle(path)) == path.read_bytes()
+
+    def test_kind_comes_from_the_payload(self, tfidf_lr_bundle, encoder_bundle):
+        for bundle in (tfidf_lr_bundle, encoder_bundle):
+            doc = json.loads(bd.serialize_bundle(bundle))
+            assert doc["model_kind"] == bundle.model_kind == bundle.payload.KIND
+            assert bd.PAYLOADS[bundle.model_kind] is type(bundle.payload)
 
     def test_version_field_comes_first(self, tfidf_lr_bundle):
         raw = bd.serialize_bundle(tfidf_lr_bundle).decode("utf-8")
@@ -176,6 +180,20 @@ class TestRejection:
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), drop_piece)
         with pytest.raises(BundleInconsistentError):
+            bd.deserialize_bundle(raw)
+
+    @pytest.mark.parametrize("section", ["preprocessing", "vectorizer", "linear",
+                                         "train_config", "training_report"])
+    @pytest.mark.parametrize("value", [None, [], "x", 3])
+    def test_section_that_is_not_an_object(self, tfidf_lr_bundle, section, value):
+        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), lambda d: d.update({section: value}))
+        with pytest.raises(BundleInconsistentError):
+            bd.deserialize_bundle(raw)
+
+    @pytest.mark.parametrize("kind", [[], {}, None, 3])
+    def test_kind_that_is_not_a_name(self, tfidf_lr_bundle, kind):
+        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), lambda d: d.update(model_kind=kind))
+        with pytest.raises(BundleInconsistentError, match="unknown model_kind"):
             bd.deserialize_bundle(raw)
 
     def test_not_json(self):

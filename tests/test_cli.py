@@ -238,7 +238,7 @@ class TestTrainPredictEvaluate:
             path = tmp_path / f"{name}.bundle.json"
             bd.save_bundle(
                 bd.ModelBundle(
-                    model_kind=bd.KIND_TFIDF_LR, language_tag="", policy=policy,
+                    language_tag="", policy=policy,
                     payload=bd.TfIdfLrPayload(
                         tfidf=tfidf, linear=model,
                         train_config=linear.TrainConfigLR(),
@@ -399,6 +399,55 @@ class TestExitCodes:
         assert "epoch 1: train_loss" not in captured.out
         assert not out.exists()
 
+    def test_divergent_lr_fails_at_its_epoch(self, tmp_path, synth_files, capsys):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        path = lr_config(tmp_path, train, dev, out)
+        doc = json.loads(path.read_text())
+        doc["lr"]["learning_rate"] = 1e300
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        [line] = error_lines(captured.err)
+        assert line.startswith("ERROR DATA: ") and "diverged at epoch 1:" in line
+        assert "epoch 1: train_loss" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, token", [
+        ("lr", "learning_rate", "NaN"),
+        ("lr", "l2_penalty", "Infinity"),
+        ("encoder_train", "learning_rate", "-Infinity"),
+    ])
+    def test_non_finite_step_settings_are_config_errors(
+        self, tmp_path, synth_files, capsys, section, key, token
+    ):
+        train, dev = synth_files
+        path = encoder_config(tmp_path, train, dev, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc.setdefault(section, {})[key] = "TOKEN"
+        # json.loads accepts these bare tokens, so a run config can carry them.
+        path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+        assert run_cli("train", "--config", str(path)) == 1
+        [line] = error_lines(capsys.readouterr().err)
+        assert line.startswith("ERROR CONFIG: ") and f"{key} must be finite" in line
+
+    def test_huge_ngram_max_trains_like_the_longest_row(self, tmp_path, synth_files):
+        train, dev = synth_files
+        bundles = []
+        for ngram_max in (64, 10**12):
+            out = tmp_path / f"m{ngram_max}.json"
+            path = lr_config(tmp_path, train, dev, out, epochs=2)
+            doc = json.loads(path.read_text())
+            doc["tfidf"] = {"ngram_max": ngram_max}
+            path.write_text(json.dumps(doc))
+            assert run_cli("train", "--config", str(path)) == 0
+            bundles.append(json.loads(out.read_text()))
+        # No synth row comes near 64 words, so 64 already covers every n-gram.
+        for doc in bundles:
+            doc["vectorizer"]["config"].pop("ngram_max")
+        assert bundles[0] == bundles[1]
+
     @pytest.mark.parametrize("raw", ["[]", "null", "3"])
     def test_bundle_that_is_not_an_object_is_5(self, tmp_path, synth_files, raw, capsys):
         _, dev = synth_files
@@ -411,6 +460,26 @@ class TestExitCodes:
         assert rc == 5
         [line] = error_lines(capsys.readouterr().err)
         assert line.startswith("ERROR BUNDLE_INCONSISTENT: ")
+
+
+class TestPredictionsFile:
+    def test_bad_label_after_blank_lines_names_its_file_line(self, tmp_path, capsys):
+        gold, preds = gold_and_predictions(tmp_path)
+        lines = preds.read_text().splitlines()
+        # Header, two rows, two blank lines, then the bad label on line 6.
+        lines[3:3] = ["", ""]
+        lines[5] = "g2\t0.500000\tabusivee"
+        preds.write_text("\n".join(lines) + "\n")
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 1
+        [line] = error_lines(capsys.readouterr().err)
+        assert line.startswith("ERROR MALFORMED_ROW: row 6: ")
+
+    def test_crlf_blank_line_is_skipped_like_in_datasets(self, tmp_path, capsys):
+        gold, preds = gold_and_predictions(tmp_path)
+        lines = preds.read_text().splitlines()
+        preds.write_bytes(("\r\n".join(lines[:4] + [""] + lines[4:]) + "\r\n").encode())
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 0
+        assert "macro F1:  1.0000" in capsys.readouterr().out
 
 
 class TestPredictReadsInputOnce:

@@ -72,6 +72,25 @@ class TestParseDataset:
         assert split.examples[0].label is None
         assert split.name is SplitName.TEST
 
+    def test_header_decides_whether_labels_are_read(self):
+        labeled = parse_dataset(tsv("id\ttext\tlabel", "x\thi\tAbusive"))
+        assert labeled.name is SplitName.TRAIN
+        assert labeled.examples[0].label is Label.ABUSIVE
+        unlabeled = parse_dataset(tsv("id\ttext", "x\thi"))
+        assert unlabeled.name is SplitName.TEST
+        assert unlabeled.examples[0].label is None
+
+    def test_required_label_column_missing(self):
+        with pytest.raises(MalformedRow) as exc:
+            parse_dataset(tsv("", "id\ttext", "x\thi"), has_labels=True)
+        assert exc.value.row == 2
+
+    def test_rows_are_numbered_by_file_line(self):
+        data = tsv("id\ttext\tlabel", "", "a\tok\tAbusive", "\r", "b\tbad\tabusivee")
+        with pytest.raises(MalformedRow) as exc:
+            parse_dataset(data)
+        assert exc.value.row == 5
+
     def test_unknown_label_is_malformed_row(self):
         data = tsv("id\ttext\tlabel", "a\tok\tAbusive", "b\tbad\tabusivee")
         with pytest.raises(MalformedRow) as exc:

@@ -478,6 +478,11 @@ class TestTrainEncoder:
         ):
             enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_forbidden(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            enc.TrainConfigEnc(learning_rate=value)
+
     def test_empty_train_or_dev_rejected(self):
         tokenizer = enc.train_subword(["a"], vocab_size=8)
         with pytest.raises(EmptyData):

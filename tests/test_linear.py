@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 
 from abusivetext import vectorizer
 from abusivetext.corpus import Label, synth_corpus
-from abusivetext.errors import DimensionMismatch, EmptyData
+from abusivetext.errors import DimensionMismatch, EmptyData, TrainingDiverged
 from abusivetext.linear import (
     LinearModel,
     TrainConfigLR,
     _softplus,
     batch_gradient,
     dataset_loss,
-    decide,
     predict_proba,
     predict_probas,
     sigmoid,
     train_lr,
 )
+from abusivetext.metrics import decide
 from abusivetext.textprep import preprocess
 from abusivetext.vectorizer import SparseVector
 
@@ -122,9 +122,6 @@ class TestDecide:
     def test_boundary_one(self):
         assert decide(1.0) == Label.ABUSIVE
 
-    def test_custom_threshold(self):
-        assert decide(0.6, threshold=0.7) == Label.NON_ABUSIVE
-
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=1.0),
@@ -180,6 +177,23 @@ class TestTrainLr:
     def test_epochs_zero_forbidden(self):
         with pytest.raises(ValueError):
             TrainConfigLR(epochs=0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_penalty"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_settings_forbidden(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfigLR(**{field: value})
+
+    def test_non_finite_loss_fails_at_its_epoch(self):
+        split = synth_corpus(2, 10)
+        texts = [preprocess(t) for t in split.texts()]
+        tfidf = vectorizer.fit(texts)
+        data = [(vectorizer.transform(tfidf, t), y) for t, y in zip(texts, split.labels())]
+        config = TrainConfigLR(learning_rate=1e300, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match="epoch 1:"
+        ):
+            train_lr(data, config)
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):

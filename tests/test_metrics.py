@@ -17,6 +17,7 @@ from abusivetext.metrics import (
     ConfusionMatrix,
     class_report,
     confusion,
+    decided_macro_f1,
     macro_f1,
     per_class_prf,
 )
@@ -96,6 +97,14 @@ class TestPerClassPrf:
         assert prf[Label.ABUSIVE].f1 == pytest.approx(0.6332, abs=5e-4)
         assert prf[Label.NON_ABUSIVE].f1 == pytest.approx(0.6226, abs=5e-4)
 
+    def test_malayalam_fixture_precision_and_recall(self):
+        # F1 is symmetric in P and R, so only these pin which count is which.
+        prf = per_class_prf(MALAYALAM_CM)
+        assert (prf[Label.ABUSIVE].precision, prf[Label.ABUSIVE].recall) == (202 / 306, 202 / 332)
+        assert (prf[Label.NON_ABUSIVE].precision, prf[Label.NON_ABUSIVE].recall) == (
+            193 / 323, 193 / 297,
+        )
+
 
 class TestMacroF1:
     def test_malayalam_fixture_reproduces_reported_score(self):
@@ -166,6 +175,12 @@ class TestClassReport:
         assert isinstance(report, ClassReport)
         assert report.macro_f1 == pytest.approx(macro_f1(MALAYALAM_CM))
         assert report.accuracy == pytest.approx((202 + 193) / 629)
+
+    def test_decided_macro_f1_scores_the_decided_labels(self):
+        gold = [Label.ABUSIVE, Label.ABUSIVE, Label.NON_ABUSIVE, Label.NON_ABUSIVE]
+        probs = [0.5, 0.2, 0.7, 0.1]  # 0.5 ties to Abusive
+        pred = [Label.ABUSIVE, Label.NON_ABUSIVE, Label.ABUSIVE, Label.NON_ABUSIVE]
+        assert decided_macro_f1(gold, probs) == macro_f1(confusion(gold, pred))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,13 @@ class TestStripSpecials:
         assert strip_specials(text) == expected
 
 
+class TestCleanPolicy:
+    @pytest.mark.parametrize("value", [None, [], {}, "yes", 1])
+    def test_steps_must_be_booleans(self, value):
+        with pytest.raises(ValueError, match="strip_digits must be true or false"):
+            CleanPolicy(strip_digits=value)
+
+
 class TestPreprocess:
     def test_composed_pipeline(self):
         # remove_urls -> strip specials -> lowercase -> collapse, by hand.

@@ -4,6 +4,8 @@ from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abusivetext.errors import EmptyCorpus
 from abusivetext.vectorizer import (
@@ -56,6 +58,11 @@ class TestTokenize:
 
     def test_trigram_shorter_than_n(self):
         assert tokenize("a b", ngram_max=3) == ["a", "b", f"a{NGRAM_SEPARATOR}b"]
+
+    @given(st.lists(st.sampled_from("abc"), max_size=8).map(" ".join))
+    def test_ngram_max_beyond_the_text_changes_nothing(self, text):
+        longest = max(1, len(text.split()))
+        assert tokenize(text, ngram_max=10**30) == tokenize(text, ngram_max=longest)
 
 
 class TestFit:
