@@ -5,13 +5,18 @@ preprocessing policy it was trained with, so prediction can never mix
 mismatched pieces. Each model kind is one payload class with its ``KIND``,
 ``probabilities`` over cleaned texts and its own document sections
 (``to_doc``/``from_doc``); PAYLOADS maps kind names to those classes, and a
-bundle's kind is its payload's. Numeric arrays are stored inline as float64
-repr values, which round-trip exactly: load(save(b)) re-serializes to
-identical bytes. Version mismatches are rejected outright, never migrated.
+bundle's kind is its payload's. Every float64 array (TF-IDF idf, LR weights,
+encoder parameter tensors) is stored as one ``{"dtype": "<f8", "shape": [...],
+"base64": "..."}`` object holding its little-endian bytes, so it round-trips
+exactly and load(save(b)) re-serializes to identical bytes. The envelope,
+configs, tokenizer, vocabulary and provenance stay readable JSON. Version
+mismatches are rejected outright, never migrated.
 """
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, ClassVar
@@ -19,12 +24,14 @@ from typing import Any, ClassVar
 import numpy as np
 
 from . import encoder as enc
+from .checks import check_fields
 from .errors import BundleInconsistentError, BundleVersionError
 from .linear import LinearModel, TrainConfigLR, TrainReportLR, predict_probas
 from .textprep import CleanPolicy
 from .vectorizer import TfIdfConfig, TfIdfModel, Vocabulary, transform
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_TENSOR_DTYPE = "<f8"
 
 # Rows encoded per block when the encoder scores texts, far more than
 # predict_probs runs per forward pass: alternating small encode and forward
@@ -41,6 +48,49 @@ def _section(doc: dict, key: str) -> dict:
     value = doc[key]
     _require(isinstance(value, dict), f"bundle section {key!r} must be an object")
     return value
+
+
+def encode_tensor(values: Any) -> dict[str, Any]:
+    """The stored form of a float64 array. Raises ValueError on a non-finite
+    value, which no bundle may hold."""
+    array = np.asarray(values, dtype=_TENSOR_DTYPE)
+    if not np.isfinite(array).all():
+        raise ValueError("cannot store a non-finite value in a bundle")
+    return {
+        "dtype": _TENSOR_DTYPE,
+        "shape": list(array.shape),
+        "base64": base64.b64encode(array.tobytes()).decode("ascii"),
+    }
+
+
+def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The array a stored tensor holds, as writable native float64. Raises
+    BundleInconsistentError unless the object has exactly the three keys,
+    the dtype is ``<f8``, the shape is a list of ints equal to ``shape``,
+    the base64 is strict and decodes to 8 bytes per element, and every value
+    is finite."""
+    _require(
+        isinstance(doc, dict) and doc.keys() == {"dtype", "shape", "base64"},
+        f"{what} must be an object with exactly dtype, shape and base64",
+    )
+    _require(doc["dtype"] == _TENSOR_DTYPE, f"{what} dtype must be {_TENSOR_DTYPE!r}")
+    stored = doc["shape"]
+    _require(
+        isinstance(stored, list)
+        and all(isinstance(n, int) and not isinstance(n, bool) for n in stored)
+        and tuple(stored) == shape,
+        f"{what} has shape {stored}, expected {list(shape)}",
+    )
+    _require(isinstance(doc["base64"], str), f"{what} base64 must be a string")
+    try:
+        raw = base64.b64decode(doc["base64"], validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise BundleInconsistentError(f"{what} is not valid base64: {exc}") from exc
+    size = 8 * math.prod(shape)
+    _require(len(raw) == size, f"{what} holds {len(raw)} bytes, expected {size}")
+    values = np.frombuffer(raw, dtype=_TENSOR_DTYPE).astype(np.float64)
+    _require(bool(np.isfinite(values).all()), f"{what} contains non-finite values")
+    return values.reshape(shape)
 
 
 @dataclass
@@ -66,11 +116,11 @@ class TfIdfLrPayload:
                 "n_documents": vocab.n_documents,
                 "tokens": tokens,
                 "document_frequency": [vocab.document_frequency[t] for t in tokens],
-                "idf": list(self.tfidf.idf),
+                "idf": encode_tensor(self.tfidf.idf),
             },
             "linear": {
                 "dimension": self.linear.dimension,
-                "weights": self.linear.weights.tolist(),
+                "weights": encode_tensor(self.linear.weights),
                 "bias": self.linear.bias,
             },
         }
@@ -80,33 +130,28 @@ class TfIdfLrPayload:
         vec = _section(doc, "vectorizer")
         tokens = vec["tokens"]
         dfs = vec["document_frequency"]
-        idf = vec["idf"]
-        _require(
-            len(tokens) == len(dfs) == len(idf),
-            "vectorizer token/df/idf lengths disagree",
-        )
+        _require(len(tokens) == len(dfs), "vectorizer token/df lengths disagree")
         _require(len(set(tokens)) == len(tokens), "vectorizer tokens are not unique")
+        idf = decode_tensor(vec["idf"], (len(tokens),), "vectorizer idf")
         vocab = Vocabulary(
             token_to_index={t: i for i, t in enumerate(tokens)},
             document_frequency=dict(zip(tokens, dfs)),
             n_documents=vec["n_documents"],
         )
         tfidf = TfIdfModel(
-            vocab=vocab, idf=tuple(idf), config=TfIdfConfig(**_section(vec, "config"))
+            vocab=vocab,
+            idf=tuple(idf.tolist()),
+            config=TfIdfConfig(**_section(vec, "config")),
         )
         lin = _section(doc, "linear")
         _require(
             lin["dimension"] == len(tokens),
             "linear dimension does not match vocabulary size",
         )
-        _require(
-            len(lin["weights"]) == lin["dimension"],
-            "linear weights length does not match dimension",
-        )
         linear = LinearModel(
-            weights=np.array(lin["weights"], dtype=np.float64),
-            bias=float(lin["bias"]),
-            dimension=int(lin["dimension"]),
+            weights=decode_tensor(lin["weights"], (len(tokens),), "linear weights"),
+            bias=lin["bias"],
+            dimension=lin["dimension"],
         )
         return cls(
             tfidf=tfidf,
@@ -144,12 +189,7 @@ class MicroEncoderPayload:
             },
             "encoder_config": asdict(self.model.config),
             "parameters": [
-                {
-                    "name": name,
-                    "shape": list(params[name].shape),
-                    "values": params[name].reshape(-1).tolist(),
-                }
-                for name in sorted(params)
+                {"name": name, **encode_tensor(params[name])} for name in sorted(params)
             ],
         }
 
@@ -171,22 +211,14 @@ class MicroEncoderPayload:
         expected = enc.parameter_shapes(config, tokenizer.vocab_size)
         params: dict[str, np.ndarray] = {}
         for entry in entries:
-            name, shape = entry["name"], tuple(entry["shape"])
-            _require(name in expected, f"unexpected parameter tensor {name!r}")
+            _require(isinstance(entry, dict), "parameter entries must be objects")
+            tensor = dict(entry)
+            name = tensor.pop("name", None)
             _require(
-                shape == expected[name],
-                f"parameter {name!r} has shape {shape}, expected {expected[name]}",
+                isinstance(name, str) and name in expected,
+                f"unexpected parameter tensor {name!r}",
             )
-            values = np.array(entry["values"], dtype=np.float64)
-            _require(
-                values.size == int(np.prod(shape, dtype=np.int64)),
-                f"parameter {name!r} has {values.size} values for shape {shape}",
-            )
-            _require(
-                bool(np.all(np.isfinite(values))),
-                f"parameter {name!r} contains non-finite values",
-            )
-            params[name] = values.reshape(shape)
+            params[name] = decode_tensor(tensor, expected[name], f"parameter {name!r}")
         missing = set(expected) - set(params)
         _require(not missing, f"bundle is missing parameter tensors: {sorted(missing)}")
         return cls(
@@ -203,11 +235,51 @@ PAYLOADS: dict[str, type[TfIdfLrPayload | MicroEncoderPayload]] = {
 
 
 @dataclass
+class Provenance:
+    """Where a bundle came from: the sha256 of the train and dev bytes, the
+    run config that trained it (seed folded in, file paths left out), and
+    the package and numpy versions. It records no timestamp, path or host,
+    so the same run repeated writes the same bytes."""
+
+    train_sha256: str
+    dev_sha256: str | None
+    run_config: dict[str, Any]
+    abusivetext_version: str
+    numpy_version: str
+
+    def __post_init__(self):
+        check_fields(self)
+        if not isinstance(self.run_config, dict):
+            raise ValueError("run_config must be an object")
+
+    @classmethod
+    def of_run(
+        cls, train: bytes, dev: bytes | None, run_config: dict[str, Any]
+    ) -> "Provenance":
+        # Imported here, not at the top: only training hashes anything, and
+        # every command that imports the CLI would pay for it.
+        import hashlib
+
+        from . import __version__
+
+        return cls(
+            train_sha256=hashlib.sha256(train).hexdigest(),
+            dev_sha256=None if dev is None else hashlib.sha256(dev).hexdigest(),
+            run_config=run_config,
+            abusivetext_version=__version__,
+            numpy_version=np.__version__,
+        )
+
+
+@dataclass
 class ModelBundle:
     language_tag: str
     policy: CleanPolicy
     payload: TfIdfLrPayload | MicroEncoderPayload
-    format_version: int = FORMAT_VERSION
+    provenance: Provenance
+
+    def __post_init__(self):
+        check_fields(self)
 
     @property
     def model_kind(self) -> str:
@@ -217,13 +289,14 @@ class ModelBundle:
 def _bundle_doc(bundle: ModelBundle) -> dict[str, Any]:
     payload = bundle.payload
     return {
-        "format_version": bundle.format_version,
+        "format_version": FORMAT_VERSION,
         "model_kind": payload.KIND,
         "language_tag": bundle.language_tag,
         "preprocessing": asdict(bundle.policy),
         **payload.to_doc(),
         "train_config": asdict(payload.train_config),
         "training_report": asdict(payload.report),
+        "provenance": asdict(bundle.provenance),
     }
 
 
@@ -249,7 +322,7 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     one, and BundleInconsistentError for anything else the document gets
     wrong: an unknown model_kind, a section that is not an object, or
     payload pieces that do not agree with each other (wrong array lengths,
-    missing tensors, bad shapes).
+    missing tensors, bad shapes, stored tensors that do not decode).
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -260,7 +333,7 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
             f"bundle must be a JSON object, got {type(doc).__name__}"
         )
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise BundleVersionError(
             f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
         )
@@ -271,13 +344,13 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     try:
         policy = CleanPolicy(**_section(doc, "preprocessing"))
         payload = payload_class.from_doc(doc)
+        return ModelBundle(
+            language_tag=doc.get("language_tag", ""),
+            policy=policy,
+            payload=payload,
+            provenance=Provenance(**_section(doc, "provenance")),
+        )
     except BundleInconsistentError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleInconsistentError(f"malformed bundle payload: {exc}") from exc
-    return ModelBundle(
-        language_tag=doc.get("language_tag", ""),
-        policy=policy,
-        payload=payload,
-        format_version=version,
-    )

@@ -29,6 +29,7 @@ from typing import Any, Sequence
 from . import bundle as bundlemod
 from . import encoder as enc
 from . import linear, metrics, textprep, vectorizer
+from .checks import check_fields
 from .corpus import (
     DatasetSplit,
     FileFormat,
@@ -96,6 +97,9 @@ class RunConfig:
         "encoder": enc.EncoderConfig,
         "encoder_train": enc.TrainConfigEnc,
     }
+
+    def __post_init__(self):
+        check_fields(self)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
@@ -174,16 +178,16 @@ def _read_file(path: str | Path) -> bytes:
 
 
 def _parse_split(
-    path: str | Path,
+    data: bytes,
     format: str,
     has_labels: bool | None = None,
     name: SplitName | None = None,
     language_tag: str = "",
 ) -> DatasetSplit:
-    """Parse a dataset file; by default its header decides whether it
-    carries labels, and unlabeled files become the test split."""
+    """Parse a dataset file's bytes; by default its header decides whether
+    it carries labels, and unlabeled files become the test split."""
     return parse_dataset(
-        _read_file(path),
+        data,
         format=FileFormat(format),
         has_labels=has_labels,
         name=name,
@@ -233,7 +237,7 @@ def _print_report_table(cm: metrics.ConfusionMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    split = _parse_split(args.input, args.format)
+    split = _parse_split(_read_file(args.input), args.format)
     for line in _stats_lines(split):
         print(line)
     return EXIT_OK
@@ -324,8 +328,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if trainer is None:
         raise ValueError(f"unknown model_kind {kind!r}")
 
+    train_bytes = _read_file(config.train_path)
     train_split = _parse_split(
-        config.train_path, config.format, has_labels=True,
+        train_bytes, config.format, has_labels=True,
         name=SplitName.TRAIN, language_tag=config.language_tag,
     )
     print(f"train split ({config.train_path}):")
@@ -338,15 +343,23 @@ def cmd_train(args: argparse.Namespace) -> int:
             for ex in split.examples
         ]
 
-    dev = None
+    dev = dev_bytes = None
     if config.dev_path:
+        dev_bytes = _read_file(config.dev_path)
         dev = cleaned(_parse_split(
-            config.dev_path, config.format, has_labels=True,
+            dev_bytes, config.format, has_labels=True,
             name=SplitName.DEV, language_tag=config.language_tag,
         ))
     payload = trainer(config, cleaned(train_split), dev)
+    run_config = {
+        key: value for key, value in config.to_dict().items()
+        if key not in ("train_path", "dev_path", "model_path")
+    }
     bundle = bundlemod.ModelBundle(
-        language_tag=config.language_tag, policy=config.preprocessing, payload=payload
+        language_tag=config.language_tag,
+        policy=config.preprocessing,
+        payload=payload,
+        provenance=bundlemod.Provenance.of_run(train_bytes, dev_bytes, run_config),
     )
     bundlemod.save_bundle(bundle, config.model_path)
     print(f"model bundle written to {config.model_path}")
@@ -355,7 +368,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     bundle = bundlemod.deserialize_bundle(_read_file(args.model))
-    split = _parse_split(args.input, args.format)
+    split = _parse_split(_read_file(args.input), args.format)
     probs = bundle.payload.probabilities(
         [textprep.preprocess(ex.text, bundle.policy) for ex in split.examples]
     )
@@ -386,7 +399,7 @@ def _parse_predictions(data: bytes) -> dict[str, Label]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold_split = _parse_split(
-        args.gold, args.format, has_labels=True, name=SplitName.DEV
+        _read_file(args.gold), args.format, has_labels=True, name=SplitName.DEV
     )
     predictions = _parse_predictions(_read_file(args.pred))
     gold_ids = [ex.id for ex in gold_split.examples]

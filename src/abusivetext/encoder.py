@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_fields
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
 from .metrics import PROB_CEIL, PROB_FLOOR, decided_macro_f1
@@ -220,6 +221,7 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("d_model", "n_heads", "n_layers", "d_ff", "max_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -242,26 +244,25 @@ class TrainConfigEnc:
     learning_rate: float = 1e-5
     epochs: int = 5
     batch_size: int = 32
-    eval_strategy: str = "epoch"
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite")
+        check_fields(self)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.eval_strategy != "epoch":
-            raise ValueError("only per-epoch evaluation is supported")
 
 
 @dataclass
 class TrainReportEnc:
     epoch_train_losses: list[float] = field(default_factory=list)
     epoch_dev_macro_f1: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 class EncoderModel:

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .checks import check_fields
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyData, TrainingDiverged
 from .metrics import PROB_CEIL, PROB_FLOOR
@@ -46,13 +47,14 @@ class LinearModel:
     dimension: int
 
     def __post_init__(self):
+        check_fields(self)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != (self.dimension,):
             raise DimensionMismatch(
                 f"weights have shape {self.weights.shape}, expected ({self.dimension},)"
             )
-        if not (np.all(np.isfinite(self.weights)) and math.isfinite(self.bias)):
-            raise ValueError("model parameters must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("model weights must be finite")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearModel):
@@ -77,12 +79,10 @@ class TrainConfigLR:
     shuffle: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         # lr = 0 is allowed: "no update" runs are useful as a baseline check.
         for name in ("learning_rate", "l2_penalty"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if value < 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -94,6 +94,9 @@ class TrainConfigLR:
 class TrainReportLR:
     epoch_losses: list[float] = field(default_factory=list)
     single_class: bool = False
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _add_up(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
+
+from .checks import check_fields
 
 # A URL is http://, https://, or www. followed by everything up to whitespace.
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
@@ -32,9 +34,7 @@ class CleanPolicy:
     strip_digits: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            if not isinstance(getattr(self, f.name), bool):
-                raise ValueError(f"{f.name} must be true or false")
+        check_fields(self)
 
 
 DEFAULT_POLICY = CleanPolicy()

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .checks import check_fields
 from .errors import EmptyCorpus
 
 # Joins the words of an n-gram; preprocessing strips this code point from
@@ -27,6 +28,7 @@ class TfIdfConfig:
     l2_normalize: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.min_df < 1:
             raise ValueError("min_df must be >= 1")
         if self.ngram_max < 1:

@@ -1,4 +1,5 @@
 """Bundle serialization: byte-stable round-trips and rejection of bad payloads."""
+import base64
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ def tfidf_lr_bundle():
         payload=bd.TfIdfLrPayload(
             tfidf=tfidf, linear=model, train_config=config, report=report
         ),
+        provenance=bd.Provenance.of_run(b"", None, {}),
     )
 
 
@@ -47,6 +49,7 @@ def encoder_bundle():
         payload=bd.MicroEncoderPayload(
             tokenizer=tokenizer, model=model, train_config=train_config, report=report
         ),
+        provenance=bd.Provenance.of_run(b"", None, {}),
     )
 
 
@@ -81,9 +84,53 @@ class TestRoundTrip:
             assert doc["model_kind"] == bundle.model_kind == bundle.payload.KIND
             assert bd.PAYLOADS[bundle.model_kind] is type(bundle.payload)
 
+    def test_loaded_arrays_are_writable_native_float64(self, tfidf_lr_bundle, encoder_bundle):
+        lr = bd.deserialize_bundle(bd.serialize_bundle(tfidf_lr_bundle)).payload
+        encoder = bd.deserialize_bundle(bd.serialize_bundle(encoder_bundle)).payload
+        for array in [lr.linear.weights, *encoder.model.params.values()]:
+            assert array.dtype == np.float64 and array.dtype.isnative
+            assert array.flags.writeable and array.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_tensor_round_trip_is_bit_exact(self, shape):
+        special = [0.1, -0.0, 5e-324, 1.7976931348623157e308, -np.pi, 1 / 3]
+        values = np.array(special[: int(np.prod(shape))]).reshape(shape)
+        stored = json.loads(json.dumps(bd.encode_tensor(values)))
+        assert stored["shape"] == list(shape)
+        back = bd.decode_tensor(stored, shape, "tensor")
+        assert back.shape == shape and back.tobytes() == values.tobytes()
+
+    def test_provenance_round_trips(self, tfidf_lr_bundle):
+        bundle = bd.ModelBundle(
+            language_tag="synthetic",
+            policy=tfidf_lr_bundle.policy,
+            payload=tfidf_lr_bundle.payload,
+            provenance=bd.Provenance.of_run(b"train", None, {"seed": 3}),
+        )
+        raw = bd.serialize_bundle(bundle)
+        loaded = bd.deserialize_bundle(raw)
+        assert loaded.provenance == bundle.provenance
+        assert bd.serialize_bundle(loaded) == raw
+
     def test_version_field_comes_first(self, tfidf_lr_bundle):
         raw = bd.serialize_bundle(tfidf_lr_bundle).decode("utf-8")
         assert raw.splitlines()[1].strip().startswith('"format_version"')
+
+
+def _values(tensor: dict) -> np.ndarray:
+    """The values of a stored tensor, flat and writable."""
+    return np.frombuffer(base64.b64decode(tensor["base64"]), dtype="<f8").copy()
+
+
+def _stored(values) -> dict:
+    """A stored tensor holding values. Written here, not by the bundle
+    writer, so that it can hold what the writer refuses (NaN)."""
+    array = np.asarray(values, dtype="<f8")
+    return {
+        "dtype": "<f8",
+        "shape": list(array.shape),
+        "base64": base64.b64encode(array.tobytes()).decode("ascii"),
+    }
 
 
 def _mutate(bundle_bytes: bytes, mutate) -> bytes:
@@ -96,7 +143,7 @@ class TestRejection:
     def test_wrong_version(self, tfidf_lr_bundle):
         raw = _mutate(
             bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d.update(format_version=2),
+            lambda d: d.update(format_version=bd.FORMAT_VERSION + 1),
         )
         with pytest.raises(BundleVersionError):
             bd.deserialize_bundle(raw)
@@ -128,7 +175,9 @@ class TestRejection:
     def test_idf_length_mismatch(self, tfidf_lr_bundle):
         raw = _mutate(
             bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d["vectorizer"]["idf"].append(1.0),
+            lambda d: d["vectorizer"].update(
+                idf=_stored(np.append(_values(d["vectorizer"]["idf"]), 1.0))
+            ),
         )
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
@@ -142,18 +191,23 @@ class TestRejection:
             bd.deserialize_bundle(raw)
 
     def test_nonpositive_idf(self, tfidf_lr_bundle):
-        raw = _mutate(
-            bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d["vectorizer"]["idf"].__setitem__(0, -1.0),
-        )
+        def negative_first(d):
+            idf = _values(d["vectorizer"]["idf"])
+            idf[0] = -1.0
+            d["vectorizer"]["idf"] = _stored(idf)
+
+        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), negative_first)
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
     def test_nan_parameter_rejected_on_load(self, encoder_bundle):
-        raw = _mutate(
-            bd.serialize_bundle(encoder_bundle),
-            lambda d: d["parameters"][0]["values"].__setitem__(0, float("nan")),
-        )
+        def nan_first(d):
+            entry = d["parameters"][0]
+            values = _values(entry)
+            values[0] = float("nan")
+            entry.update(_stored(values.reshape(entry["shape"])))
+
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), nan_first)
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
@@ -167,8 +221,7 @@ class TestRejection:
 
     def test_wrong_parameter_shape(self, encoder_bundle):
         def bad_shape(d):
-            d["parameters"][0]["shape"] = [1, 1]
-            d["parameters"][0]["values"] = [0.0]
+            d["parameters"][0].update(_stored(np.zeros((1, 1))))
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), bad_shape)
         with pytest.raises(BundleInconsistentError):

@@ -1,0 +1,141 @@
+"""The one field type check shared by every config dataclass."""
+import dataclasses
+import importlib
+import math
+import pkgutil
+
+import pytest
+
+import abusivetext
+from abusivetext import encoder as enc
+from abusivetext import linear, vectorizer
+from abusivetext.checks import check_fields, checked_kind
+from abusivetext.bundle import Provenance
+from abusivetext.cli import RunConfig
+from abusivetext.textprep import CleanPolicy
+
+INT_FIELDS = [
+    (enc.EncoderConfig, "d_model"),
+    (enc.EncoderConfig, "max_length"),
+    (enc.TrainConfigEnc, "epochs"),
+    (enc.TrainConfigEnc, "seed"),
+    (vectorizer.TfIdfConfig, "ngram_max"),
+    (vectorizer.TfIdfConfig, "max_vocab"),
+    (linear.TrainConfigLR, "batch_size"),
+    (RunConfig, "encoder_vocab_size"),
+    (RunConfig, "seed"),
+]
+OPTIONAL = [(vectorizer.TfIdfConfig, "max_vocab"), (RunConfig, "seed")]
+FLOAT_FIELDS = [
+    (enc.EncoderConfig, "dropout"),
+    (enc.TrainConfigEnc, "learning_rate"),
+    (linear.TrainConfigLR, "learning_rate"),
+    (linear.TrainConfigLR, "l2_penalty"),
+]
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS)
+@pytest.mark.parametrize("value", [4.0, 2.5, True, "4", None, [4]])
+def test_int_field_takes_only_an_int(cls, name, value):
+    if value is None and (cls, name) in OPTIONAL:
+        cls(**{name: value})  # declared ``int | None``
+        return
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", ["0.1", True, None])
+def test_float_field_rejects_strings_and_bools(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_float_field_rejects_non_finite(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+def test_float_field_takes_an_int(cls, name):
+    assert getattr(cls(**{name: 0}), name) == 0
+
+
+@pytest.mark.parametrize("cls, name", [
+    (CleanPolicy, "strip_digits"),
+    (vectorizer.TfIdfConfig, "l2_normalize"),
+    (linear.TrainConfigLR, "shuffle"),
+])
+@pytest.mark.parametrize("value", [1, 0.0, "true", None])
+def test_bool_field_takes_only_a_bool(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be true or false"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["0.25", True, math.nan])
+def test_linear_bias_must_be_a_finite_number(value):
+    with pytest.raises(ValueError, match="bias must be"):
+        linear.LinearModel(weights=[0.0], bias=value, dimension=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("model_kind", 3), ("format", None), ("language_tag", []), ("train_path", 3),
+])
+def test_run_config_strings(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a string"):
+        RunConfig(**{name: value})
+
+
+def test_provenance_fields():
+    good = dict(train_sha256="a", dev_sha256=None, run_config={},
+                abusivetext_version="0", numpy_version="0")
+    assert Provenance(**good).dev_sha256 is None
+    for name, value in [("train_sha256", None), ("numpy_version", 2), ("run_config", [])]:
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            Provenance(**{**good, name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (linear.TrainReportLR, "epoch_losses", "x"),
+    (linear.TrainReportLR, "epoch_losses", [0.5, "0.5"]),
+    (enc.TrainReportEnc, "epoch_train_losses", [math.nan]),
+    (enc.TrainReportEnc, "epoch_dev_macro_f1", (0.5,)),
+])
+def test_list_field_checks_each_item(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("annotation, expected", [
+    ("int", ("int", False, False)),
+    ("int|None", ("int", True, False)),
+    ("None | str", ("str", True, False)),
+    ("list[float]", ("float", False, True)),
+    ("dict[str, Any]", None),
+    ("tuple[float, ...]", None),
+    ("np.ndarray", None),
+])
+def test_checked_kind(annotation, expected):
+    assert checked_kind(annotation) == expected
+
+
+@pytest.mark.parametrize("annotation", [int, "Optional[int]", "int | float", "list[int] | str"])
+def test_scalar_spelled_another_way_fails_loudly(annotation):
+    @dataclasses.dataclass
+    class Spelled:
+        value: int
+
+    Spelled.__dataclass_fields__["value"].type = annotation
+    with pytest.raises(TypeError, match="annotation"):
+        check_fields(Spelled(3))
+
+
+def test_every_package_dataclass_spells_its_fields_checkably():
+    for info in pkgutil.iter_modules(abusivetext.__path__):
+        module = importlib.import_module(f"abusivetext.{info.name}")
+        for obj in vars(module).values():
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+                for f in dataclasses.fields(obj):
+                    checked_kind(f.type)  # raises TypeError when it would miss one

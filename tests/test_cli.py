@@ -1,4 +1,6 @@
 """End-to-end CLI behavior: happy paths, exit codes, and reproducibility."""
+import base64
+import hashlib
 import io
 import json
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import abusivetext
 from abusivetext import bundle as bd
 from abusivetext import cli, linear, vectorizer
 from abusivetext.corpus import (
@@ -244,6 +247,7 @@ class TestTrainPredictEvaluate:
                         train_config=linear.TrainConfigLR(),
                         report=linear.TrainReportLR(epoch_losses=[0.0]),
                     ),
+                    provenance=bd.Provenance.of_run(b"", None, {}),
                 ),
                 path,
             )
@@ -329,7 +333,9 @@ class TestExitCodes:
         out = tmp_path / "m.json"
         run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
         doc = json.loads(out.read_text())
-        doc["vectorizer"]["idf"].append(2.0)
+        idf = doc["vectorizer"]["idf"]
+        values = np.append(np.frombuffer(base64.b64decode(idf["base64"]), "<f8"), 2.0)
+        idf.update(shape=[values.size], base64=base64.b64encode(values.tobytes()).decode())
         out.write_text(json.dumps(doc))
         rc = run_cli(
             "predict", "--model", str(out), "--input", str(dev),
@@ -446,6 +452,7 @@ class TestExitCodes:
         # No synth row comes near 64 words, so 64 already covers every n-gram.
         for doc in bundles:
             doc["vectorizer"]["config"].pop("ngram_max")
+            doc["provenance"]["run_config"]["tfidf"].pop("ngram_max")
         assert bundles[0] == bundles[1]
 
     @pytest.mark.parametrize("raw", ["[]", "null", "3"])
@@ -590,6 +597,53 @@ class TestRunConfig:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "23")
         config = cli.RunConfig(seed=5).resolve_seed()
         assert config.seed == 5
+
+
+class TestProvenance:
+    def test_records_input_digests_versions_and_replayable_config(
+        self, tmp_path, synth_files
+    ):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        assert run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out, seed=9))) == 0
+        provenance = json.loads(out.read_text())["provenance"]
+        assert provenance["train_sha256"] == hashlib.sha256(train.read_bytes()).hexdigest()
+        assert provenance["dev_sha256"] == hashlib.sha256(dev.read_bytes()).hexdigest()
+        assert provenance["abusivetext_version"] == abusivetext.__version__
+        assert provenance["numpy_version"] == np.__version__
+        run_config = provenance["run_config"]
+        assert not {"train_path", "dev_path", "model_path"} & set(run_config)
+        assert run_config["seed"] == run_config["lr"]["seed"] == 9
+        assert str(tmp_path) not in out.read_text()
+        # With the paths put back, the recorded config trains the same bundle.
+        replay = tmp_path / "replay.json"
+        again = tmp_path / "again.json"
+        replay.write_text(json.dumps(
+            {**run_config, "train_path": str(train), "dev_path": str(dev),
+             "model_path": str(again)}
+        ))
+        assert run_cli("train", "--config", str(replay)) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_env_seed_is_folded_in_and_no_dev_is_null(
+        self, tmp_path, synth_files, monkeypatch
+    ):
+        train, _ = synth_files
+        out = tmp_path / "m.json"
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "4")
+        assert run_cli("train", "--train", str(train), "--out", str(out)) == 0
+        provenance = json.loads(out.read_text())["provenance"]
+        assert provenance["dev_sha256"] is None
+        assert provenance["run_config"]["seed"] == 4
+        assert provenance["run_config"]["encoder_train"]["seed"] == 4
+
+    @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
+    def test_load_and_resave_reproduces_the_bundle(self, tmp_path, synth_files, make_config):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        assert run_cli("train", "--config", str(make_config(tmp_path, train, dev, out))) == 0
+        raw = out.read_bytes()
+        assert bd.serialize_bundle(bd.deserialize_bundle(raw)) == raw
 
 
 class TestConsoleEntry:

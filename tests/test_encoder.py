@@ -506,7 +506,6 @@ class TestTrainEncoder:
         assert config.learning_rate == 1e-5
         assert config.epochs == 5
         assert config.batch_size == 32
-        assert config.eval_strategy == "epoch"
         assert enc.EncoderConfig().max_length == 128
 
 

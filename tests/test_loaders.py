@@ -1,6 +1,7 @@
-"""Hostile inputs to the CLI's loaders: model bundles, dataset files and
-predictions files. Whatever the bytes, a command ends in a documented exit
+"""Hostile inputs to the CLI's loaders: model bundles, run configs, dataset
+files and predictions files. Whatever the bytes, a command ends in a documented exit
 code with exactly one ``ERROR <CODE>:`` line, never in INTERNAL or a hang."""
+import base64
 import contextlib
 import io
 import json
@@ -140,13 +141,92 @@ class TestHostileBundles:
         ("enc", ("encoder_config", "n_layers"), 10**30),
         ("enc", ("encoder_config", "n_layers"), 1e30),
         ("lr", ("vectorizer",), "x"),
-        ("lr", ("linear", "weights", 0), 10**400),
+        ("lr", ("linear", "weights", "shape", 0), 10**400),
         ("lr", ("model_kind",), []),
         ("lr", ("model_kind",), {}),
+        ("enc", ("encoder_config", "d_model"), 4.0),
+        ("enc", ("encoder_config", "max_length"), 8.0),
+        ("enc", ("encoder_config", "n_layers"), True),
+        ("lr", ("vectorizer", "config", "ngram_max"), 2.5),
+        ("lr", ("linear", "bias"), "0.25"),
+        ("lr", ("linear", "bias"), False),
+        ("lr", ("linear", "bias"), 10**400),
+        ("lr", ("language_tag",), []),
+        ("lr", ("provenance",), None),
+        ("enc", ("provenance",), []),
+        ("lr", ("training_report", "epoch_losses"), "x"),
+        ("lr", ("training_report", "single_class"), 0),
+        ("enc", ("training_report", "epoch_train_losses"), "x"),
+        ("enc", ("training_report", "epoch_dev_macro_f1"), ["0.5"]),
     ])
     def test_rejected_as_inconsistent(self, work, arm, path, value):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
         assert predict_with(work, with_value(doc, path, value)) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    def test_missing_provenance_is_inconsistent(self, work, arm):
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        del doc["provenance"]
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("version", [2.0, "2", True, [2]])
+    def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
+        doc = json.loads((work / "enc.bundle.json").read_text())
+        assert predict_with(work, with_value(doc, ("format_version",), version)) == (
+            4, ["BUNDLE_VERSION"]
+        )
+
+    @pytest.mark.parametrize("arm, tensor", [
+        ("lr", ("vectorizer", "idf")),
+        ("lr", ("linear", "weights")),
+        ("enc", ("parameters", 0)),
+        ("enc", ("parameters", -1)),
+    ])
+    @pytest.mark.parametrize("hostile", [
+        "bad base64", "unpadded base64", "byte length", "big-endian dtype",
+        "bool in shape", "float in shape", "NaN bytes", "extra key",
+    ])
+    def test_hostile_tensor_rejected_as_inconsistent(self, work, arm, tensor, hostile):
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        stored = doc[tensor[0]][tensor[1]]
+        raw = base64.b64decode(stored["base64"])
+        if hostile == "bad base64":
+            stored["base64"] = "!" + stored["base64"][1:]
+        elif hostile == "unpadded base64":
+            stored["base64"] = stored["base64"][:-1]
+        elif hostile == "byte length":
+            stored["base64"] = base64.b64encode(raw[8:]).decode()
+        elif hostile == "big-endian dtype":
+            stored["dtype"] = ">f8"
+        elif hostile == "bool in shape":
+            stored["shape"] = [True] * len(stored["shape"]) or [True]
+        elif hostile == "float in shape":
+            stored["shape"] = [float(n) for n in stored["shape"]] or [1.0]
+        elif hostile == "NaN bytes":
+            stored["base64"] = base64.b64encode(np.full(len(raw) // 8, np.nan).tobytes()).decode()
+        else:
+            stored["note"] = 1
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    def test_v1_document_is_a_version_error(self, work, arm):
+        # Version 1 wrote decimal lists and had no provenance.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        doc["format_version"] = 1
+        del doc["provenance"]
+
+        def values(tensor):
+            return np.frombuffer(base64.b64decode(tensor["base64"]), "<f8").tolist()
+
+        if arm == "lr":
+            for section, key in (("vectorizer", "idf"), ("linear", "weights")):
+                doc[section][key] = values(doc[section][key])
+        else:
+            doc["parameters"] = [
+                {"name": e["name"], "shape": e["shape"], "values": values(e)}
+                for e in doc["parameters"]
+            ]
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
 
     def test_huge_ngram_max_predicts_like_the_bundle_as_trained(self, work, tmp_path):
         doc = json.loads((work / "lr.bundle.json").read_text())
@@ -156,6 +236,62 @@ class TestHostileBundles:
             assert run_cli("predict", "--model", str(bundle), "--input",
                            str(work / "input.tsv"), "--out", str(tmp_path / name)) == (0, [])
         assert (tmp_path / "huge").read_bytes() == (tmp_path / "trained").read_bytes()
+
+
+# Wrong types and out-of-range numbers for run-config values. Never a large
+# valid size: a valid size only makes training slower.
+CONFIG_HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "seed"]), st.integers(-3, 3), max_size=2),
+    st.text(max_size=4),
+    st.integers(-3, 0),
+    st.floats(max_value=-1e-3),
+    st.sampled_from([0.5, 2.5, 4.0, float("nan"), float("inf")]),
+)
+CONFIG_CODES = {"CONFIG": 1, "DATA": 1, "MALFORMED_ROW": 1}
+# A string for a path names a file in the working directory; these keys are
+# covered by the exit-code tests instead.
+PATH_KEYS = ("train_path", "dev_path", "model_path")
+
+
+def train_with(work: Path, arm: str, path, value) -> tuple[int, list[str]]:
+    """Train from the arm's run config, fully spelled out, with one value
+    replaced, writing the bundle to a temporary directory."""
+    raw = json.loads((work / f"{arm}.json").read_text())
+    doc = with_value(cli.RunConfig.from_dict(raw).to_dict(), path, value)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        enc, "parameter_shapes", guarded_shapes
+    ):
+        doc["model_path"] = str(Path(tmp) / "m.json")
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps(doc))
+        return run_cli("train", "--config", str(config))
+
+
+class TestHostileRunConfigs:
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_value_replaced(self, work, arm, data):
+        full = cli.RunConfig.from_dict(json.loads((work / f"{arm}.json").read_text()))
+        paths = [p for p in paths_of(full.to_dict()) if p[0] not in PATH_KEYS]
+        path = data.draw(st.sampled_from(paths), label="path")
+        code, errors = train_with(work, arm, path, data.draw(CONFIG_HOSTILE))
+        assert_outcome(code, errors, CONFIG_CODES)
+
+    @pytest.mark.parametrize("arm, path, value", [
+        ("enc", ("encoder", "d_model"), 4.0),
+        ("enc", ("encoder", "max_length"), 8.0),
+        ("lr", ("tfidf", "ngram_max"), 2.5),
+        ("lr", ("lr", "epochs"), True),
+        ("enc", ("encoder_train", "batch_size"), "8"),
+        ("enc", ("encoder_vocab_size",), 40.0),
+        ("lr", ("seed",), 1.0),
+    ])
+    def test_type_confused_value_is_one_config_error(self, work, arm, path, value):
+        assert train_with(work, arm, path, value) == (1, ["CONFIG"])
 
 
 # Pieces that steer arbitrary bytes toward the interesting corners of the
