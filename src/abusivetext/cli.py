@@ -100,6 +100,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.encoder_vocab_size < 4:
+            raise ValueError(
+                "encoder_vocab_size must be >= 4 (three specials and one byte)"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":

@@ -19,9 +19,11 @@ generator, so training is bit-reproducible.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +41,8 @@ _MASK_BIAS = 1e30
 _LN_EPS = 1e-5
 # Rows per forward pass in predict_probs.
 _PREDICT_BLOCK = 32
+# Every single byte as a one-byte bytes object, indexed by its value.
+_BYTES = tuple(bytes([b]) for b in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +77,37 @@ class SubwordTokenizer:
         return self.pieces == other.pieces and self.merges == other.merges
 
     def pieces_of_word(self, word: str) -> list[bytes]:
-        """Split one word into byte pieces by applying merges in rank order."""
-        symbols = [bytes([b]) for b in word.encode("utf-8")]
-        while len(symbols) >= 2:
-            best_rank = None
-            best_pair = None
-            for left, right in zip(symbols, symbols[1:]):
-                rank = self._merge_rank.get((left, right))
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best_rank, best_pair = rank, (left, right)
-            if best_pair is None:
+        """Split one word into byte pieces, lowest merge rank first.
+
+        One rank is kept per adjacent pair, so the best pair is one ``min``
+        over that list. Every non-overlapping occurrence of the winning pair
+        merges, left to right, and each merge re-looks-up only the ranks of
+        its two new neighbours. This is the full rescan that re-applies the
+        lowest-ranked merge until none applies, done without the rescans: a
+        rank names exactly one pair, so finding the next occurrence is a
+        search for the rank. A pair listed twice in ``merges`` takes its
+        later rank."""
+        symbols = list(map(_BYTES.__getitem__, word.encode("utf-8")))
+        rank_of = self._merge_rank.get
+        no_rank = len(self.merges)
+        ranks = list(map(rank_of, zip(symbols, symbols[1:]), repeat(no_rank)))
+        while ranks:
+            best = min(ranks)
+            if best == no_rank:
                 break
-            symbols = _apply_merge(symbols, best_pair)
+            i = ranks.index(best)
+            merged = symbols[i] + symbols[i + 1]
+            while True:
+                symbols[i : i + 2] = (merged,)
+                del ranks[i]
+                if i:
+                    ranks[i - 1] = rank_of((symbols[i - 1], merged), no_rank)
+                if i < len(ranks):
+                    ranks[i] = rank_of((merged, symbols[i + 1]), no_rank)
+                # Ranks left of i hold no ``best`` any more.
+                if best not in ranks:
+                    break
+                i = ranks.index(best, i + 1)
         return symbols
 
     def word_ids(self, word: str) -> tuple[int, ...]:
@@ -98,36 +121,24 @@ class SubwordTokenizer:
         return ids
 
 
-def _apply_merge(symbols: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]:
-    merged = pair[0] + pair[1]
-    out: list[bytes] = []
-    i = 0
-    while i < len(symbols):
-        if (
-            i + 1 < len(symbols)
-            and symbols[i] == pair[0]
-            and symbols[i + 1] == pair[1]
-        ):
-            out.append(merged)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
-
-
-def _pairs(symbols: list[bytes]) -> Counter[tuple[bytes, bytes]]:
-    return Counter(zip(symbols, symbols[1:]))
-
-
 def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     """Greedy byte-pair-merge training until the inventory reaches vocab_size.
 
-    Ties in pair counts break toward the lexicographically smallest pair, so
-    training is fully deterministic. vocab_size counts the whole inventory:
-    the three specials, the corpus's single bytes, and learned merges.
-    Pair counts are kept up to date incrementally: a merge re-counts only the
-    words that contain the merged pair.
+    Each step merges the most frequent adjacent pair; ties break toward the
+    lexicographically smallest pair, so training is fully deterministic.
+    vocab_size counts the whole inventory: the three specials, the corpus's
+    single bytes, and learned merges.
+
+    Pair counts are updated locally, as in the reference BPE procedure
+    (Sennrich et al., arXiv:1508.07909): merging an occurrence of (a, b)
+    between ``left`` and ``right`` in a word of frequency f moves f from
+    (left, a) and (b, right) to (left, ab) and (ab, right). Occurrences are
+    merged one at a time, left to right, each against the word as the
+    previous ones left it, so overlapping runs such as "aaaa" or "abab" net
+    out exactly. The best pair comes off a heap keyed (-count, pair) with
+    lazy invalidation: an entry whose count is stale is dropped when it
+    reaches the top. The key's order is the count-then-pair tie-break, so
+    the merges and pieces are those of a full recount before every merge.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train a tokenizer on an empty corpus")
@@ -138,7 +149,7 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     for text in corpus:
         word_freqs.update(text.split())
     words: list[tuple[list[bytes], int]] = [
-        ([bytes([b]) for b in word.encode("utf-8")], freq)
+        (list(map(_BYTES.__getitem__, word.encode("utf-8"))), freq)
         for word, freq in sorted(word_freqs.items())
     ]
 
@@ -146,35 +157,58 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     known = set(pieces)
     merges: list[tuple[bytes, bytes]] = []
     pair_counts: Counter[tuple[bytes, bytes]] = Counter()
+    # The words that held each pair at some point; a listed word may since
+    # have lost it, which only costs a scan that finds nothing.
     words_with: defaultdict[tuple[bytes, bytes], set[int]] = defaultdict(set)
     for index, (symbols, freq) in enumerate(words):
-        for pair, n in _pairs(symbols).items():
-            pair_counts[pair] += n * freq
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freq
             words_with[pair].add(index)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
     while 3 + len(pieces) < vocab_size and pair_counts:
-        top = max(pair_counts.values())
-        best = min(pair for pair, count in pair_counts.items() if count == top)
+        while pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        best = heapq.heappop(heap)[1]
         merges.append(best)
-        merged = best[0] + best[1]
+        a, b = best
+        merged = a + b
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
-        # A merge removes every occurrence of its pair, so no word keeps it.
+        changed: set[tuple[bytes, bytes]] = set()
         for index in words_with.pop(best):
             symbols, freq = words[index]
-            old = _pairs(symbols)
-            symbols = _apply_merge(symbols, best)
-            words[index] = (symbols, freq)
-            new = _pairs(symbols)
-            for pair, n in new.items():
-                pair_counts[pair] += n * freq
-                words_with[pair].add(index)
-            for pair, n in old.items():
-                pair_counts[pair] -= n * freq
-                if pair_counts[pair] == 0:
-                    del pair_counts[pair]
-                if pair not in new:
-                    words_with[pair].discard(index)
+            i = 0
+            while True:
+                try:
+                    i = symbols.index(a, i)
+                except ValueError:
+                    break
+                if i + 1 < len(symbols) and symbols[i + 1] == b:
+                    symbols[i : i + 2] = (merged,)
+                    if i:
+                        left = symbols[i - 1]
+                        pair_counts[left, a] -= freq
+                        pair_counts[left, merged] += freq
+                        words_with[left, merged].add(index)
+                        changed.update(((left, a), (left, merged)))
+                    if i + 1 < len(symbols):
+                        right = symbols[i + 1]
+                        pair_counts[b, right] -= freq
+                        pair_counts[merged, right] += freq
+                        words_with[merged, right].add(index)
+                        changed.update(((b, right), (merged, right)))
+                i += 1
+        # A merge removes every occurrence of its pair, so no word keeps it.
+        del pair_counts[best]
+        changed.discard(best)
+        for pair in changed:
+            count = pair_counts[pair]
+            if count:
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
     return SubwordTokenizer(pieces=pieces, merges=merges)
 
 

@@ -17,6 +17,8 @@ from .checks import check_fields
 
 # A URL is http://, https://, or www. followed by everything up to whitespace.
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
+# Under IGNORECASE, ":", "/" and "." match only themselves and "w" only w or
+# W, so a text the regex can match holds "://" or, lowercased, "www.".
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,11 @@ DEFAULT_POLICY = CleanPolicy()
 
 
 def remove_urls(text: str) -> str:
-    """Replace every URL (up to the next whitespace) with a single space."""
+    """Replace every URL (up to the next whitespace) with a single space.
+
+    Texts that cannot hold a URL skip the regex."""
+    if "://" not in text and "www." not in text.lower():
+        return text
     return _URL_RE.sub(" ", text)
 
 

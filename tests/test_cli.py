@@ -390,6 +390,22 @@ class TestExitCodes:
         [line] = error_lines(capsys.readouterr().err)
         assert line.startswith("ERROR CONFIG: ") and "n_heads" in line
 
+    def test_tiny_vocab_size_fails_before_reading_data(
+        self, tmp_path, synth_files, capsys
+    ):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        path = encoder_config(tmp_path, train, dev, out)
+        doc = json.loads(path.read_text())
+        doc["encoder_vocab_size"] = 2
+        path.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        [line] = error_lines(captured.err)
+        assert line.startswith("ERROR CONFIG: ") and "encoder_vocab_size" in line
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_divergent_encoder_fails_at_its_epoch(self, tmp_path, synth_files, capsys):
         train, dev = synth_files
         out = tmp_path / "m.json"
@@ -592,6 +608,14 @@ class TestRunConfig:
         config = cli.RunConfig().resolve_seed()
         assert config.seed == 23
         assert config.lr.seed == 23
+
+    @pytest.mark.parametrize("size", [-1, 0, 3])
+    def test_vocab_size_below_four_rejected_at_construction(self, size):
+        with pytest.raises(ValueError, match="encoder_vocab_size must be >= 4"):
+            cli.RunConfig(encoder_vocab_size=size)
+        with pytest.raises(ValueError, match="encoder_vocab_size must be >= 4"):
+            cli.RunConfig.from_dict({"encoder_vocab_size": size})
+        assert cli.RunConfig(encoder_vocab_size=4).encoder_vocab_size == 4
 
     def test_explicit_seed_beats_env(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "23")

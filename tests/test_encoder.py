@@ -8,6 +8,7 @@ softmax is invariant to per-row score shifts, so its true gradient is zero
 and both sides of the check are numerical noise; the floored denominator
 below treats that correctly instead of dividing noise by noise.
 """
+import random
 from collections import Counter
 
 import numpy as np
@@ -49,9 +50,28 @@ def micro_batch(tokenizer, seed=11, batch=4):
     return ids, mask, labels
 
 
+def apply_merge(symbols, pair):
+    """Merge every non-overlapping occurrence of pair, left to right."""
+    merged = pair[0] + pair[1]
+    out = []
+    i = 0
+    while i < len(symbols):
+        if (
+            i + 1 < len(symbols)
+            and symbols[i] == pair[0]
+            and symbols[i + 1] == pair[1]
+        ):
+            out.append(merged)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
+
+
 def reference_train_subword(corpus, vocab_size):
     """Textbook BPE training: re-count every pair of the whole corpus before
-    each merge. The oracle for the incremental counts in train_subword."""
+    each merge. The oracle for the local pair updates in train_subword."""
     word_freqs = Counter()
     for text in corpus:
         word_freqs.update(text.split())
@@ -76,21 +96,58 @@ def reference_train_subword(corpus, vocab_size):
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
-        words = [(enc._apply_merge(symbols, best), freq) for symbols, freq in words]
+        words = [(apply_merge(symbols, best), freq) for symbols, freq in words]
     return pieces, merges
+
+
+def reference_pieces_of_word(tokenizer, word):
+    """Re-scan every adjacent pair for the lowest merge rank, merge all its
+    occurrences, repeat. The oracle for SubwordTokenizer.pieces_of_word."""
+    rank_of = {pair: rank for rank, pair in enumerate(tokenizer.merges)}
+    symbols = [bytes([b]) for b in word.encode("utf-8")]
+    while len(symbols) >= 2:
+        best_rank = None
+        best_pair = None
+        for left, right in zip(symbols, symbols[1:]):
+            rank = rank_of.get((left, right))
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank, best_pair = rank, (left, right)
+        if best_pair is None:
+            break
+        symbols = apply_merge(symbols, best_pair)
+    return symbols
 
 
 def reference_encode(tokenizer, text, max_length):
     """Piece-by-piece encoding with no memo, truncated to max_length."""
     ids = [enc.CLS_ID]
     for word in text.split():
-        for piece in tokenizer.pieces_of_word(word):
+        for piece in reference_pieces_of_word(tokenizer, word):
             ids.append(tokenizer.piece_to_id.get(piece, enc.UNK_ID))
     ids = ids[:max_length]
     n_real = len(ids)
     ids += [enc.PAD_ID] * (max_length - n_real)
     return ids, [1.0] * n_real + [0.0] * (max_length - n_real)
 
+
+def dravidian_corpus(n_words=600, seed=5):
+    """Seeded Tamil and Malayalam pseudo-words, 2-7 letters of 3 UTF-8 bytes
+    each, a few with a Latin prefix: enough distinct pairs to fill a
+    2,048-piece inventory."""
+    rng = random.Random(seed)
+    letters = [chr(c) for c in range(0x0B85, 0x0BCE)] + [
+        chr(c) for c in range(0x0D05, 0x0D4E)
+    ]
+    words = []
+    for _ in range(n_words):
+        word = "".join(rng.choice(letters) for _ in range(rng.randint(2, 7)))
+        if rng.random() < 0.1:
+            word = rng.choice("kmpt") + word
+        words.append(word)
+    return [" ".join(words[i : i + 10]) for i in range(0, n_words, 10)]
+
+
+DRAVIDIAN_CORPUS = dravidian_corpus()
 
 # Small alphabets make repeated-symbol words ("aaaa", "abab") and count ties
 # common; the Tamil letters add multi-byte symbols.
@@ -137,17 +194,103 @@ class TestTrainSubword:
     @example(corpus=["aaaa aaaa abab"], vocab_size=12)
     @example(corpus=["abab baba", "aaaa"], vocab_size=20)
     @example(corpus=["ab cd", "cd ab"], vocab_size=10)
+    @example(corpus=DRAVIDIAN_CORPUS, vocab_size=2048)
     def test_matches_full_rescan_reference(self, corpus, vocab_size):
         tokenizer = enc.train_subword(corpus, vocab_size)
         pieces, merges = reference_train_subword(corpus, vocab_size)
         assert list(tokenizer.merges) == merges
         assert list(tokenizer.pieces) == pieces
 
+    def test_dravidian_case_reaches_a_large_vocabulary(self):
+        # The DRAVIDIAN_CORPUS example above runs past 1,900 merges.
+        tokenizer = enc.train_subword(DRAVIDIAN_CORPUS, 2048)
+        assert tokenizer.vocab_size == 2048
+        assert len(tokenizer.merges) > 1900
+
     def test_multibyte_script_roundtrips_through_pieces(self):
         word = "அம்மா"
         tokenizer = enc.train_subword([word, word], vocab_size=64)
         pieces = tokenizer.pieces_of_word(word)
         assert b"".join(pieces) == word.encode("utf-8")
+
+
+# One hand-built tokenizer with the corners the trainer never makes: (ab, a)
+# ranked before (a, b), so a merge can form a pair that outranks the pair
+# just merged; (a, a) listed twice, so its later rank counts; "aba" reached
+# by two different merges; and no piece for the byte "c" or for "aaaa".
+HAND_BUILT = enc.SubwordTokenizer(
+    pieces=[b"a", b"b", b"ab", b"aa", b"aba", b"abab"],
+    merges=[
+        (b"ab", b"a"), (b"a", b"b"), (b"a", b"a"), (b"b", b"a"),
+        (b"a", b"ba"), (b"aa", b"aa"), (b"a", b"a"), (b"ab", b"ab"),
+    ],
+)
+SCRIPTS = {
+    "latin": "abcdeklmnprst",
+    "tamil": "அஆஇஉஎகஙசஞடணதநபமயரலவழளறன்ாிீுூெேை",
+    "malayalam": "അആഇഉഎകങചഞടണതനപമയരലവഴളറന്ാിീുൂെേൈ",
+}
+
+
+@st.composite
+def trained_tokenizer_and_word(draw):
+    """A tokenizer trained on a one-script corpus, and a word in that script
+    that may hold characters the corpus never saw."""
+    alphabet = draw(st.sampled_from(sorted(SCRIPTS.values())))
+    words = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    corpus = draw(st.lists(
+        st.lists(words, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=8
+    ))
+    tokenizer = enc.train_subword(corpus, draw(st.integers(4, 160)))
+    return tokenizer, draw(st.text(alphabet=alphabet + "xé", min_size=1, max_size=12))
+
+
+@st.composite
+def hand_built_tokenizer_and_word(draw):
+    """Arbitrary merges over short "ab" strings, repeats allowed, and an
+    arbitrary subset of the bytes and merge results as pieces."""
+    symbol = st.text(alphabet="ab", min_size=1, max_size=3).map(str.encode)
+    merges = draw(st.lists(st.tuples(symbol, symbol), max_size=12))
+    candidates = sorted({b"a", b"b", b"c"} | {x + y for x, y in merges})
+    pieces = draw(st.lists(st.sampled_from(candidates), unique=True))
+    tokenizer = enc.SubwordTokenizer(pieces=pieces, merges=merges)
+    return tokenizer, draw(st.text(alphabet="abc", min_size=1, max_size=12))
+
+
+class TestPiecesOfWord:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(trained_tokenizer_and_word(), hand_built_tokenizer_and_word()))
+    @example(case=(HAND_BUILT, "aaaa"))
+    @example(case=(HAND_BUILT, "abab"))
+    @example(case=(HAND_BUILT, "ababa"))
+    @example(case=(HAND_BUILT, "baa"))
+    @example(case=(HAND_BUILT, "cababcaaab"))
+    def test_matches_full_rescan_reference(self, case):
+        tokenizer, word = case
+        assert tokenizer.pieces_of_word(word) == reference_pieces_of_word(tokenizer, word)
+
+    def test_hand_built_corners(self):
+        # By hand. "abab": both (a, b) merge at once, so (ab, a) at rank 0
+        # never forms, then (ab, ab). "ababa": both (a, b), then (ab, a).
+        # "baa": (a, a) counts at rank 6, after (b, a) at rank 3. "aaaa":
+        # (a, a) twice, then (aa, aa), a piece the inventory lacks.
+        assert HAND_BUILT.pieces_of_word("abab") == [b"abab"]
+        assert HAND_BUILT.pieces_of_word("ababa") == [b"ab", b"aba"]
+        assert HAND_BUILT.pieces_of_word("baa") == [b"ba", b"a"]
+        assert HAND_BUILT.pieces_of_word("aaaa") == [b"aaaa"]
+        assert enc.encode(HAND_BUILT, "aaaa cab", 8)[0].tolist()[:5] == [
+            enc.CLS_ID, enc.UNK_ID, enc.UNK_ID, 3 + HAND_BUILT.pieces.index(b"ab"),
+            enc.PAD_ID,
+        ]
+
+    def test_large_dravidian_vocabulary_matches_reference(self):
+        tokenizer = enc.train_subword(DRAVIDIAN_CORPUS, 2048)
+        words = {w for text in DRAVIDIAN_CORPUS for w in text.split()}
+        words |= {w[::-1] for w in words}
+        for word in sorted(words):
+            assert tokenizer.pieces_of_word(word) == reference_pieces_of_word(
+                tokenizer, word
+            )
 
 
 class TestEncode:

@@ -3,10 +3,11 @@ import unicodedata
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abusivetext.textprep import (
+    _URL_RE,
     CleanPolicy,
     DEFAULT_POLICY,
     collapse_whitespace,
@@ -36,6 +37,17 @@ _CHAR_POOL = st.one_of(
 random_text = st.text(alphabet=_CHAR_POOL, max_size=60)
 
 
+# Fragments of URL prefixes in odd cases, and the code points that fold to
+# one of their letters under IGNORECASE: U+017F (long s) and U+212A (Kelvin).
+URL_PIECES = st.one_of(
+    st.sampled_from([
+        "http", "HTTPS", "httpſ", "://", ":/", "/", ":", "www", "WWW", "wW",
+        "w", ".", " ", "ſ", "\u212a", "s", "x", "İ",
+    ]),
+    st.characters(),
+)
+
+
 class TestRemoveUrls:
     def test_url_becomes_single_space(self):
         # Derived by hand: "see " + " " + " now" keeps both neighbors' spaces.
@@ -58,6 +70,17 @@ class TestRemoveUrls:
     )
     def test_variants(self, text, expected):
         assert remove_urls(text) == expected
+
+    @settings(max_examples=500)
+    @given(st.lists(URL_PIECES, max_size=12).map("".join))
+    @example("WWW.")
+    @example("see HTTPS://x")
+    @example("httpſ://x.y")
+    @example("\u212a www.x")
+    @example("wWw.Host")
+    def test_skipping_the_regex_changes_nothing(self, text):
+        # The full regex on every text, with no pre-check.
+        assert remove_urls(text) == _URL_RE.sub(" ", text)
 
 
 class TestStripSpecials:
