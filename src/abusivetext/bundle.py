@@ -28,7 +28,7 @@ from .checks import check_fields
 from .errors import BundleInconsistentError, BundleVersionError
 from .linear import LinearModel, TrainConfigLR, TrainReportLR, predict_probas
 from .textprep import CleanPolicy
-from .vectorizer import TfIdfConfig, TfIdfModel, Vocabulary, transform
+from .vectorizer import TfIdfConfig, TfIdfModel, Vocabulary, transform_rows
 
 FORMAT_VERSION = 2
 _TENSOR_DTYPE = "<f8"
@@ -103,9 +103,7 @@ class TfIdfLrPayload:
     report: TrainReportLR
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
-        return predict_probas(
-            self.linear, [transform(self.tfidf, text) for text in cleaned_texts]
-        )
+        return predict_probas(self.linear, transform_rows(self.tfidf, cleaned_texts))
 
     def to_doc(self) -> dict[str, Any]:
         vocab = self.tfidf.vocab
@@ -345,7 +343,7 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         policy = CleanPolicy(**_section(doc, "preprocessing"))
         payload = payload_class.from_doc(doc)
         return ModelBundle(
-            language_tag=doc.get("language_tag", ""),
+            language_tag=doc["language_tag"],
             policy=policy,
             payload=payload,
             provenance=Provenance(**_section(doc, "provenance")),

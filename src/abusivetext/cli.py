@@ -147,13 +147,8 @@ class RunConfig:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        config = RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    else:
-        config = RunConfig()
+    raw = json.loads(_read_file(args.config).decode("utf-8")) if args.config else {}
+    config = RunConfig.from_dict(raw)
     overrides: dict[str, Any] = {}
     for flag, key in (
         ("train", "train_path"),
@@ -175,28 +170,13 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _read_file(path: str | Path) -> bytes:
+    """The bytes of a regular file; anything else, a directory included, is
+    FileNotFoundError."""
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"file not found: {p}")
+    if not p.is_file():
+        reason = "not a regular file" if p.exists() else "file not found"
+        raise FileNotFoundError(f"{reason}: {p}")
     return p.read_bytes()
-
-
-def _parse_split(
-    data: bytes,
-    format: str,
-    has_labels: bool | None = None,
-    name: SplitName | None = None,
-    language_tag: str = "",
-) -> DatasetSplit:
-    """Parse a dataset file's bytes; by default its header decides whether
-    it carries labels, and unlabeled files become the test split."""
-    return parse_dataset(
-        data,
-        format=FileFormat(format),
-        has_labels=has_labels,
-        name=name,
-        language_tag=language_tag,
-    )
 
 
 def _stats_lines(split: DatasetSplit) -> list[str]:
@@ -241,7 +221,7 @@ def _print_report_table(cm: metrics.ConfusionMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    split = _parse_split(_read_file(args.input), args.format)
+    split = parse_dataset(_read_file(args.input), FileFormat(args.format))
     for line in _stats_lines(split):
         print(line)
     return EXIT_OK
@@ -278,11 +258,9 @@ Pairs = list[tuple[str, Label]]
 def _train_tfidf_lr(
     config: RunConfig, train: Pairs, dev: Pairs | None
 ) -> bundlemod.TfIdfLrPayload:
-    tfidf = vectorizer.fit([text for text, _ in train], config.tfidf)
-    model, report = linear.train_lr(
-        [(vectorizer.transform(tfidf, text), label) for text, label in train],
-        config.lr,
-    )
+    texts, labels = [text for text, _ in train], [label for _, label in train]
+    tfidf = vectorizer.fit(texts, config.tfidf)
+    model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config.lr)
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}: train_loss {loss:.6f}")
     payload = bundlemod.TfIdfLrPayload(
@@ -333,8 +311,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown model_kind {kind!r}")
 
     train_bytes = _read_file(config.train_path)
-    train_split = _parse_split(
-        train_bytes, config.format, has_labels=True,
+    train_split = parse_dataset(
+        train_bytes, FileFormat(config.format), has_labels=True,
         name=SplitName.TRAIN, language_tag=config.language_tag,
     )
     print(f"train split ({config.train_path}):")
@@ -350,8 +328,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     dev = dev_bytes = None
     if config.dev_path:
         dev_bytes = _read_file(config.dev_path)
-        dev = cleaned(_parse_split(
-            dev_bytes, config.format, has_labels=True,
+        dev = cleaned(parse_dataset(
+            dev_bytes, FileFormat(config.format), has_labels=True,
             name=SplitName.DEV, language_tag=config.language_tag,
         ))
     payload = trainer(config, cleaned(train_split), dev)
@@ -372,7 +350,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     bundle = bundlemod.deserialize_bundle(_read_file(args.model))
-    split = _parse_split(_read_file(args.input), args.format)
+    split = parse_dataset(_read_file(args.input), FileFormat(args.format))
     probs = bundle.payload.probabilities(
         [textprep.preprocess(ex.text, bundle.policy) for ex in split.examples]
     )
@@ -402,8 +380,9 @@ def _parse_predictions(data: bytes) -> dict[str, Label]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gold_split = _parse_split(
-        _read_file(args.gold), args.format, has_labels=True, name=SplitName.DEV
+    gold_split = parse_dataset(
+        _read_file(args.gold), FileFormat(args.format), has_labels=True,
+        name=SplitName.DEV,
     )
     predictions = _parse_predictions(_read_file(args.pred))
     gold_ids = [ex.id for ex in gold_split.examples]
@@ -488,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _classify_error(exc: Exception) -> tuple[str, int]:
     if isinstance(exc, FileNotFoundError):
         return "FILE_NOT_FOUND", EXIT_FILE_NOT_FOUND
+    if isinstance(exc, OSError):
+        return "CONFIG", EXIT_ERROR
     if isinstance(exc, DevRequiredError):
         return "DEV_REQUIRED", EXIT_DEV_REQUIRED
     if isinstance(exc, BundleVersionError):

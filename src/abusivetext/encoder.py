@@ -31,7 +31,8 @@ import numpy as np
 from .checks import check_fields
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
-from .metrics import PROB_CEIL, PROB_FLOOR, decided_macro_f1
+from .linear import sigmoid
+from .metrics import decided_macro_f1
 
 CLS_ID = 0
 PAD_ID = 1
@@ -497,10 +498,7 @@ def forward_batch(
         )
     cls = x[:, 0, :]
     logits = cls @ params["head.w"] + params["head.b"]
-    probs = 1.0 / (1.0 + np.exp(-np.abs(logits)))
-    probs = np.where(logits >= 0, probs, 1.0 - probs)
-    # Keep probabilities strictly inside (0, 1) even for saturating logits.
-    probs = np.clip(probs, PROB_FLOOR, PROB_CEIL)
+    probs = sigmoid(logits)
     cache = dict(ids=ids, layers=layers, cls=cls, logits=logits)
     return probs, cache
 

@@ -1,6 +1,6 @@
-"""Binary logistic regression over sparse TF-IDF vectors.
-
-Trained from scratch with mini-batch gradient descent: zero initialization,
+"""Binary logistic regression over the CSR rows of TF-IDF vectors, and the
+one array sigmoid both model arms use (kept out of metrics, which loads no
+numpy). Trained from scratch with mini-batch gradient descent: zero init,
 constant step size, seeded per-epoch shuffling, L2 penalty on the weights
 (bias unpenalized). Everything runs in 64-bit arithmetic so the analytic
 gradients can be checked against finite differences at tight tolerances.
@@ -9,35 +9,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .checks import check_fields
 from .corpus import Label
-from .errors import DimensionMismatch, EmptyData, TrainingDiverged
+from .errors import DimensionMismatch, EmptyData, LengthMismatch, TrainingDiverged
 from .metrics import PROB_CEIL, PROB_FLOOR
-from .vectorizer import SparseVector
+from .vectorizer import Rows, SparseVector
 
 
-def sigmoid(z: float) -> float:
-    """1 / (1 + e^-z) in the branch form that never overflows; the result is
-    strictly inside (0, 1) for every finite z."""
-    if z >= 0.0:
-        p = 1.0 / (1.0 + math.exp(-z))
-    else:
-        e = math.exp(z)
-        p = e / (1.0 + e)
-    return min(max(p, PROB_FLOOR), PROB_CEIL)
-
-
-def _softplus(z: float) -> float:
-    # log(1 + e^z) without overflow; used for the stable cross-entropy.
-    if z > 0.0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
+def sigmoid(z) -> np.ndarray:
+    """1 / (1 + e^-z) elementwise, in the branch form that never overflows;
+    every result is strictly inside (0, 1) for finite z. Each element is
+    computed on its own, so it does not depend on the others."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    p = np.where(z >= 0.0, 1.0 / d, e / d)
+    return np.clip(p, PROB_FLOOR, PROB_CEIL)
 
 
 @dataclass
@@ -107,107 +99,62 @@ def _add_up(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out.astype(np.float64, copy=False)
 
 
-class _Rows(NamedTuple):
-    """Sparse rows in CSR form: row r holds entries indptr[r]:indptr[r + 1]
-    of indices/data, in their SparseVector order; row_of_entry names the
-    row of each entry."""
+def _total(values: np.ndarray) -> float:
+    """The values added one by one, left to right, from 0.0; sum() and
+    np.sum do not promise that order."""
+    return float(_add_up(np.zeros(len(values), dtype=np.intp), values, 1)[0])
 
-    indptr: np.ndarray
-    row_of_entry: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
 
-    @classmethod
-    def pack(cls, vectors: Sequence[SparseVector]) -> "_Rows":
-        lengths = [len(x.entries) for x in vectors]
-        n = len(vectors)
-        return cls(
-            np.fromiter(accumulate(lengths, initial=0), dtype=np.intp, count=n + 1),
-            np.repeat(np.arange(n), lengths),
-            np.fromiter((i for x in vectors for i, _ in x.entries), dtype=np.intp),
-            np.fromiter((w for x in vectors for _, w in x.entries), dtype=np.float64),
-        )
-
-    def take(self, rows: Sequence[int]) -> "_Rows":
-        """The given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=indptr[1:])
-        row_of_entry = np.repeat(np.arange(len(rows)), lengths)
-        picked = np.arange(indptr[-1]) + (starts - indptr[:-1])[row_of_entry]
-        return _Rows(indptr, row_of_entry, self.indices[picked], self.data[picked])
-
-    def scores(self, weights: np.ndarray, bias: float) -> list[float]:
-        """bias + w . x per row, each row's products added in entry order,
-        so a score never depends on how the interpreter's sum() rounds."""
-        products = weights[self.indices] * self.data
-        dots = _add_up(self.row_of_entry, products, len(self.indptr) - 1)
-        return (bias + dots).tolist()
+def _scores(rows: Rows, weights: np.ndarray, bias: float) -> np.ndarray:
+    """bias + w . x per row, each row's products added in entry order, so a
+    score never depends on the rows scored with it."""
+    products = weights[rows.indices] * rows.data
+    return bias + _add_up(rows.row_of_entry, products, rows.n_rows)
 
 
 def _gradient(
-    weights: np.ndarray,
-    bias: float,
-    rows: _Rows,
-    labels: Sequence[float],
-    l2_penalty: float,
+    weights: np.ndarray, bias: float, rows: Rows, labels: np.ndarray, l2_penalty: float
 ) -> tuple[np.ndarray, float]:
-    errs = [
-        sigmoid(z) - y for z, y in zip(rows.scores(weights, bias), labels)
-    ]
-    # Explicit += keeps the left-to-right order of the per-entry loop, which
-    # sum() and np.sum do not promise.
-    grad_b = 0.0
-    for err in errs:
-        grad_b += err
-    err_of_entry = np.array(errs)[rows.row_of_entry]
-    grad_w = _add_up(rows.indices, err_of_entry * rows.data, weights.size)
-    grad_w /= len(errs)
-    grad_b /= len(errs)
+    errs = sigmoid(_scores(rows, weights, bias)) - labels
+    grad_w = _add_up(rows.indices, errs[rows.row_of_entry] * rows.data, weights.size)
+    grad_w /= rows.n_rows
+    grad_b = _total(errs) / rows.n_rows
     if l2_penalty:
         grad_w += l2_penalty * weights
     return grad_w, grad_b
 
 
 def _loss(
-    weights: np.ndarray,
-    bias: float,
-    rows: _Rows,
-    labels: Sequence[float],
-    l2_penalty: float,
+    weights: np.ndarray, bias: float, rows: Rows, labels: np.ndarray, l2_penalty: float
 ) -> float:
-    total = 0.0
-    for z, y in zip(rows.scores(weights, bias), labels):
-        total += _softplus(z) - y * z
-    return total / len(labels) + 0.5 * l2_penalty * float(weights @ weights)
+    z = _scores(rows, weights, bias)
+    # softplus(z) = log(1 + e^z), in a form that never overflows.
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return (
+        _total(softplus - labels * z) / rows.n_rows
+        + 0.5 * l2_penalty * float(weights @ weights)
+    )
 
 
 def _split(
-    data: Sequence[tuple[SparseVector, Label]]
-) -> tuple[_Rows, list[float]]:
-    return _Rows.pack([x for x, _ in data]), [float(y) for _, y in data]
+    data: Sequence[tuple[SparseVector, Label]], dimension: int
+) -> tuple[Rows, np.ndarray]:
+    return Rows.pack([x for x, _ in data], dimension), np.array([y for _, y in data], float)
 
 
-def predict_probas(
-    model: LinearModel, vectors: Sequence[SparseVector]
-) -> list[float]:
-    """sigmoid(w . x + b) for each vector, scored in one kernel call; each
-    row's products are added in entry order, so a row's probability does
-    not depend on the rows scored with it."""
-    for x in vectors:
-        if x.dimension != model.dimension:
-            raise DimensionMismatch(
-                f"vector dimension {x.dimension} != model dimension {model.dimension}"
-            )
-    scores = _Rows.pack(vectors).scores(model.weights, model.bias)
-    return [sigmoid(z) for z in scores]
+def predict_probas(model: LinearModel, rows: Rows) -> list[float]:
+    """sigmoid(w . x + b) for each row, scored in one kernel call; a row's
+    probability does not depend on the rows scored with it."""
+    if rows.dimension != model.dimension:
+        raise DimensionMismatch(
+            f"row dimension {rows.dimension} != model dimension {model.dimension}"
+        )
+    return sigmoid(_scores(rows, model.weights, model.bias)).tolist()
 
 
 def predict_proba(model: LinearModel, x: SparseVector) -> float:
     """sigmoid(w . x + b)."""
-    return predict_probas(model, [x])[0]
+    return predict_probas(model, Rows.pack([x], model.dimension))[0]
 
 
 def batch_gradient(
@@ -221,7 +168,7 @@ def batch_gradient(
     (1/|B|) sum (sigmoid(w.x + b) - y) x  plus l2_penalty * w; the bias
     gradient omits the penalty term.
     """
-    return _gradient(weights, bias, *_split(batch), l2_penalty)
+    return _gradient(weights, bias, *_split(batch, weights.size), l2_penalty)
 
 
 def dataset_loss(
@@ -232,11 +179,12 @@ def dataset_loss(
 ) -> float:
     """Mean binary cross-entropy plus the L2 penalty, evaluated stably via
     softplus so saturated probabilities do not produce infinities."""
-    return _loss(weights, bias, *_split(data), l2_penalty)
+    return _loss(weights, bias, *_split(data, weights.size), l2_penalty)
 
 
 def train_lr(
-    data: Sequence[tuple[SparseVector, Label]],
+    rows: Rows,
+    labels: Sequence[Label],
     config: TrainConfigLR = TrainConfigLR(),
 ) -> tuple[LinearModel, TrainReportLR]:
     """Mini-batch gradient descent from zero initialization.
@@ -246,20 +194,16 @@ def train_lr(
     each epoch and flags degenerate single-class training data. Raises
     TrainingDiverged at the first epoch whose loss is not finite.
     """
-    if len(data) == 0:
+    if rows.n_rows == 0:
         raise EmptyData("training data is empty")
-    dimension = data[0][0].dimension
-    for x, _ in data:
-        if x.dimension != dimension:
-            raise DimensionMismatch(
-                f"inconsistent vector dimensions: {x.dimension} != {dimension}"
-            )
+    if len(labels) != rows.n_rows:
+        raise LengthMismatch(f"{rows.n_rows} rows but {len(labels)} labels")
 
-    weights = np.zeros(dimension, dtype=np.float64)
+    weights = np.zeros(rows.dimension, dtype=np.float64)
     bias = 0.0
-    report = TrainReportLR(single_class=len({y for _, y in data}) < 2)
-    rows, labels = _split(data)
-    order = list(range(len(data)))
+    report = TrainReportLR(single_class=len(set(labels)) < 2)
+    targets = np.array(labels, dtype=np.float64)
+    order = list(range(rows.n_rows))
     rng = Random(config.seed)
     for epoch in range(1, config.epochs + 1):
         if config.shuffle:
@@ -267,15 +211,14 @@ def train_lr(
         for start in range(0, len(order), config.batch_size):
             pick = order[start : start + config.batch_size]
             grad_w, grad_b = _gradient(
-                weights, bias, rows.take(pick), [labels[i] for i in pick],
-                config.l2_penalty,
+                weights, bias, rows.take(pick), targets[pick], config.l2_penalty
             )
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
-        loss = _loss(weights, bias, rows, labels, config.l2_penalty)
+        loss = _loss(weights, bias, rows, targets, config.l2_penalty)
         if not math.isfinite(loss):
             raise TrainingDiverged(
                 f"lr training diverged at epoch {epoch}: train loss {loss}"
             )
         report.epoch_losses.append(loss)
-    return LinearModel(weights=weights, bias=bias, dimension=dimension), report
+    return LinearModel(weights=weights, bias=bias, dimension=rows.dimension), report

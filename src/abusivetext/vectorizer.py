@@ -3,17 +3,21 @@
 The variant is pinned so fitted models are fully reproducible: raw term
 counts for tf, smoothed idf = ln((1 + N) / (1 + df)) + 1, and L2 document
 normalization. Vocabulary indices are assigned in lexicographic token order,
-so serialized models are byte-stable across runs.
+so serialized models are byte-stable across runs. Documents are transformed
+into one CSR matrix (``Rows``), the only form in which TF-IDF rows reach the
+logistic regression.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .checks import check_fields
-from .errors import EmptyCorpus
+from .errors import DimensionMismatch, EmptyCorpus
 
 # Joins the words of an n-gram; preprocessing strips this code point from
 # real text, so joined n-grams can never collide with a literal token.
@@ -46,14 +50,17 @@ class Vocabulary:
     n_documents: int
 
     def __post_init__(self):
+        check_fields(self)
         if sorted(self.token_to_index.values()) != list(range(len(self.token_to_index))):
             raise ValueError("vocabulary indices must be dense 0..V-1")
         for token in self.token_to_index:
             df = self.document_frequency.get(token, 0)
-            if not 1 <= df <= self.n_documents:
+            # type(df) is int: neither a bool nor a float passes.
+            valid = isinstance(token, str) and type(df) is int
+            if not (valid and 1 <= df <= self.n_documents):
                 raise ValueError(
-                    f"token {token!r} has document frequency {df}, "
-                    f"expected 1..{self.n_documents}"
+                    f"token {token!r} has document frequency {df!r}; expected a "
+                    f"string token with an integer frequency 1..{self.n_documents}"
                 )
 
     @property
@@ -151,18 +158,85 @@ def fit(corpus: Sequence[str], config: TfIdfConfig = TfIdfConfig()) -> TfIdfMode
     return TfIdfModel(vocab=vocab, idf=idf, config=config)
 
 
+class Rows(NamedTuple):
+    """Sparse rows in CSR form: row r holds entries indptr[r]:indptr[r + 1] of
+    indices/data, indices strictly increasing and below dimension, no stored
+    zeros; row_of_entry names the row of each entry."""
+
+    indptr: np.ndarray
+    row_of_entry: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dimension: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    @classmethod
+    def of(cls, lengths, indices, data, dimension: int) -> "Rows":
+        """Rows of the given lengths over entries listed row after row."""
+        indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        return cls(
+            indptr, np.repeat(np.arange(len(lengths)), lengths),
+            np.asarray(indices, dtype=np.intp), np.asarray(data, dtype=np.float64),
+            dimension,
+        )
+
+    @classmethod
+    def pack(cls, vectors: Sequence[SparseVector], dimension: int) -> "Rows":
+        """The vectors as rows, in order. Raises DimensionMismatch unless
+        every vector has the given dimension."""
+        for x in vectors:
+            if x.dimension != dimension:
+                raise DimensionMismatch(f"vector dimension {x.dimension} != {dimension}")
+        return cls.of(
+            np.array([len(x.entries) for x in vectors], dtype=np.intp),
+            [i for x in vectors for i, _ in x.entries],
+            [w for x in vectors for _, w in x.entries],
+            dimension,
+        )
+
+    def take(self, rows: Sequence[int]) -> "Rows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        out = Rows.of(self.indptr[rows + 1] - starts, [], [], self.dimension)
+        picked = np.arange(out.indptr[-1]) + (starts - out.indptr[:-1])[out.row_of_entry]
+        return out._replace(indices=self.indices[picked], data=self.data[picked])
+
+
+def transform_rows(model: TfIdfModel, texts: Sequence[str]) -> Rows:
+    """One row per text: in-vocabulary tokens weighted by raw count x idf,
+    out-of-vocabulary tokens dropped. Rows are L2-normalized when configured,
+    each norm summed in index order; an all-OOV text is an empty row."""
+    lookup = model.vocab.token_to_index.get
+    lengths, found, counts = [], [], []
+    for text in texts:
+        before = len(found)
+        for token, count in Counter(tokenize(text, model.config.ngram_max)).items():
+            index = lookup(token)
+            if index is not None:
+                found.append(index)
+                counts.append(count)
+        lengths.append(len(found) - before)
+    rows = Rows.of(np.array(lengths, dtype=np.intp), found, counts, model.dimension)
+    # Each row's entries sorted by index, the rows kept in order.
+    order = np.lexsort((rows.indices, rows.row_of_entry))
+    indices = rows.indices[order]
+    data = rows.data[order] * np.array(model.idf, dtype=np.float64)[indices]
+    if model.config.l2_normalize:
+        # bincount adds each row's squares one by one, in entry order.
+        squares = np.bincount(rows.row_of_entry, weights=data * data, minlength=rows.n_rows)
+        data = data / np.sqrt(squares)[rows.row_of_entry]
+    return rows._replace(indices=indices, data=data)
+
+
 def transform(model: TfIdfModel, text: str) -> SparseVector:
-    """Weight in-vocabulary tokens by raw count x idf; out-of-vocabulary
-    tokens contribute nothing. L2-normalized when configured; an all-OOV
-    document becomes the zero vector."""
-    counts = Counter(tokenize(text, model.config.ngram_max))
-    token_to_index = model.vocab.token_to_index
-    entries = sorted(
-        (token_to_index[token], count * model.idf[token_to_index[token]])
-        for token, count in counts.items()
-        if token in token_to_index
+    """The one row transform_rows gives for text, as a SparseVector."""
+    row = transform_rows(model, [text])
+    return SparseVector(
+        entries=tuple(zip(row.indices.tolist(), row.data.tolist())),
+        dimension=model.dimension,
     )
-    if model.config.l2_normalize and entries:
-        norm = math.sqrt(sum(w * w for _, w in entries))
-        entries = [(i, w / norm) for i, w in entries]
-    return SparseVector(entries=tuple(entries), dimension=model.dimension)

@@ -27,10 +27,10 @@ from abusivetext.corpus import (
     synth_corpus,
     write_dataset,
 )
-from abusivetext.linear import TrainConfigLR, batch_gradient, dataset_loss, predict_proba, train_lr
+from abusivetext.linear import TrainConfigLR, batch_gradient, dataset_loss, predict_probas, train_lr
 from abusivetext.metrics import ConfusionMatrix, confusion, decide, macro_f1
 from abusivetext.textprep import preprocess
-from abusivetext.vectorizer import SparseVector, fit, transform
+from abusivetext.vectorizer import SparseVector, fit, transform, transform_rows
 
 from test_linear import finite_difference_gradient, random_instance
 from test_metrics import brute_force_macro_f1, labels_from_matrix
@@ -151,14 +151,10 @@ def test_criterion_7_end_to_end_separable():
     train_texts = [preprocess(t) for t in train.texts()]
     dev_texts = [preprocess(t) for t in dev.texts()]
     tfidf = fit(train_texts)
-    data = [
-        (transform(tfidf, text), label)
-        for text, label in zip(train_texts, train.labels())
-    ]
-    model, _ = train_lr(data, TrainConfigLR(seed=7))
-    pred = [
-        decide(predict_proba(model, transform(tfidf, text))) for text in dev_texts
-    ]
+    model, _ = train_lr(
+        transform_rows(tfidf, train_texts), train.labels(), TrainConfigLR(seed=7)
+    )
+    pred = [decide(p) for p in predict_probas(model, transform_rows(tfidf, dev_texts))]
     assert macro_f1(confusion(dev.labels(), pred)) >= 0.95
 
     # Micro-encoder overfit: 64 examples, step size raised to 1e-3, one

@@ -18,12 +18,10 @@ def tfidf_lr_bundle():
     split = synth_corpus(3, 12)
     texts = [preprocess(t) for t in split.texts()]
     tfidf = vectorizer.fit(texts)
-    data = [
-        (vectorizer.transform(tfidf, t), label)
-        for t, label in zip(texts, split.labels())
-    ]
     config = linear.TrainConfigLR(epochs=5, seed=3)
-    model, report = linear.train_lr(data, config)
+    model, report = linear.train_lr(
+        vectorizer.transform_rows(tfidf, texts), split.labels(), config
+    )
     return bd.ModelBundle(
         language_tag="synthetic",
         policy=CleanPolicy(),

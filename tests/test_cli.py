@@ -359,6 +359,28 @@ class TestExitCodes:
         assert "ERROR ID_MISMATCH" in err
         assert "intruder-id" in err
 
+    @pytest.mark.parametrize("case, code, expected", [
+        ("input", 2, "FILE_NOT_FOUND"),
+        ("config", 2, "FILE_NOT_FOUND"),
+        ("output", 1, "CONFIG"),
+    ])
+    def test_directory_as_path(self, tmp_path, synth_files, capsys, case, code, expected):
+        train, dev = synth_files
+        model = tmp_path / "m.json"
+        run_cli("train", "--config", str(lr_config(tmp_path, train, dev, model)))
+        capsys.readouterr()
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {
+            "input": ["stats", "--input", str(folder)],
+            "config": ["train", "--config", str(folder)],
+            "output": ["predict", "--model", str(model), "--input", str(dev),
+                       "--out", str(folder)],
+        }[case]
+        assert run_cli(*argv) == code
+        [line] = error_lines(capsys.readouterr().err)
+        assert line.startswith(f"ERROR {expected}: ")
+
     def test_malformed_row_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\ttext\tlabel\nx\thello\tabusivee\n")
@@ -674,9 +696,12 @@ class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         train = tmp_path / "t.tsv"
         train.write_bytes(write_dataset(synth_corpus(1, 3)))
+        # Run from the directory the package was imported from, so the child
+        # tests this copy whether or not PYTHONPATH names it.
         proc = subprocess.run(
             [sys.executable, "-m", "abusivetext.cli", "stats", "--input", str(train)],
             capture_output=True, text=True,
+            cwd=Path(abusivetext.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert "total:        6" in proc.stdout

@@ -1,6 +1,9 @@
 """Logistic regression: sigmoid stability, gradient correctness via central
 finite differences, and training behavior on tiny instances."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -8,13 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import abusivetext
 from abusivetext import vectorizer
 from abusivetext.corpus import Label, synth_corpus
 from abusivetext.errors import DimensionMismatch, EmptyData, TrainingDiverged
 from abusivetext.linear import (
     LinearModel,
     TrainConfigLR,
-    _softplus,
     batch_gradient,
     dataset_loss,
     predict_proba,
@@ -24,7 +27,7 @@ from abusivetext.linear import (
 )
 from abusivetext.metrics import decide
 from abusivetext.textprep import preprocess
-from abusivetext.vectorizer import SparseVector
+from abusivetext.vectorizer import Rows, SparseVector
 
 
 def random_instance(rng: Random, max_dim: int = 8, max_n: int = 16):
@@ -43,6 +46,23 @@ def random_instance(rng: Random, max_dim: int = 8, max_n: int = 16):
             (SparseVector(entries=entries, dimension=dim), Label(rng.randint(0, 1)))
         )
     return dim, data
+
+
+def split(data):
+    """The CSR rows and the labels of (SparseVector, label) pairs."""
+    return Rows.pack([x for x, _ in data], data[0][0].dimension), [y for _, y in data]
+
+
+def sigmoid_one(z):
+    """The shared sigmoid of one score, called on a one-element array."""
+    return sigmoid(np.array([z]))[0]
+
+
+def softplus_one(z):
+    """log(1 + e^z) of one score, in the loss kernel's overflow-free form,
+    computed on a one-element array."""
+    a = np.array([z])
+    return (np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))))[0]
 
 
 def finite_difference_gradient(weights, bias, data, l2_penalty, step=1e-5):
@@ -86,6 +106,35 @@ class TestSigmoid:
     def test_open_unit_interval(self, z):
         assert 0.0 < sigmoid(z) < 1.0
 
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 17, 31, 64, 65, 129, 1001])
+    def test_vector_equals_one_element_calls(self, size, offset):
+        # Unaligned views too: a row's probability must not depend on the
+        # rows scored with it, nor on where it sits in the array.
+        rng = np.random.default_rng(size * 7 + offset)
+        z = np.concatenate([rng.normal(0.0, 8.0, size + offset), [0.0, -0.0, 40.0, -745.0]])
+        z = z[offset:]
+        expected = np.array([sigmoid(z[i : i + 1])[0] for i in range(len(z))])
+        assert sigmoid(z).tobytes() == expected.tobytes()
+
+    @given(st.lists(st.floats(min_value=-800.0, max_value=800.0), max_size=40))
+    def test_vector_equals_one_element_calls_on_any_list(self, zs):
+        z = np.array(zs, dtype=np.float64)
+        assert sigmoid(z).tolist() == [sigmoid_one(v) for v in zs]
+
+    def test_package_import_loads_no_numpy(self):
+        # Kept out of metrics.py, the array sigmoid leaves the light
+        # commands' import free of numpy.
+        src = Path(abusivetext.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import abusivetext; "
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
 
 class TestPredictProba:
     def test_zero_model_predicts_half(self):
@@ -109,7 +158,14 @@ class TestPredictProba:
         model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
         ok = SparseVector(entries=((1, 0.3),), dimension=4)
         with pytest.raises(DimensionMismatch):
-            predict_probas(model, [ok, SparseVector(entries=(), dimension=5), ok])
+            predict_probas(
+                model, Rows.pack([ok, SparseVector(entries=(), dimension=5), ok], 4)
+            )
+
+    def test_rows_of_another_dimension(self):
+        model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
+        with pytest.raises(DimensionMismatch):
+            predict_probas(model, Rows.pack([SparseVector(entries=(), dimension=5)], 5))
 
 
 class TestDecide:
@@ -163,7 +219,7 @@ class TestTrainLr:
         e1 = SparseVector(entries=((1, 1.0),), dimension=2)
         data = [(e0, Label(1)), (e1, Label(0))]
         model, report = train_lr(
-            data, TrainConfigLR(learning_rate=1.0, epochs=300, seed=1)
+            *split(data), TrainConfigLR(learning_rate=1.0, epochs=300, seed=1)
         )
         assert predict_proba(model, e0) > 0.9
         assert predict_proba(model, e1) < 0.1
@@ -171,7 +227,7 @@ class TestTrainLr:
 
     def test_lr_zero_returns_zero_model(self):
         data = [(SparseVector(entries=((0, 1.0),), dimension=1), Label(1))]
-        model, _ = train_lr(data, TrainConfigLR(learning_rate=0.0, epochs=1))
+        model, _ = train_lr(*split(data), TrainConfigLR(learning_rate=0.0, epochs=1))
         assert model.weights[0] == 0.0 and model.bias == 0.0
 
     def test_epochs_zero_forbidden(self):
@@ -188,16 +244,16 @@ class TestTrainLr:
         split = synth_corpus(2, 10)
         texts = [preprocess(t) for t in split.texts()]
         tfidf = vectorizer.fit(texts)
-        data = [(vectorizer.transform(tfidf, t), y) for t, y in zip(texts, split.labels())]
+        rows = vectorizer.transform_rows(tfidf, texts)
         config = TrainConfigLR(learning_rate=1e300, epochs=3)
         with np.errstate(all="ignore"), pytest.raises(
             TrainingDiverged, match="epoch 1:"
         ):
-            train_lr(data, config)
+            train_lr(rows, split.labels(), config)
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            train_lr([], TrainConfigLR())
+            train_lr(Rows.pack([], 1), [], TrainConfigLR())
 
     def test_inconsistent_dimensions(self):
         data = [
@@ -205,21 +261,21 @@ class TestTrainLr:
             (SparseVector(entries=(), dimension=3), Label(1)),
         ]
         with pytest.raises(DimensionMismatch):
-            train_lr(data, TrainConfigLR())
+            train_lr(*split(data), TrainConfigLR())
 
     def test_single_class_flagged(self):
         data = [
             (SparseVector(entries=((0, 1.0),), dimension=1), Label(1)),
             (SparseVector(entries=((0, 0.5),), dimension=1), Label(1)),
         ]
-        _, report = train_lr(data, TrainConfigLR(epochs=2))
+        _, report = train_lr(*split(data), TrainConfigLR(epochs=2))
         assert report.single_class
 
     def test_loss_non_increasing_at_small_step(self):
         rng = Random(77)
         _, data = random_instance(rng, max_dim=6, max_n=12)
         _, report = train_lr(
-            data,
+            *split(data),
             TrainConfigLR(learning_rate=0.01, epochs=40, batch_size=len(data), seed=0),
         )
         losses = report.epoch_losses
@@ -229,8 +285,8 @@ class TestTrainLr:
         rng = Random(123)
         _, data = random_instance(rng)
         config = TrainConfigLR(epochs=8, seed=42)
-        m1, r1 = train_lr(data, config)
-        m2, r2 = train_lr(data, config)
+        m1, r1 = train_lr(*split(data), config)
+        m2, r2 = train_lr(*split(data), config)
         assert m1 == m2
         assert r1.epoch_losses == r2.epoch_losses
 
@@ -240,8 +296,8 @@ class TestTrainLr:
             _, data = random_instance(rng, max_dim=6, max_n=16)
             if len(data) > 4 and len({y for _, y in data}) == 2:
                 break
-        m1, _ = train_lr(data, TrainConfigLR(epochs=3, batch_size=2, seed=1))
-        m2, _ = train_lr(data, TrainConfigLR(epochs=3, batch_size=2, seed=2))
+        m1, _ = train_lr(*split(data), TrainConfigLR(epochs=3, batch_size=2, seed=1))
+        m2, _ = train_lr(*split(data), TrainConfigLR(epochs=3, batch_size=2, seed=2))
         assert not np.array_equal(m1.weights, m2.weights)
 
 
@@ -269,7 +325,7 @@ def reference_train_lr(data, config):
             grad_w = np.zeros_like(weights)
             grad_b = 0.0
             for x, y in batch:
-                err = sigmoid(reference_score(weights, bias, x)) - float(y)
+                err = sigmoid_one(reference_score(weights, bias, x)) - float(y)
                 for i, w in x.entries:
                     grad_w[i] += err * w
                 grad_b += err
@@ -282,7 +338,7 @@ def reference_train_lr(data, config):
         total = 0.0
         for x, y in data:
             z = reference_score(weights, bias, x)
-            total += _softplus(z) - float(y) * z
+            total += softplus_one(z) - float(y) * z
         losses.append(
             total / len(data) + 0.5 * config.l2_penalty * float(weights @ weights)
         )
@@ -320,7 +376,7 @@ class TestKernelsMatchPerEntryReference:
     def test_train_lr_is_bit_identical(self, config, seed):
         data = tfidf_corpus(seed)
         assert len(data) % 7 and len(data) % 5 and len(data) % 9
-        model, report = train_lr(data, config)
+        model, report = train_lr(*split(data), config)
         weights, bias, losses = reference_train_lr(data, config)
         assert np.array_equal(model.weights, weights)
         assert model.bias == bias
@@ -334,7 +390,7 @@ class TestKernelsMatchPerEntryReference:
                 epochs=3, batch_size=rng.randint(1, 9), seed=rng.randint(0, 99),
                 l2_penalty=rng.choice([0.0, 1e-3]),
             )
-            model, report = train_lr(data, config)
+            model, report = train_lr(*split(data), config)
             weights, bias, losses = reference_train_lr(data, config)
             assert np.array_equal(model.weights, weights)
             assert model.bias == bias
@@ -342,9 +398,9 @@ class TestKernelsMatchPerEntryReference:
 
     def test_public_functions_match_reference(self):
         data = tfidf_corpus(8)
-        model, _ = train_lr(data, TrainConfigLR(epochs=2, seed=1))
+        model, _ = train_lr(*split(data), TrainConfigLR(epochs=2, seed=1))
         for x, _ in data:
-            expected = sigmoid(reference_score(model.weights, model.bias, x))
+            expected = sigmoid_one(reference_score(model.weights, model.bias, x))
             assert predict_proba(model, x) == expected
         weights, bias, losses = reference_train_lr(
             data[:13], TrainConfigLR(epochs=1, batch_size=13, shuffle=False)
@@ -357,14 +413,14 @@ class TestKernelsMatchPerEntryReference:
     @pytest.mark.parametrize("seed", [8, 9])
     def test_batched_probabilities_equal_per_row(self, seed):
         data = tfidf_corpus(seed)
-        model, _ = train_lr(data, TrainConfigLR(epochs=2, seed=seed))
+        model, _ = train_lr(*split(data), TrainConfigLR(epochs=2, seed=seed))
         vectors = [x for x, _ in data]
-        probs = predict_probas(model, vectors)
+        probs = predict_probas(model, Rows.pack(vectors, model.dimension))
         assert probs == [predict_proba(model, x) for x in vectors]
         assert probs == [
-            sigmoid(reference_score(model.weights, model.bias, x)) for x in vectors
+            sigmoid_one(reference_score(model.weights, model.bias, x)) for x in vectors
         ]
-        assert predict_probas(model, []) == []
+        assert predict_probas(model, Rows.pack([], model.dimension)) == []
 
     def test_scores_add_left_to_right(self):
         # 1e16 + 1.0 rounds back to 1e16, so the sequential sum is 0.0; a

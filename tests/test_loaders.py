@@ -152,6 +152,10 @@ class TestHostileBundles:
         ("lr", ("linear", "bias"), False),
         ("lr", ("linear", "bias"), 10**400),
         ("lr", ("language_tag",), []),
+        ("lr", ("vectorizer", "n_documents"), 40.5),
+        ("lr", ("vectorizer", "document_frequency", 0), 1.5),
+        ("lr", ("vectorizer", "document_frequency", 0), True),
+        ("lr", ("vectorizer", "tokens", 0), 12345),
         ("lr", ("provenance",), None),
         ("enc", ("provenance",), []),
         ("lr", ("training_report", "epoch_losses"), "x"),
@@ -164,9 +168,10 @@ class TestHostileBundles:
         assert predict_with(work, with_value(doc, path, value)) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("arm", ["lr", "enc"])
-    def test_missing_provenance_is_inconsistent(self, work, arm):
+    @pytest.mark.parametrize("key", ["provenance", "language_tag"])
+    def test_missing_provenance_is_inconsistent(self, work, arm, key):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
-        del doc["provenance"]
+        del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("version", [2.0, "2", True, [2]])

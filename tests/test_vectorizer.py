@@ -4,17 +4,21 @@ from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abusivetext.errors import EmptyCorpus
+from abusivetext.corpus import synth_corpus
+from abusivetext.errors import DimensionMismatch, EmptyCorpus
+from abusivetext.textprep import preprocess
 from abusivetext.vectorizer import (
     NGRAM_SEPARATOR,
+    Rows,
     SparseVector,
     TfIdfConfig,
     fit,
     tokenize,
     transform,
+    transform_rows,
 )
 
 
@@ -36,6 +40,34 @@ def oracle_vectors(
         norm = math.sqrt(sum(w * w for w in weights.values()))
         weights = {t: w / norm for t, w in weights.items()}
     return weights
+
+
+def reference_transform(model, text: str) -> SparseVector:
+    """The per-row transform: sorted (index, weight) tuples, the norm's
+    squares added one by one in index order. The oracle for the arrays
+    transform_rows builds."""
+    counts = Counter(tokenize(text, model.config.ngram_max))
+    token_to_index = model.vocab.token_to_index
+    entries = sorted(
+        (token_to_index[token], count * model.idf[token_to_index[token]])
+        for token, count in counts.items()
+        if token in token_to_index
+    )
+    if model.config.l2_normalize and entries:
+        total = 0.0
+        for _, w in entries:
+            total += w * w
+        norm = math.sqrt(total)
+        entries = [(i, w / norm) for i, w in entries]
+    return SparseVector(entries=tuple(entries), dimension=model.dimension)
+
+
+def assert_same_rows(actual: Rows, expected: Rows) -> None:
+    assert actual.dimension == expected.dimension
+    for name in ("indptr", "row_of_entry", "indices", "data"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert a.shape == e.shape and a.tobytes() == e.tobytes(), name
 
 
 def as_token_weights(model, vector: SparseVector) -> dict[str, float]:
@@ -192,3 +224,55 @@ class TestInvariants:
                 assert set(actual) == set(expected)
                 for token, weight in expected.items():
                     assert actual[token] == pytest.approx(weight, abs=1e-9)
+
+
+WORDS = st.sampled_from(["a", "b", "c", "dd", "e", "ff", "zz"])
+TEXTS = st.lists(WORDS, max_size=12).map(" ".join)
+
+
+class TestTransformRows:
+    @settings(deadline=None)
+    @given(
+        corpus=st.lists(TEXTS, min_size=1, max_size=8),
+        texts=st.lists(TEXTS, max_size=10),
+        ngram_max=st.integers(1, 3),
+        l2_normalize=st.booleans(),
+        max_vocab=st.none() | st.integers(0, 6),
+    )
+    def test_bit_equal_to_the_per_row_reference(
+        self, corpus, texts, ngram_max, l2_normalize, max_vocab
+    ):
+        config = TfIdfConfig(
+            ngram_max=ngram_max, l2_normalize=l2_normalize, max_vocab=max_vocab
+        )
+        model = fit(corpus, config)
+        expected = Rows.pack(
+            [reference_transform(model, t) for t in texts], model.dimension
+        )
+        assert_same_rows(transform_rows(model, texts), expected)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_synth_corpus_with_bigrams_and_oov_rows(self, seed):
+        texts = [preprocess(t) for t in synth_corpus(seed, 40).texts()]
+        model = fit(texts[:50], TfIdfConfig(ngram_max=2))
+        texts += ["", "zzz-never-seen"]
+        expected = Rows.pack(
+            [reference_transform(model, t) for t in texts], model.dimension
+        )
+        assert_same_rows(transform_rows(model, texts), expected)
+        assert [transform(model, t) for t in texts] == [
+            reference_transform(model, t) for t in texts
+        ]
+
+    def test_take_picks_rows_in_the_given_order(self):
+        model = fit(["a b", "a c", "b c d"])
+        texts = ["a b", "d", "zz", "c a d", "b"]
+        rows = transform_rows(model, texts)
+        pick = [3, 0, 2, 3]
+        assert_same_rows(rows.take(pick), transform_rows(model, [texts[i] for i in pick]))
+
+    def test_pack_rejects_another_dimension(self):
+        ok = SparseVector(entries=((1, 0.5),), dimension=3)
+        with pytest.raises(DimensionMismatch):
+            Rows.pack([ok, SparseVector(entries=(), dimension=4)], 3)
+        assert Rows.pack([], 3).n_rows == 0
