@@ -483,7 +483,9 @@ def _classify_error(exc: Exception) -> tuple[str, int]:
         return "ENCODING", EXIT_ERROR
     if isinstance(exc, (UnknownLabel, AbusiveTextError)):
         return "DATA", EXIT_ERROR
-    if isinstance(exc, (ValueError, KeyError, TypeError, OverflowError)):
+    # MemoryError: a setting such as the encoder's max_length asked for an
+    # array that cannot be allocated.
+    if isinstance(exc, (ValueError, KeyError, TypeError, OverflowError, MemoryError)):
         return "CONFIG", EXIT_ERROR
     return "INTERNAL", EXIT_ERROR
 

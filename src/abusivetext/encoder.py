@@ -24,7 +24,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -149,12 +149,14 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     word_freqs: Counter[str] = Counter()
     for text in corpus:
         word_freqs.update(text.split())
+    vocabulary = sorted(word_freqs.items())
     words: list[tuple[list[bytes], int]] = [
         (list(map(_BYTES.__getitem__, word.encode("utf-8"))), freq)
-        for word, freq in sorted(word_freqs.items())
+        for word, freq in vocabulary
     ]
 
     pieces: list[bytes] = sorted({s for symbols, _ in words for s in symbols})
+    n_bytes = len(pieces)
     known = set(pieces)
     merges: list[tuple[bytes, bytes]] = []
     pair_counts: Counter[tuple[bytes, bytes]] = Counter()
@@ -210,7 +212,33 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
                 heapq.heappush(heap, (-count, pair))
             else:
                 del pair_counts[pair]
-    return SubwordTokenizer(pieces=pieces, merges=merges)
+    tokenizer = SubwordTokenizer(pieces=pieces, merges=merges)
+    _remember_segmentations(
+        tokenizer, n_bytes,
+        ((word, symbols) for (word, _), (symbols, _) in zip(vocabulary, words)),
+    )
+    return tokenizer
+
+
+def _remember_segmentations(
+    tokenizer: SubwordTokenizer,
+    n_bytes: int,
+    segmentations: Iterable[tuple[str, list[bytes]]],
+) -> None:
+    """Seed the tokenizer's word memo with the symbols training left in each
+    word, when every merge made a new piece (the inventory has ``n_bytes``
+    single bytes); otherwise seed nothing.
+
+    A merge whose output is new makes a symbol no earlier merge names, so no
+    merged pair can form again, and each word's symbols are then exactly
+    what pieces_of_word returns. A merge that repeats an output breaks that
+    argument, so then the memo fills on demand as usual."""
+    if len(tokenizer.merges) != len(tokenizer.pieces) - n_bytes:
+        return
+    piece_id = tokenizer.piece_to_id.__getitem__
+    tokenizer._word_ids.update(
+        (word, tuple(map(piece_id, symbols))) for word, symbols in segmentations
+    )
 
 
 def encode(
@@ -218,28 +246,40 @@ def encode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode text as [CLS] + pieces, truncated and PAD-filled to exactly
     max_length. Returns (ids, mask) with mask 1 on real tokens, 0 on padding."""
-    ids = [CLS_ID]
-    for word in text.split():
-        if len(ids) >= max_length:
-            break
-        ids.extend(tokenizer.word_ids(word))
-    del ids[max_length:]
-    n_real = len(ids)
-    ids.extend([PAD_ID] * (max_length - n_real))
-    mask = [1.0] * n_real + [0.0] * (max_length - n_real)
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float64)
+    ids, mask = encode_batch(tokenizer, [text], max_length)
+    return ids[0], mask[0]
 
 
 def encode_batch(
     tokenizer: SubwordTokenizer, texts: Sequence[str], max_length: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """encode() for each text, stacked into (len(texts), max_length) ids and
-    mask arrays."""
-    ids = np.empty((len(texts), max_length), dtype=np.int64)
-    mask = np.empty((len(texts), max_length), dtype=np.float64)
-    for row, text in enumerate(texts):
-        ids[row], mask[row] = encode(tokenizer, text, max_length)
-    return ids, mask
+    """encode() for each text, stacked into (len(texts), max_length) int64 ids
+    and float64 mask arrays. The rows' real ids are gathered into one list
+    and written into the PAD-filled ids in one assignment, row-major, through
+    the mask, which is one comparison of the column index against the row
+    lengths."""
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    # The largest array comes first, so an impossible max_length fails here
+    # before anything of size max_length alone is written.
+    ids = np.full((len(texts), max_length), PAD_ID, dtype=np.int64)
+    # A word from split() has at least one piece, so a memo miss is the only
+    # falsy lookup.
+    remembered, word_ids = tokenizer._word_ids.get, tokenizer.word_ids
+    real_ids: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        row = [CLS_ID]
+        for word in text.split():
+            if len(row) >= max_length:
+                break
+            row += remembered(word) or word_ids(word)
+        del row[max_length:]
+        real_ids += row
+        lengths.append(len(row))
+    real = np.arange(max_length) < np.array(lengths, dtype=np.int64)[:, None]
+    ids[real] = real_ids
+    return ids, real.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +428,10 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = centred * inv
     return gamma * xhat + beta, (xhat, inv)
 
 
@@ -521,13 +561,18 @@ def backward_batch(
     cache: dict,
     probs: np.ndarray,
     labels: np.ndarray,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy w.r.t. every parameter tensor."""
+    """Gradients of the mean cross-entropy w.r.t. every parameter tensor.
+
+    Each gradient is added into ``grads``, which must hold zeros of every
+    parameter's shape; new zero arrays are made when it is None."""
     ids = cache["ids"]
     batch, length = ids.shape
     scale = 1.0 / math.sqrt(config.d_head)
 
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    if grads is None:
+        grads = {name: np.zeros_like(value) for name, value in params.items()}
     dlogits = (probs - labels) / batch
     grads["head.w"] += cache["cls"].T @ dlogits
     grads["head.b"] += dlogits.sum()
@@ -577,9 +622,20 @@ def backward_batch(
             grads[p + f"attn.b{name[1]}"] += dmat.sum(axis=(0, 1))
             dx[:, :width] += dmat @ params[p + f"attn.{name}"].T
 
-    np.add.at(grads["tok_emb"], ids, dx)
+    grads["tok_emb"] += embedding_gradient(ids, dx, len(params["tok_emb"]))
     grads["pos_emb"][:length] += dx.sum(axis=0)
     return grads
+
+
+def embedding_gradient(ids: np.ndarray, dx: np.ndarray, vocab_size: int) -> np.ndarray:
+    """The (vocab_size, d) sum of dx's rows by token id: np.add.at(zeros, ids,
+    dx) as one np.bincount over ids * d + column. Both add each bin's terms
+    in input order from 0.0, so the sums are bit-equal."""
+    d = dx.shape[-1]
+    bins = (ids[..., None] * d + np.arange(d)).ravel()
+    # bincount of no entries gives int64 zeros, whatever the weights' dtype.
+    sums = np.bincount(bins, dx.ravel(), vocab_size * d).astype(np.float64, copy=False)
+    return sums.reshape(vocab_size, d)
 
 
 def forward(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> float:
@@ -638,6 +694,17 @@ def attention_maps(
 # Training
 # ---------------------------------------------------------------------------
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """A view of ``flat`` for every named shape, laid end to end in order."""
+    views: dict[str, np.ndarray] = {}
+    start = 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
 def train_encoder(
     train: Sequence[tuple[str, Label]],
     dev: Sequence[tuple[str, Label]],
@@ -660,7 +727,14 @@ def train_encoder(
     dev_gold = [label for _, label in dev]
 
     rng = np.random.default_rng(train_config.seed)
-    params = init_params(enc_config, tokenizer.vocab_size, train_config.seed)
+    # Parameters and gradients are views into one flat vector each, so a step
+    # zero-fills and updates every tensor with one array operation.
+    shapes = parameter_shapes(enc_config, tokenizer.vocab_size)
+    init = init_params(enc_config, tokenizer.vocab_size, train_config.seed)
+    theta = np.concatenate([init[name].ravel() for name in shapes])
+    params = _views(theta, shapes)
+    flat_grads = np.empty_like(theta)
+    grads = _views(flat_grads, shapes)
     report = TrainReportEnc()
     model = EncoderModel(params, enc_config, tokenizer.vocab_size)
 
@@ -672,11 +746,11 @@ def train_encoder(
             probs, cache = forward_batch(
                 params, enc_config, ids, mask, dropout_rng=rng
             )
-            grads = backward_batch(
-                params, enc_config, cache, probs, train_labels[pick]
+            flat_grads.fill(0.0)
+            backward_batch(
+                params, enc_config, cache, probs, train_labels[pick], grads
             )
-            for name in params:
-                params[name] -= train_config.learning_rate * grads[name]
+            theta -= train_config.learning_rate * flat_grads
         epoch_probs = predict_probs(model, train_ids, train_mask)
         loss = batch_loss(epoch_probs, train_labels)
         if not math.isfinite(loss):

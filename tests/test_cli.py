@@ -412,6 +412,25 @@ class TestExitCodes:
         [line] = error_lines(capsys.readouterr().err)
         assert line.startswith("ERROR CONFIG: ") and "n_heads" in line
 
+    def test_unallocatable_max_length_is_config_error(
+        self, tmp_path, synth_files, capsys
+    ):
+        # 80 training rows of 2**40 int64 ids ask for 640 TiB, more than the
+        # 128 TiB user address space, so the allocation fails at once and
+        # touches no memory.
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        path = encoder_config(tmp_path, train, dev, out)
+        doc = json.loads(path.read_text())
+        doc["encoder"]["max_length"] = 1099511627776
+        path.write_text(json.dumps(doc))
+        assert len(parse_dataset(train.read_bytes()).texts()) * 2**40 * 8 > 2**47
+        assert run_cli("train", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        [line] = error_lines(captured.err)
+        assert line.startswith("ERROR CONFIG: ") and "allocate" in line
+        assert not out.exists()
+
     def test_tiny_vocab_size_fails_before_reading_data(
         self, tmp_path, synth_files, capsys
     ):

@@ -24,6 +24,7 @@ from abusivetext.errors import (
     EmptyData,
     TrainingDiverged,
 )
+from abusivetext.metrics import decided_macro_f1
 from abusivetext.textprep import preprocess
 
 MICRO_CONFIG = enc.EncoderConfig(
@@ -118,7 +119,7 @@ def reference_pieces_of_word(tokenizer, word):
     return symbols
 
 
-def reference_encode(tokenizer, text, max_length):
+def reference_piece_encode(tokenizer, text, max_length):
     """Piece-by-piece encoding with no memo, truncated to max_length."""
     ids = [enc.CLS_ID]
     for word in text.split():
@@ -128,6 +129,38 @@ def reference_encode(tokenizer, text, max_length):
     n_real = len(ids)
     ids += [enc.PAD_ID] * (max_length - n_real)
     return ids, [1.0] * n_real + [0.0] * (max_length - n_real)
+
+
+def reference_encode(tokenizer, text, max_length):
+    """One row at a time: the ids as a list, truncated and PAD-filled, and the
+    mask as a list of floats, each turned into an array. The oracle for
+    encode_batch, which fills whole matrices."""
+    ids = [enc.CLS_ID]
+    for word in text.split():
+        if len(ids) >= max_length:
+            break
+        ids.extend(tokenizer.word_ids(word))
+    del ids[max_length:]
+    n_real = len(ids)
+    ids.extend([enc.PAD_ID] * (max_length - n_real))
+    mask = [1.0] * n_real + [0.0] * (max_length - n_real)
+    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float64)
+
+
+def reference_encode_batch(tokenizer, texts, max_length):
+    """reference_encode for each text, stacked row by row."""
+    ids = np.empty((len(texts), max_length), dtype=np.int64)
+    mask = np.empty((len(texts), max_length), dtype=np.float64)
+    for row, text in enumerate(texts):
+        ids[row], mask[row] = reference_encode(tokenizer, text, max_length)
+    return ids, mask
+
+
+def assert_same_array(actual, expected):
+    """Equal shape, dtype and bytes: no tolerance."""
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
 
 
 def dravidian_corpus(n_words=600, seed=5):
@@ -331,7 +364,7 @@ class TestEncode:
         self, toy_tokenizer, text, max_length
     ):
         ids, mask = enc.encode(toy_tokenizer, text, max_length)
-        ref_ids, ref_mask = reference_encode(toy_tokenizer, text, max_length)
+        ref_ids, ref_mask = reference_piece_encode(toy_tokenizer, text, max_length)
         assert ids.tolist() == ref_ids
         assert mask.tolist() == ref_mask
 
@@ -346,6 +379,88 @@ class TestEncode:
         ids, _ = enc.encode(toy_tokenizer, "completely novel éé", max_length=32)
         assert np.all(ids < toy_tokenizer.vocab_size)
         assert np.all(ids >= 0)
+
+
+# Words over bytes the toy tokenizer holds, plus "q" and "é", which it never
+# saw and so encode as UNK.
+texts_st = st.lists(
+    st.lists(st.text(alphabet="abcdehlorwxyzqé", min_size=1, max_size=6), max_size=12)
+    .map(" ".join),
+    max_size=8,
+)
+
+
+class TestEncodeBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(texts=texts_st, max_length=st.integers(1, 24))
+    @example(texts=[], max_length=5)
+    @example(texts=[""], max_length=4)
+    @example(texts=["", "aaab", ""], max_length=1)
+    @example(texts=["aaab " * 40, "hello", "qqq éé"], max_length=8)
+    def test_matches_stacked_per_row_reference(self, toy_tokenizer, texts, max_length):
+        ids, mask = enc.encode_batch(toy_tokenizer, texts, max_length)
+        ref_ids, ref_mask = reference_encode_batch(toy_tokenizer, texts, max_length)
+        assert_same_array(ids, ref_ids)
+        assert_same_array(mask, ref_mask)
+
+    @pytest.mark.parametrize("text", ["", "hello aaab world", "aaab " * 40, "q é"])
+    @pytest.mark.parametrize("max_length", [1, 2, 16])
+    def test_encode_is_one_row_of_the_batch(self, toy_tokenizer, text, max_length):
+        ids, mask = enc.encode(toy_tokenizer, text, max_length)
+        ref_ids, ref_mask = reference_encode(toy_tokenizer, text, max_length)
+        assert_same_array(ids, ref_ids)
+        assert_same_array(mask, ref_mask)
+
+    def test_no_rows_gives_empty_matrices(self, toy_tokenizer):
+        ids, mask = enc.encode_batch(toy_tokenizer, [], 6)
+        assert_same_array(ids, np.empty((0, 6), dtype=np.int64))
+        assert_same_array(mask, np.empty((0, 6), dtype=np.float64))
+
+    @pytest.mark.parametrize("max_length", [0, -1, -128])
+    def test_max_length_below_one_rejected(self, toy_tokenizer, max_length):
+        with pytest.raises(ValueError, match="max_length must be >= 1"):
+            enc.encode(toy_tokenizer, "hello", max_length)
+        with pytest.raises(ValueError, match="max_length must be >= 1"):
+            enc.encode_batch(toy_tokenizer, ["hello", ""], max_length)
+        with pytest.raises(ValueError, match="max_length must be >= 1"):
+            enc.encode_batch(toy_tokenizer, [], max_length)
+
+
+class TestSeededWordMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=corpus_st, vocab_size=st.integers(4, 48))
+    @example(corpus=["aaaa aaaa abab"], vocab_size=12)
+    @example(corpus=DRAVIDIAN_CORPUS, vocab_size=2048)
+    def test_seeded_entries_equal_a_fresh_tokenizer(self, corpus, vocab_size):
+        tokenizer = enc.train_subword(corpus, vocab_size)
+        words = {word for text in corpus for word in text.split()}
+        n_bytes = len({b for word in words for b in word.encode("utf-8")})
+        seeded = dict(tokenizer._word_ids)
+        if len(tokenizer.merges) == len(tokenizer.pieces) - n_bytes:
+            assert seeded.keys() == words
+        else:
+            assert seeded == {}
+        fresh = enc.SubwordTokenizer(tokenizer.pieces, tokenizer.merges)
+        for word, ids in seeded.items():
+            assert ids == fresh.word_ids(word)
+
+    def test_repeated_merge_output_seeds_nothing(self):
+        # (ab, c) and (a, bc) both make "abc": four merges, three new pieces.
+        tokenizer = enc.SubwordTokenizer(
+            pieces=[b"a", b"b", b"c", b"ab", b"bc", b"abc"],
+            merges=[(b"a", b"b"), (b"b", b"c"), (b"ab", b"c"), (b"a", b"bc")],
+        )
+        enc._remember_segmentations(tokenizer, 3, [("abc", [b"abc"])])
+        assert tokenizer._word_ids == {}
+
+    def test_new_merge_outputs_seed_every_word(self):
+        tokenizer = enc.SubwordTokenizer(
+            pieces=[b"a", b"b", b"ab"], merges=[(b"a", b"b")]
+        )
+        enc._remember_segmentations(
+            tokenizer, 2, [("ab", [b"ab"]), ("ba", [b"b", b"a"])]
+        )
+        assert tokenizer._word_ids == {"ab": (5,), "ba": (4, 3)}
 
 
 class TestEncoderConfig:
@@ -907,3 +1022,135 @@ class TestBlockedPrediction:
             model, np.zeros((0, width), dtype=np.int64), np.zeros((0, width))
         )
         assert probs.shape == (0,)
+
+
+def reference_train_encoder(train, dev, tokenizer, enc_config, train_config):
+    """Training with one gradient dict of fresh zero arrays per step and one
+    update per tensor, on per-row encodings. The oracle for the flat
+    parameter and gradient vectors in train_encoder."""
+    max_length = enc_config.max_length
+    train_ids, train_mask = reference_encode_batch(
+        tokenizer, [t for t, _ in train], max_length
+    )
+    train_labels = np.array([float(y) for _, y in train])
+    dev_ids, dev_mask = reference_encode_batch(
+        tokenizer, [t for t, _ in dev], max_length
+    )
+    dev_gold = [label for _, label in dev]
+
+    rng = np.random.default_rng(train_config.seed)
+    params = enc.init_params(enc_config, tokenizer.vocab_size, train_config.seed)
+    report = enc.TrainReportEnc()
+    model = enc.EncoderModel(params, enc_config, tokenizer.vocab_size)
+    for _ in range(train_config.epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(order), train_config.batch_size):
+            pick = order[start : start + train_config.batch_size]
+            ids, mask = enc.trim_padding(train_ids[pick], train_mask[pick])
+            probs, cache = enc.forward_batch(
+                params, enc_config, ids, mask, dropout_rng=rng
+            )
+            grads = enc.backward_batch(
+                params, enc_config, cache, probs, train_labels[pick]
+            )
+            for name in params:
+                params[name] -= train_config.learning_rate * grads[name]
+        report.epoch_train_losses.append(
+            enc.batch_loss(enc.predict_probs(model, train_ids, train_mask), train_labels)
+        )
+        report.epoch_dev_macro_f1.append(
+            decided_macro_f1(dev_gold, enc.predict_probs(model, dev_ids, dev_mask))
+        )
+    return model, report
+
+
+class TestFlatTrainingStep:
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_matches_per_tensor_reference_bit_for_bit(self, n_layers, dropout):
+        split = synth_corpus(
+            21, 10,
+            profile=VocabProfile(words_min=1, words_max=9, url_rate=0.0, punct_rate=0.0),
+        )
+        pairs = list(zip([preprocess(t) for t in split.texts()], split.labels()))
+        tokenizer = enc.train_subword([t for t, _ in pairs[:14]], vocab_size=48)
+        config = enc.EncoderConfig(
+            d_model=8, n_heads=2, n_layers=n_layers, d_ff=16, max_length=10,
+            dropout=dropout,
+        )
+        train_config = enc.TrainConfigEnc(
+            learning_rate=5e-2, epochs=3, batch_size=3, seed=n_layers
+        )
+        train, dev = pairs[:14], pairs[14:]
+        model, report = enc.train_encoder(train, dev, tokenizer, config, train_config)
+        ref_model, ref_report = reference_train_encoder(
+            train, dev, enc.SubwordTokenizer(tokenizer.pieces, tokenizer.merges),
+            config, train_config,
+        )
+        assert list(model.params) == list(ref_model.params)
+        for name, value in ref_model.params.items():
+            assert_same_array(model.params[name], value)
+        for field_name in ("epoch_train_losses", "epoch_dev_macro_f1"):
+            assert_same_array(
+                np.array(getattr(report, field_name)),
+                np.array(getattr(ref_report, field_name)),
+            )
+
+    def test_gradients_add_into_the_given_buffers(self, toy_tokenizer):
+        params = enc.init_params(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=5)
+        ids, mask, labels = mixed_length_batch(
+            toy_tokenizer.vocab_size, 4, WIDE_CONFIG.max_length, seed=5
+        )
+        probs, cache = enc.forward_batch(params, WIDE_CONFIG, ids, mask)
+        expected = enc.backward_batch(params, WIDE_CONFIG, cache, probs, labels)
+        buffers = {name: np.zeros_like(value) for name, value in params.items()}
+        returned = enc.backward_batch(
+            params, WIDE_CONFIG, cache, probs, labels, buffers
+        )
+        assert returned is buffers
+        for name, value in expected.items():
+            assert_same_array(buffers[name], value)
+
+
+class TestEmbeddingGradient:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(1, 6),
+        batch=st.integers(0, 5),
+        length=st.integers(1, 7),
+        d=st.integers(1, 5),
+    )
+    def test_bincount_equals_add_at(self, seed, vocab_size, batch, length, d):
+        # A vocabulary of at most six ids makes repeats the rule.
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, vocab_size, size=(batch, length))
+        dx = rng.standard_normal((batch, length, d)) * 10.0 ** rng.integers(
+            -8, 9, size=(batch, length, d)
+        )
+        expected = np.zeros((vocab_size, d))
+        np.add.at(expected, ids, dx)
+        assert_same_array(enc.embedding_gradient(ids, dx, vocab_size), expected)
+
+
+def reference_layer_norm(x, gamma, beta):
+    """Layer norm that subtracts the mean twice, once for the variance and
+    once for xhat. The oracle for the single subtraction in _layer_norm."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + enc._LN_EPS)
+    xhat = (x - mu) * inv
+    return gamma * xhat + beta, (xhat, inv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 1, 3), (2, 5, 8), (4, 1, 16)]))
+def test_layer_norm_matches_two_subtraction_reference(seed, shape):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 3.0 + 1.0
+    gamma, beta = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+    out, (xhat, inv) = enc._layer_norm(x, gamma, beta)
+    ref_out, (ref_xhat, ref_inv) = reference_layer_norm(x, gamma, beta)
+    assert_same_array(out, ref_out)
+    assert_same_array(xhat, ref_xhat)
+    assert_same_array(inv, ref_inv)
