@@ -28,7 +28,7 @@ from .checks import check_fields
 from .errors import BundleInconsistentError, BundleVersionError
 from .linear import LinearModel, TrainConfigLR, TrainReportLR, predict_probas
 from .textprep import CleanPolicy
-from .vectorizer import TfIdfConfig, TfIdfModel, Vocabulary, transform_rows
+from .vectorizer import TfIdfConfig, TfIdfModel, transform_rows
 
 FORMAT_VERSION = 2
 _TENSOR_DTYPE = "<f8"
@@ -106,15 +106,14 @@ class TfIdfLrPayload:
         return predict_probas(self.linear, transform_rows(self.tfidf, cleaned_texts))
 
     def to_doc(self) -> dict[str, Any]:
-        vocab = self.tfidf.vocab
-        tokens = vocab.tokens_in_index_order()
+        tfidf = self.tfidf
         return {
             "vectorizer": {
-                "config": asdict(self.tfidf.config),
-                "n_documents": vocab.n_documents,
-                "tokens": tokens,
-                "document_frequency": [vocab.document_frequency[t] for t in tokens],
-                "idf": encode_tensor(self.tfidf.idf),
+                "config": asdict(tfidf.config),
+                "n_documents": tfidf.n_documents,
+                "tokens": tfidf.tokens,
+                "document_frequency": tfidf.document_frequency,
+                "idf": encode_tensor(tfidf.idf),
             },
             "linear": {
                 "dimension": self.linear.dimension,
@@ -127,27 +126,20 @@ class TfIdfLrPayload:
     def from_doc(cls, doc: dict) -> "TfIdfLrPayload":
         vec = _section(doc, "vectorizer")
         tokens = vec["tokens"]
-        dfs = vec["document_frequency"]
-        _require(len(tokens) == len(dfs), "vectorizer token/df lengths disagree")
-        _require(len(set(tokens)) == len(tokens), "vectorizer tokens are not unique")
-        idf = decode_tensor(vec["idf"], (len(tokens),), "vectorizer idf")
-        vocab = Vocabulary(
-            token_to_index={t: i for i, t in enumerate(tokens)},
-            document_frequency=dict(zip(tokens, dfs)),
-            n_documents=vec["n_documents"],
-        )
         tfidf = TfIdfModel(
-            vocab=vocab,
-            idf=tuple(idf.tolist()),
+            tokens=tokens,
+            document_frequency=vec["document_frequency"],
+            n_documents=vec["n_documents"],
+            idf=decode_tensor(vec["idf"], (len(tokens),), "vectorizer idf"),
             config=TfIdfConfig(**_section(vec, "config")),
         )
         lin = _section(doc, "linear")
         _require(
-            lin["dimension"] == len(tokens),
+            lin["dimension"] == tfidf.dimension,
             "linear dimension does not match vocabulary size",
         )
         linear = LinearModel(
-            weights=decode_tensor(lin["weights"], (len(tokens),), "linear weights"),
+            weights=decode_tensor(lin["weights"], (tfidf.dimension,), "linear weights"),
             bias=lin["bias"],
             dimension=lin["dimension"],
         )

@@ -64,9 +64,9 @@ def check_fields(obj: Any) -> None:
     value does not have its annotated type."""
     for f in fields(obj):
         checked = checked_kind(f.type)
-        value = getattr(obj, f.name)
         if checked is None:
             continue
+        value = getattr(obj, f.name)
         kind, nullable, is_list = checked
         if value is None and nullable:
             continue

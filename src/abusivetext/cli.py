@@ -107,6 +107,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("run config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -169,13 +171,18 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+class InputNotFound(FileNotFoundError):
+    """An input path that is missing or not a regular file; the only error
+    that exits FILE_NOT_FOUND (a missing output directory does not)."""
+
+
 def _read_file(path: str | Path) -> bytes:
     """The bytes of a regular file; anything else, a directory included, is
-    FileNotFoundError."""
+    InputNotFound."""
     p = Path(path)
     if not p.is_file():
         reason = "not a regular file" if p.exists() else "file not found"
-        raise FileNotFoundError(f"{reason}: {p}")
+        raise InputNotFound(f"{reason}: {p}")
     return p.read_bytes()
 
 
@@ -241,11 +248,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    split = synth_corpus(
-        seed=args.seed,
-        n_per_class=args.n_per_class,
-        name=SplitName(args.name),
-    )
+    split = synth_corpus(seed=args.seed, n_per_class=args.n_per_class)
     Path(args.out).write_bytes(write_dataset(split, FileFormat(args.format)))
     print(f"wrote {len(split.examples)} examples to {args.out}")
     return EXIT_OK
@@ -312,8 +315,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     train_bytes = _read_file(config.train_path)
     train_split = parse_dataset(
-        train_bytes, FileFormat(config.format), has_labels=True,
-        name=SplitName.TRAIN, language_tag=config.language_tag,
+        train_bytes, FileFormat(config.format), has_labels=True, name=SplitName.TRAIN
     )
     print(f"train split ({config.train_path}):")
     for line in _stats_lines(train_split):
@@ -329,8 +331,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.dev_path:
         dev_bytes = _read_file(config.dev_path)
         dev = cleaned(parse_dataset(
-            dev_bytes, FileFormat(config.format), has_labels=True,
-            name=SplitName.DEV, language_tag=config.language_tag,
+            dev_bytes, FileFormat(config.format), has_labels=True, name=SplitName.DEV
         ))
     payload = trainer(config, cleaned(train_split), dev)
     run_config = {
@@ -433,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--n-per-class", type=int, required=True)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--name", choices=["train", "dev", "test"], default="train")
     p_synth.add_argument("--format", choices=["tsv", "csv"], default="tsv")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _classify_error(exc: Exception) -> tuple[str, int]:
-    if isinstance(exc, FileNotFoundError):
+    if isinstance(exc, InputNotFound):
         return "FILE_NOT_FOUND", EXIT_FILE_NOT_FOUND
     if isinstance(exc, OSError):
         return "CONFIG", EXIT_ERROR

@@ -41,51 +41,50 @@ class TfIdfConfig:
             raise ValueError("max_vocab must be >= 0")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Token inventory with dense indices 0..V-1 and per-token document counts."""
+@dataclass
+class TfIdfModel:
+    """A fitted vocabulary in its bundle layout: ``tokens`` in index order,
+    each token's document frequency, the corpus size and the float64 idf
+    weights, one per token. ``token_to_index`` is built from ``tokens`` on
+    construction and is neither compared nor stored."""
 
-    token_to_index: dict[str, int]
-    document_frequency: dict[str, int]
+    tokens: list[str]
+    document_frequency: list[int]
     n_documents: int
+    idf: np.ndarray
+    config: TfIdfConfig = field(default_factory=TfIdfConfig)
+    token_to_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
-        if sorted(self.token_to_index.values()) != list(range(len(self.token_to_index))):
-            raise ValueError("vocabulary indices must be dense 0..V-1")
-        for token in self.token_to_index:
-            df = self.document_frequency.get(token, 0)
-            # type(df) is int: neither a bool nor a float passes.
-            valid = isinstance(token, str) and type(df) is int
-            if not (valid and 1 <= df <= self.n_documents):
-                raise ValueError(
-                    f"token {token!r} has document frequency {df!r}; expected a "
-                    f"string token with an integer frequency 1..{self.n_documents}"
-                )
+        self.token_to_index = {token: i for i, token in enumerate(self.tokens)}
+        if len(self.token_to_index) != len(self.tokens):
+            raise ValueError("vocabulary tokens are not unique")
+        dfs = self.document_frequency
+        if len(dfs) != len(self.tokens):
+            raise ValueError("vocabulary tokens and document frequencies disagree in length")
+        if dfs and not 1 <= min(dfs) <= max(dfs) <= self.n_documents:
+            raise ValueError(f"document frequencies must lie in 1..{self.n_documents}")
+        idf, shape = self.idf, (len(self.tokens),)
+        if not (isinstance(idf, np.ndarray) and idf.dtype == np.float64 and idf.shape == shape):
+            raise ValueError(f"idf must be a float64 array of shape {shape}")
+        if not (np.isfinite(idf) & (idf > 0.0)).all():
+            raise ValueError("smoothed idf weights must be finite and positive")
 
-    @property
-    def size(self) -> int:
-        return len(self.token_to_index)
-
-    def tokens_in_index_order(self) -> list[str]:
-        return sorted(self.token_to_index, key=self.token_to_index.__getitem__)
-
-
-@dataclass(frozen=True)
-class TfIdfModel:
-    vocab: Vocabulary
-    idf: tuple[float, ...]
-    config: TfIdfConfig = field(default_factory=TfIdfConfig)
-
-    def __post_init__(self):
-        if len(self.idf) != self.vocab.size:
-            raise ValueError("idf length must equal vocabulary size")
-        if any(v <= 0.0 for v in self.idf):
-            raise ValueError("smoothed idf weights must be positive")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TfIdfModel):
+            return NotImplemented
+        return (
+            self.tokens == other.tokens
+            and self.document_frequency == other.document_frequency
+            and self.n_documents == other.n_documents
+            and self.config == other.config
+            and np.array_equal(self.idf, other.idf)
+        )
 
     @property
     def dimension(self) -> int:
-        return self.vocab.size
+        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -146,16 +145,17 @@ def fit(corpus: Sequence[str], config: TfIdfConfig = TfIdfConfig()) -> TfIdfMode
         kept = kept[: config.max_vocab]
     kept.sort()
 
-    vocab = Vocabulary(
-        token_to_index={token: index for index, token in enumerate(kept)},
-        document_frequency={token: document_frequency[token] for token in kept},
+    idf = np.array(
+        [math.log((1 + n_documents) / (1 + document_frequency[t])) + 1.0 for t in kept],
+        dtype=np.float64,
+    )
+    return TfIdfModel(
+        tokens=kept,
+        document_frequency=[document_frequency[t] for t in kept],
         n_documents=n_documents,
+        idf=idf,
+        config=config,
     )
-    idf = tuple(
-        math.log((1 + n_documents) / (1 + document_frequency[token])) + 1.0
-        for token in kept
-    )
-    return TfIdfModel(vocab=vocab, idf=idf, config=config)
 
 
 class Rows(NamedTuple):
@@ -211,7 +211,7 @@ def transform_rows(model: TfIdfModel, texts: Sequence[str]) -> Rows:
     """One row per text: in-vocabulary tokens weighted by raw count x idf,
     out-of-vocabulary tokens dropped. Rows are L2-normalized when configured,
     each norm summed in index order; an all-OOV text is an empty row."""
-    lookup = model.vocab.token_to_index.get
+    lookup = model.token_to_index.get
     lengths, found, counts = [], [], []
     for text in texts:
         before = len(found)
@@ -225,7 +225,7 @@ def transform_rows(model: TfIdfModel, texts: Sequence[str]) -> Rows:
     # Each row's entries sorted by index, the rows kept in order.
     order = np.lexsort((rows.indices, rows.row_of_entry))
     indices = rows.indices[order]
-    data = rows.data[order] * np.array(model.idf, dtype=np.float64)[indices]
+    data = rows.data[order] * model.idf[indices]
     if model.config.l2_normalize:
         # bincount adds each row's squares one by one, in entry order.
         squares = np.bincount(rows.row_of_entry, weights=data * data, minlength=rows.n_rows)

@@ -65,7 +65,7 @@ class TestRoundTrip:
     def test_loaded_payload_equals_original(self, tfidf_lr_bundle, encoder_bundle):
         lr_loaded = bd.deserialize_bundle(bd.serialize_bundle(tfidf_lr_bundle))
         assert lr_loaded.payload.linear == tfidf_lr_bundle.payload.linear
-        assert lr_loaded.payload.tfidf.idf == tfidf_lr_bundle.payload.tfidf.idf
+        assert np.array_equal(lr_loaded.payload.tfidf.idf, tfidf_lr_bundle.payload.tfidf.idf)
         assert lr_loaded.policy == tfidf_lr_bundle.policy
         enc_loaded = bd.deserialize_bundle(bd.serialize_bundle(encoder_bundle))
         assert enc_loaded.payload.model == encoder_bundle.payload.model

@@ -231,7 +231,7 @@ class TestTrainPredictEvaluate:
         # keyword hits the vocabulary, without it the text is all-OOV.
         tfidf = vectorizer.fit(["grawk grawk", "melith calm"])
         weights = np.zeros(tfidf.dimension)
-        weights[tfidf.vocab.token_to_index["grawk"]] = 4.0
+        weights[tfidf.token_to_index["grawk"]] = 4.0
         model = linear.LinearModel(weights=weights, bias=0.0, dimension=tfidf.dimension)
         payloads = {}
         for name, policy in [
@@ -363,6 +363,9 @@ class TestExitCodes:
         ("input", 2, "FILE_NOT_FOUND"),
         ("config", 2, "FILE_NOT_FOUND"),
         ("output", 1, "CONFIG"),
+        ("predict output in a missing directory", 1, "CONFIG"),
+        ("train output in a missing directory", 1, "CONFIG"),
+        ("synth output in a missing directory", 1, "CONFIG"),
     ])
     def test_directory_as_path(self, tmp_path, synth_files, capsys, case, code, expected):
         train, dev = synth_files
@@ -371,11 +374,19 @@ class TestExitCodes:
         capsys.readouterr()
         folder = tmp_path / "folder"
         folder.mkdir()
+        nodir = tmp_path / "nodir"
         argv = {
             "input": ["stats", "--input", str(folder)],
             "config": ["train", "--config", str(folder)],
             "output": ["predict", "--model", str(model), "--input", str(dev),
                        "--out", str(folder)],
+            "predict output in a missing directory": [
+                "predict", "--model", str(model), "--input", str(dev),
+                "--out", str(nodir / "p.tsv")],
+            "train output in a missing directory": [
+                "train", "--train", str(train), "--out", str(nodir / "m.json")],
+            "synth output in a missing directory": [
+                "synth", "--seed", "1", "--n-per-class", "2", "--out", str(nodir / "x.tsv")],
         }[case]
         assert run_cli(*argv) == code
         [line] = error_lines(capsys.readouterr().err)

@@ -48,7 +48,7 @@ def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("loaders")
     assert cli.main(["synth", "--seed", "3", "--n-per-class", "12",
                      "--out", str(root / "train.tsv")]) == 0
-    assert cli.main(["synth", "--seed", "4", "--n-per-class", "6", "--name", "dev",
+    assert cli.main(["synth", "--seed", "4", "--n-per-class", "6",
                      "--out", str(root / "dev.tsv")]) == 0
     (root / "input.tsv").write_text(TEST_ROWS)
     (root / "lr.json").write_text(json.dumps({
@@ -156,6 +156,14 @@ class TestHostileBundles:
         ("lr", ("vectorizer", "document_frequency", 0), 1.5),
         ("lr", ("vectorizer", "document_frequency", 0), True),
         ("lr", ("vectorizer", "tokens", 0), 12345),
+        ("lr", ("vectorizer", "tokens", -1), 0.5),
+        ("lr", ("vectorizer", "tokens"), {"a": 1}),
+        # Distinct characters, as many as there are tokens: iterated, the
+        # string would pass as a vocabulary of its characters.
+        ("lr", ("vectorizer", "tokens"),
+         lambda tokens: "".join(map(chr, range(0x4E00, 0x4E00 + len(tokens))))),
+        ("lr", ("vectorizer", "tokens"), lambda tokens: [*tokens[:-1], tokens[0]]),
+        ("lr", ("vectorizer", "document_frequency"), lambda dfs: dfs[:-1]),
         ("lr", ("provenance",), None),
         ("enc", ("provenance",), []),
         ("lr", ("training_report", "epoch_losses"), "x"),
@@ -165,6 +173,11 @@ class TestHostileBundles:
     ])
     def test_rejected_as_inconsistent(self, work, arm, path, value):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        if callable(value):  # a value made from the one it replaces
+            node = doc
+            for key in path:
+                node = node[key]
+            value = value(node)
         assert predict_with(work, with_value(doc, path, value)) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("arm", ["lr", "enc"])
@@ -297,6 +310,14 @@ class TestHostileRunConfigs:
     ])
     def test_type_confused_value_is_one_config_error(self, work, arm, path, value):
         assert train_with(work, arm, path, value) == (1, ["CONFIG"])
+
+    @pytest.mark.parametrize("text", ["[]", '""', "3", "null"])
+    def test_config_that_is_not_an_object_is_one_config_error(self, work, tmp_path, text):
+        config, out = tmp_path / "run.json", tmp_path / "m.json"
+        config.write_text(text)
+        assert run_cli("train", "--config", str(config), "--train",
+                       str(work / "train.tsv"), "--out", str(out)) == (1, ["CONFIG"])
+        assert not out.exists()
 
 
 # Pieces that steer arbitrary bytes toward the interesting corners of the

@@ -47,7 +47,7 @@ def reference_transform(model, text: str) -> SparseVector:
     squares added one by one in index order. The oracle for the arrays
     transform_rows builds."""
     counts = Counter(tokenize(text, model.config.ngram_max))
-    token_to_index = model.vocab.token_to_index
+    token_to_index = model.token_to_index
     entries = sorted(
         (token_to_index[token], count * model.idf[token_to_index[token]])
         for token, count in counts.items()
@@ -71,7 +71,7 @@ def assert_same_rows(actual: Rows, expected: Rows) -> None:
 
 
 def as_token_weights(model, vector: SparseVector) -> dict[str, float]:
-    tokens = model.vocab.tokens_in_index_order()
+    tokens = model.tokens
     return {tokens[i]: w for i, w in vector.entries}
 
 
@@ -102,8 +102,8 @@ class TestFit:
         # df: a=2, b=1, c=1; idf(a) = ln(3/3)+1 = 1;
         # idf(b) = idf(c) = ln(3/2)+1 = 1.4054651081081644 (verified by hand).
         model = fit(["a b", "a c"])
-        assert model.vocab.tokens_in_index_order() == ["a", "b", "c"]
-        assert model.vocab.document_frequency == {"a": 2, "b": 1, "c": 1}
+        assert model.tokens == ["a", "b", "c"]
+        assert dict(zip(model.tokens, model.document_frequency)) == {"a": 2, "b": 1, "c": 1}
         assert model.idf[0] == pytest.approx(1.0, abs=1e-12)
         assert model.idf[1] == pytest.approx(1.4054651081081644, abs=1e-12)
         assert model.idf[2] == pytest.approx(1.4054651081081644, abs=1e-12)
@@ -123,20 +123,20 @@ class TestFit:
 
     def test_min_df_filters(self):
         model = fit(["a b", "a c"], TfIdfConfig(min_df=2))
-        assert model.vocab.tokens_in_index_order() == ["a"]
+        assert model.tokens == ["a"]
 
     def test_max_vocab_truncates_by_df_then_token(self):
         model = fit(["a b c", "a b", "a"], TfIdfConfig(max_vocab=2))
         # df: a=3, b=2, c=1 -> keep a, b.
-        assert model.vocab.tokens_in_index_order() == ["a", "b"]
+        assert model.tokens == ["a", "b"]
         tied = fit(["x y", "x y"], TfIdfConfig(max_vocab=1))
-        assert tied.vocab.tokens_in_index_order() == ["x"]  # lexicographic tie-break
+        assert tied.tokens == ["x"]  # lexicographic tie-break
 
     def test_indices_are_lexicographic_and_stable(self):
         corpus = ["delta alpha", "charlie bravo alpha"]
         m1, m2 = fit(corpus), fit(corpus)
-        assert m1.vocab.token_to_index == m2.vocab.token_to_index
-        tokens = m1.vocab.tokens_in_index_order()
+        assert m1.token_to_index == m2.token_to_index
+        tokens = m1.tokens
         assert tokens == sorted(tokens)
 
 
@@ -176,7 +176,7 @@ class TestTransform:
 class TestInvariants:
     def test_single_token_documents_give_unit_entries(self):
         model = fit(["red green", "blue red", "green"])
-        for token in model.vocab.token_to_index:
+        for token in model.token_to_index:
             vector = transform(model, token)
             assert len(vector.entries) == 1
             assert vector.entries[0][1] == pytest.approx(1.0, abs=1e-9)
