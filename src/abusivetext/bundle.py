@@ -5,12 +5,12 @@ preprocessing policy it was trained with, so prediction can never mix
 mismatched pieces. Each model kind is one payload class with its ``KIND``,
 ``probabilities`` over cleaned texts and its own document sections
 (``to_doc``/``from_doc``); PAYLOADS maps kind names to those classes, and a
-bundle's kind is its payload's. Every float64 array (TF-IDF idf, LR weights,
-encoder parameter tensors) is stored as one ``{"dtype": "<f8", "shape": [...],
-"base64": "..."}`` object holding its little-endian bytes, so it round-trips
-exactly and load(save(b)) re-serializes to identical bytes. The envelope,
-configs, tokenizer, vocabulary and provenance stay readable JSON. Version
-mismatches are rejected outright, never migrated.
+bundle's kind is its payload's. Nothing derivable is stored (TF-IDF idf is
+recomputed from the document frequencies on load). Each array, ``<f8`` or
+``<i8``, is one ``{"dtype", "shape", "base64"}`` object of its little-endian
+bytes, so load(save(b)) re-serializes to identical bytes; TF-IDF tokens are
+one space-joined string and the rest is readable JSON. Version mismatches are
+rejected outright, never migrated.
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ from .linear import LinearModel, TrainConfigLR, TrainReportLR, predict_probas
 from .textprep import CleanPolicy
 from .vectorizer import TfIdfConfig, TfIdfModel, transform_rows
 
-FORMAT_VERSION = 2
-_TENSOR_DTYPE = "<f8"
+FORMAT_VERSION = 3
 
 # Rows encoded per block when the encoder scores texts, far more than
 # predict_probs runs per forward pass: alternating small encode and forward
@@ -50,30 +49,32 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
-def encode_tensor(values: Any) -> dict[str, Any]:
-    """The stored form of a float64 array. Raises ValueError on a non-finite
-    value, which no bundle may hold."""
-    array = np.asarray(values, dtype=_TENSOR_DTYPE)
-    if not np.isfinite(array).all():
+def encode_tensor(values: Any, dtype: str = "<f8") -> dict[str, Any]:
+    """The stored form of an array, as ``<f8`` or ``<i8``. Raises ValueError
+    on a non-finite value, which no bundle may hold."""
+    array = np.asarray(values, dtype=dtype)
+    if dtype == "<f8" and not np.isfinite(array).all():
         raise ValueError("cannot store a non-finite value in a bundle")
     return {
-        "dtype": _TENSOR_DTYPE,
+        "dtype": dtype,
         "shape": list(array.shape),
         "base64": base64.b64encode(array.tobytes()).decode("ascii"),
     }
 
 
-def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The array a stored tensor holds, as writable native float64. Raises
-    BundleInconsistentError unless the object has exactly the three keys,
-    the dtype is ``<f8``, the shape is a list of ints equal to ``shape``,
-    the base64 is strict and decodes to 8 bytes per element, and every value
-    is finite."""
+def decode_tensor(
+    doc: Any, shape: tuple[int, ...], what: str, dtype: str = "<f8"
+) -> np.ndarray:
+    """The array a stored tensor holds, writable and native (float64 for
+    ``<f8``, int64 for ``<i8``). Raises BundleInconsistentError unless the
+    object has exactly the three keys, the dtype is ``dtype``, the shape is
+    a list of ints equal to ``shape``, the base64 is strict and decodes to 8
+    bytes per element, and every float value is finite."""
     _require(
         isinstance(doc, dict) and doc.keys() == {"dtype", "shape", "base64"},
         f"{what} must be an object with exactly dtype, shape and base64",
     )
-    _require(doc["dtype"] == _TENSOR_DTYPE, f"{what} dtype must be {_TENSOR_DTYPE!r}")
+    _require(doc["dtype"] == dtype, f"{what} dtype must be {dtype!r}")
     stored = doc["shape"]
     _require(
         isinstance(stored, list)
@@ -81,15 +82,15 @@ def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
         and tuple(stored) == shape,
         f"{what} has shape {stored}, expected {list(shape)}",
     )
-    _require(isinstance(doc["base64"], str), f"{what} base64 must be a string")
     try:
         raw = base64.b64decode(doc["base64"], validate=True)
-    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+    except (TypeError, ValueError) as exc:  # not a string, binascii.Error, not ASCII
         raise BundleInconsistentError(f"{what} is not valid base64: {exc}") from exc
     size = 8 * math.prod(shape)
     _require(len(raw) == size, f"{what} holds {len(raw)} bytes, expected {size}")
-    values = np.frombuffer(raw, dtype=_TENSOR_DTYPE).astype(np.float64)
-    _require(bool(np.isfinite(values).all()), f"{what} contains non-finite values")
+    values = np.frombuffer(raw, dtype=dtype).astype(np.dtype(dtype).newbyteorder("="))
+    finite = dtype == "<i8" or bool(np.isfinite(values).all())
+    _require(finite, f"{what} contains non-finite values")
     return values.reshape(shape)
 
 
@@ -111,9 +112,8 @@ class TfIdfLrPayload:
             "vectorizer": {
                 "config": asdict(tfidf.config),
                 "n_documents": tfidf.n_documents,
-                "tokens": tfidf.tokens,
-                "document_frequency": tfidf.document_frequency,
-                "idf": encode_tensor(tfidf.idf),
+                "tokens": " ".join(tfidf.tokens),
+                "document_frequency": encode_tensor(tfidf.document_frequency, "<i8"),
             },
             "linear": {
                 "dimension": self.linear.dimension,
@@ -125,12 +125,16 @@ class TfIdfLrPayload:
     @classmethod
     def from_doc(cls, doc: dict) -> "TfIdfLrPayload":
         vec = _section(doc, "vectorizer")
-        tokens = vec["tokens"]
+        text = vec["tokens"]
+        _require(isinstance(text, str), "vectorizer tokens must be one string")
+        tokens = text.split()
+        # Also rejects empty tokens and any whitespace but single spaces.
+        _require(" ".join(tokens) == text, "vectorizer tokens must be joined by single spaces")
+        dfs = decode_tensor(vec["document_frequency"], (len(tokens),), "vectorizer df", "<i8")
         tfidf = TfIdfModel(
             tokens=tokens,
-            document_frequency=vec["document_frequency"],
+            document_frequency=dfs,
             n_documents=vec["n_documents"],
-            idf=decode_tensor(vec["idf"], (len(tokens),), "vectorizer idf"),
             config=TfIdfConfig(**_section(vec, "config")),
         )
         lin = _section(doc, "linear")

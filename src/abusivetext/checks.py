@@ -75,5 +75,8 @@ def check_fields(obj: Any) -> None:
             continue
         if not isinstance(value, list):
             raise ValueError(f"{f.name} must be a list, got {type(value).__name__}")
-        for item in value:
-            _check(f.name, item, kind)
+        exact = _KINDS[kind][0][0]
+        # One cheap pass over exact types first; float items must also be finite.
+        if kind == "float" or not all(type(item) is exact for item in value):
+            for item in value:
+                _check(f.name, item, kind)

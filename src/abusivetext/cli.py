@@ -113,21 +113,17 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
+        kwargs = dict(raw)
         for key, value in raw.items():
-            if key in cls._NESTED:
-                nested_cls = cls._NESTED[key]
-                if not isinstance(value, dict):
-                    raise ValueError(f"config key {key!r} must be an object")
-                nested_known = {f.name for f in fields(nested_cls)}
-                nested_unknown = set(value) - nested_known
-                if nested_unknown:
-                    raise ValueError(
-                        f"unknown keys under {key!r}: {sorted(nested_unknown)}"
-                    )
-                kwargs[key] = nested_cls(**value)
-            else:
-                kwargs[key] = value
+            nested_cls = cls._NESTED.get(key)
+            if nested_cls is None:
+                continue
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must be an object")
+            nested_unknown = set(value) - {f.name for f in fields(nested_cls)}
+            if nested_unknown:
+                raise ValueError(f"unknown keys under {key!r}: {sorted(nested_unknown)}")
+            kwargs[key] = nested_cls(**value)
         return cls(**kwargs)
 
     def to_dict(self) -> dict[str, Any]:

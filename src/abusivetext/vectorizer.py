@@ -43,48 +43,53 @@ class TfIdfConfig:
 
 @dataclass
 class TfIdfModel:
-    """A fitted vocabulary in its bundle layout: ``tokens`` in index order,
-    each token's document frequency, the corpus size and the float64 idf
-    weights, one per token. ``token_to_index`` is built from ``tokens`` on
-    construction and is neither compared nor stored."""
+    """A fitted vocabulary in its bundle layout: ``tokens`` in strictly
+    ascending (index) order, each token's document frequency in one int64
+    array, and the corpus size. ``idf`` is derived from the last two and
+    ``token_to_index`` from ``tokens`` on construction; neither is compared
+    nor stored."""
 
     tokens: list[str]
-    document_frequency: list[int]
+    document_frequency: np.ndarray
     n_documents: int
-    idf: np.ndarray
     config: TfIdfConfig = field(default_factory=TfIdfConfig)
+    idf: np.ndarray = field(init=False, repr=False)
     token_to_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
         self.token_to_index = {token: i for i, token in enumerate(self.tokens)}
-        if len(self.token_to_index) != len(self.tokens):
-            raise ValueError("vocabulary tokens are not unique")
-        dfs = self.document_frequency
-        if len(dfs) != len(self.tokens):
-            raise ValueError("vocabulary tokens and document frequencies disagree in length")
-        if dfs and not 1 <= min(dfs) <= max(dfs) <= self.n_documents:
+        # The distinct tokens in sorted order: equal only if strictly ascending.
+        if self.tokens != sorted(self.token_to_index):
+            raise ValueError("vocabulary tokens must be strictly ascending")
+        dfs, shape = self.document_frequency, (len(self.tokens),)
+        if not (isinstance(dfs, np.ndarray) and dfs.dtype == np.int64 and dfs.shape == shape):
+            raise ValueError(f"document frequencies must be an int64 array of shape {shape}")
+        if dfs.size and not 1 <= int(dfs.min()) <= int(dfs.max()) <= self.n_documents:
             raise ValueError(f"document frequencies must lie in 1..{self.n_documents}")
-        idf, shape = self.idf, (len(self.tokens),)
-        if not (isinstance(idf, np.ndarray) and idf.dtype == np.float64 and idf.shape == shape):
-            raise ValueError(f"idf must be a float64 array of shape {shape}")
-        if not (np.isfinite(idf) & (idf > 0.0)).all():
-            raise ValueError("smoothed idf weights must be finite and positive")
+        self.idf = smoothed_idf(dfs, self.n_documents)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TfIdfModel):
             return NotImplemented
         return (
             self.tokens == other.tokens
-            and self.document_frequency == other.document_frequency
+            and np.array_equal(self.document_frequency, other.document_frequency)
             and self.n_documents == other.n_documents
             and self.config == other.config
-            and np.array_equal(self.idf, other.idf)
         )
 
     @property
     def dimension(self) -> int:
         return len(self.tokens)
+
+
+def smoothed_idf(document_frequency: np.ndarray, n_documents: int) -> np.ndarray:
+    """fit's ln((1 + N) / (1 + df)) + 1 per token, as float64: Python's math.log
+    once per distinct df. Raises OverflowError when N is past the float range."""
+    distinct, inverse = np.unique(document_frequency, return_inverse=True)
+    weights = [math.log((1 + n_documents) / (1 + df)) + 1.0 for df in distinct.tolist()]
+    return np.array(weights, dtype=np.float64)[inverse]
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,6 @@ class SparseVector:
             if weight == 0.0:
                 raise ValueError("zero weights must not be stored")
             previous = index
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.entries))
 
 
 def tokenize(text: str, ngram_max: int = 1) -> list[str]:
@@ -145,15 +147,10 @@ def fit(corpus: Sequence[str], config: TfIdfConfig = TfIdfConfig()) -> TfIdfMode
         kept = kept[: config.max_vocab]
     kept.sort()
 
-    idf = np.array(
-        [math.log((1 + n_documents) / (1 + document_frequency[t])) + 1.0 for t in kept],
-        dtype=np.float64,
-    )
     return TfIdfModel(
         tokens=kept,
-        document_frequency=[document_frequency[t] for t in kept],
+        document_frequency=np.array([document_frequency[t] for t in kept], dtype=np.int64),
         n_documents=n_documents,
-        idf=idf,
         config=config,
     )
 

@@ -1,9 +1,12 @@
 """Bundle serialization: byte-stable round-trips and rejection of bad payloads."""
 import base64
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abusivetext import bundle as bd
 from abusivetext import encoder as enc
@@ -13,15 +16,10 @@ from abusivetext.errors import BundleInconsistentError, BundleVersionError
 from abusivetext.textprep import CleanPolicy, preprocess
 
 
-@pytest.fixture(scope="module")
-def tfidf_lr_bundle():
-    split = synth_corpus(3, 12)
-    texts = [preprocess(t) for t in split.texts()]
-    tfidf = vectorizer.fit(texts)
+def lr_bundle_of(texts, labels, tfidf_config=vectorizer.TfIdfConfig()):
+    tfidf = vectorizer.fit(texts, tfidf_config)
     config = linear.TrainConfigLR(epochs=5, seed=3)
-    model, report = linear.train_lr(
-        vectorizer.transform_rows(tfidf, texts), split.labels(), config
-    )
+    model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config)
     return bd.ModelBundle(
         language_tag="synthetic",
         policy=CleanPolicy(),
@@ -30,6 +28,12 @@ def tfidf_lr_bundle():
         ),
         provenance=bd.Provenance.of_run(b"", None, {}),
     )
+
+
+@pytest.fixture(scope="module")
+def tfidf_lr_bundle():
+    split = synth_corpus(3, 12)
+    return lr_bundle_of([preprocess(t) for t in split.texts()], split.labels())
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,67 @@ class TestRoundTrip:
         for array in [lr.linear.weights, *encoder.model.params.values()]:
             assert array.dtype == np.float64 and array.dtype.isnative
             assert array.flags.writeable and array.flags.c_contiguous
+        dfs = lr.tfidf.document_frequency
+        assert dfs.dtype == np.int64 and dfs.dtype.isnative and dfs.flags.writeable
+
+    def test_vectorizer_stores_tokens_as_one_string_and_no_idf(self, tfidf_lr_bundle):
+        tfidf = tfidf_lr_bundle.payload.tfidf
+        vec = json.loads(bd.serialize_bundle(tfidf_lr_bundle))["vectorizer"]
+        assert sorted(vec) == ["config", "document_frequency", "n_documents", "tokens"]
+        assert vec["tokens"] == " ".join(tfidf.tokens)
+        assert vec["document_frequency"]["dtype"] == "<i8"
+        assert _values(vec["document_frequency"]).tolist() == tfidf.document_frequency.tolist()
+
+    def test_zero_token_vocabulary_round_trips(self):
+        split = synth_corpus(3, 12)
+        texts = [preprocess(t) for t in split.texts()]
+        bundle = lr_bundle_of(texts, split.labels(), vectorizer.TfIdfConfig(max_vocab=0))
+        raw = bd.serialize_bundle(bundle)
+        vec = json.loads(raw)["vectorizer"]
+        assert vec["tokens"] == "" and vec["document_frequency"]["shape"] == [0]
+        loaded = bd.deserialize_bundle(raw)
+        assert bd.serialize_bundle(loaded) == raw
+        assert loaded.payload.tfidf == bundle.payload.tfidf
+        assert loaded.payload.probabilities(texts) == bundle.payload.probabilities(texts)
+
+    @pytest.mark.parametrize("token", ["", " ", "a b", " a", "a\tb", "a\u2028b"])
+    def test_token_that_fit_cannot_make_never_loads(self, tfidf_lr_bundle, token):
+        # Saved, the joined string has the wrong number of tokens or is not
+        # single-space joined, so load refuses it rather than reading others.
+        payload = tfidf_lr_bundle.payload
+        tfidf = vectorizer.TfIdfModel(
+            tokens=sorted([token, "zz"]), document_frequency=np.array([1, 1]),
+            n_documents=1, config=payload.tfidf.config,
+        )
+        linear_model = linear.LinearModel(weights=np.zeros(2), bias=0.0, dimension=2)
+        bundle = bd.ModelBundle(
+            language_tag="synthetic", policy=CleanPolicy(),
+            payload=bd.TfIdfLrPayload(tfidf, linear_model, payload.train_config, payload.report),
+            provenance=tfidf_lr_bundle.provenance,
+        )
+        with pytest.raises(BundleInconsistentError):
+            bd.deserialize_bundle(bd.serialize_bundle(bundle))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from("abcdefg"), max_size=8).map(" ".join),
+            min_size=1, max_size=30,
+        ),
+        ngram_max=st.integers(1, 3),
+        min_df=st.integers(1, 3),
+    )
+    def test_loaded_idf_is_fits_idf_bit_for_bit(self, corpus, ngram_max, min_df):
+        config = vectorizer.TfIdfConfig(min_df=min_df, ngram_max=ngram_max)
+        bundle = lr_bundle_of(corpus, [i % 2 for i in range(len(corpus))], config)
+        fitted = bundle.payload.tfidf
+        loaded = bd.deserialize_bundle(bd.serialize_bundle(bundle)).payload.tfidf
+        # fit's per-token expression, evaluated here token by token.
+        n = len(corpus)
+        expected = [math.log((1 + n) / (1 + df)) + 1.0 for df in fitted.document_frequency.tolist()]
+        assert np.array_equal(loaded.idf, fitted.idf)
+        assert np.array_equal(fitted.idf, np.array(expected, dtype=np.float64))
+        assert loaded.idf.dtype == np.float64 and loaded.idf.shape == (fitted.dimension,)
 
     @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
     def test_tensor_round_trip_is_bit_exact(self, shape):
@@ -97,6 +162,21 @@ class TestRoundTrip:
         assert stored["shape"] == list(shape)
         back = bd.decode_tensor(stored, shape, "tensor")
         assert back.shape == shape and back.tobytes() == values.tobytes()
+
+    def test_int64_tensor_round_trip_is_exact(self):
+        values = np.array([1, -1, 0, 2**63 - 1, -(2**63)], dtype=np.int64)
+        stored = json.loads(json.dumps(bd.encode_tensor(values, "<i8")))
+        assert stored["dtype"] == "<i8"
+        back = bd.decode_tensor(stored, (5,), "tensor", "<i8")
+        assert back.dtype == np.int64 and back.tolist() == values.tolist()
+        with pytest.raises(BundleInconsistentError, match="dtype must be '<f8'"):
+            bd.decode_tensor(stored, (5,), "tensor")
+
+    @pytest.mark.parametrize("text", [3, None, ["AAAAAAAAAAA="], "!AAAAAAAAAA=", "AAAAAAAAAAé="])
+    def test_base64_that_is_not_strict_ascii_text_is_inconsistent(self, text):
+        stored = {"dtype": "<f8", "shape": [1], "base64": text}
+        with pytest.raises(BundleInconsistentError, match="not valid base64"):
+            bd.decode_tensor(stored, (1,), "tensor")
 
     def test_provenance_round_trips(self, tfidf_lr_bundle):
         bundle = bd.ModelBundle(
@@ -117,15 +197,15 @@ class TestRoundTrip:
 
 def _values(tensor: dict) -> np.ndarray:
     """The values of a stored tensor, flat and writable."""
-    return np.frombuffer(base64.b64decode(tensor["base64"]), dtype="<f8").copy()
+    return np.frombuffer(base64.b64decode(tensor["base64"]), dtype=tensor["dtype"]).copy()
 
 
-def _stored(values) -> dict:
+def _stored(values, dtype="<f8") -> dict:
     """A stored tensor holding values. Written here, not by the bundle
     writer, so that it can hold what the writer refuses (NaN)."""
-    array = np.asarray(values, dtype="<f8")
+    array = np.asarray(values, dtype=dtype)
     return {
-        "dtype": "<f8",
+        "dtype": dtype,
         "shape": list(array.shape),
         "base64": base64.b64encode(array.tobytes()).decode("ascii"),
     }
@@ -170,32 +250,25 @@ class TestRejection:
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
-    def test_idf_length_mismatch(self, tfidf_lr_bundle):
-        raw = _mutate(
-            bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d["vectorizer"].update(
-                idf=_stored(np.append(_values(d["vectorizer"]["idf"]), 1.0))
-            ),
-        )
-        with pytest.raises(BundleInconsistentError):
+    def test_document_frequency_length_mismatch(self, tfidf_lr_bundle):
+        def one_more(d):
+            dfs = _values(d["vectorizer"]["document_frequency"])
+            d["vectorizer"]["document_frequency"] = _stored(np.append(dfs, 1), "<i8")
+
+        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), one_more)
+        with pytest.raises(BundleInconsistentError, match="vectorizer df has shape"):
             bd.deserialize_bundle(raw)
 
-    def test_corrupt_document_frequency(self, tfidf_lr_bundle):
-        raw = _mutate(
-            bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d["vectorizer"]["document_frequency"].__setitem__(0, 0),
-        )
-        with pytest.raises(BundleInconsistentError):
-            bd.deserialize_bundle(raw)
+    @pytest.mark.parametrize("df", [0, -1, "n_documents + 1"])
+    def test_document_frequency_out_of_range(self, tfidf_lr_bundle, df):
+        def replace_first(d):
+            vec = d["vectorizer"]
+            dfs = _values(vec["document_frequency"])
+            dfs[0] = vec["n_documents"] + 1 if df == "n_documents + 1" else df
+            vec["document_frequency"] = _stored(dfs, "<i8")
 
-    def test_nonpositive_idf(self, tfidf_lr_bundle):
-        def negative_first(d):
-            idf = _values(d["vectorizer"]["idf"])
-            idf[0] = -1.0
-            d["vectorizer"]["idf"] = _stored(idf)
-
-        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), negative_first)
-        with pytest.raises(BundleInconsistentError):
+        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), replace_first)
+        with pytest.raises(BundleInconsistentError, match="must lie in 1.."):
             bd.deserialize_bundle(raw)
 
     def test_nan_parameter_rejected_on_load(self, encoder_bundle):

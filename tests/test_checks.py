@@ -101,11 +101,49 @@ def test_provenance_fields():
     (linear.TrainReportLR, "epoch_losses", "x"),
     (linear.TrainReportLR, "epoch_losses", [0.5, "0.5"]),
     (enc.TrainReportEnc, "epoch_train_losses", [math.nan]),
+    (enc.TrainReportEnc, "epoch_train_losses", [1, 10**400]),
     (enc.TrainReportEnc, "epoch_dev_macro_f1", (0.5,)),
 ])
 def test_list_field_checks_each_item(cls, name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
         cls(**{name: value})
+
+
+@dataclasses.dataclass
+class Lists:
+    counts: "list[int]"
+    names: "list[str]"
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("counts, names", [
+    ([1, 2], ["a", "b"]),
+    ([], []),
+    ([Count(3), 4], [Name("a"), "b"]),  # subclasses still pass the item check
+])
+def test_list_field_accepts(counts, names):
+    assert Lists(counts, names).names == names
+
+
+@pytest.mark.parametrize("counts, names, message", [
+    ([1, True], ["a"], "counts must be an integer, got bool"),
+    ([1, 2.0], ["a"], "counts must be an integer, got float"),
+    ([1], ["a", 3], "names must be a string, got int"),
+    ([1], [Name("a"), None], "names must be a string, got NoneType"),
+])
+def test_list_field_names_its_first_bad_item(counts, names, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Lists(counts, names)
 
 
 @pytest.mark.parametrize("annotation, expected", [

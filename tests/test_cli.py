@@ -333,9 +333,9 @@ class TestExitCodes:
         out = tmp_path / "m.json"
         run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
         doc = json.loads(out.read_text())
-        idf = doc["vectorizer"]["idf"]
-        values = np.append(np.frombuffer(base64.b64decode(idf["base64"]), "<f8"), 2.0)
-        idf.update(shape=[values.size], base64=base64.b64encode(values.tobytes()).decode())
+        dfs = doc["vectorizer"]["document_frequency"]
+        values = np.append(np.frombuffer(base64.b64decode(dfs["base64"]), "<i8"), 1)
+        dfs.update(shape=[values.size], base64=base64.b64encode(values.tobytes()).decode())
         out.write_text(json.dumps(doc))
         rc = run_cli(
             "predict", "--model", str(out), "--input", str(dev),

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abusivetext import bundle as bd
 from abusivetext import cli
 from abusivetext import encoder as enc
 
@@ -115,6 +116,74 @@ def guarded_shapes(config, vocab_size, shapes=enc.parameter_shapes):
     return shapes(config, vocab_size)
 
 
+def stored_dfs(tensor) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(tensor["base64"]), "<i8").copy()
+
+
+def store(values, dtype="<i8") -> dict:
+    array = np.asarray(values, dtype=dtype)
+    return {"dtype": dtype, "shape": list(array.shape),
+            "base64": base64.b64encode(array.tobytes()).decode()}
+
+
+def as_v2(doc, work: Path) -> None:
+    """Rewrite an LR bundle's vectorizer section in the version 2 layout:
+    tokens and document frequencies as lists, and the idf tensor."""
+    vec = doc["vectorizer"]
+    idf = bd.load_bundle(work / "lr.bundle.json").payload.tfidf.idf
+    vec.update(tokens=vec["tokens"].split(),
+               document_frequency=stored_dfs(vec["document_frequency"]).tolist(),
+               idf=store(idf, "<f8"))
+
+
+def _tokens_edited(edit):
+    def mutate(vec):
+        tokens = vec["tokens"].split()
+        edit(tokens)
+        vec["tokens"] = " ".join(tokens)
+    return mutate
+
+
+def _dfs_edited(edit):
+    def mutate(vec):
+        vec["document_frequency"] = edit(stored_dfs(vec["document_frequency"]), vec)
+    return mutate
+
+
+def _first_df(value):
+    """The first document frequency replaced by value(vec)."""
+    return _dfs_edited(lambda dfs, vec: store(np.append(value(vec), dfs[1:])))
+
+
+# One hostile vectorizer section each, edited in place; every one is a bundle
+# no writer could have made.
+HOSTILE_VOCABULARY = {
+    "unsorted tokens": _tokens_edited(list.reverse),
+    "repeated token": _tokens_edited(lambda t: t.__setitem__(1, t[0])),
+    "empty token": lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "  ", 1)),
+    "tab between tokens": lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "\t", 1)),
+    "U+2028 between tokens":
+        lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "\u2028", 1)),
+    "newline between tokens": lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "\n", 1)),
+    "leading space": lambda vec: vec.update(tokens=" " + vec["tokens"]),
+    "trailing space": lambda vec: vec.update(tokens=vec["tokens"] + " "),
+    "tokens joined without spaces":
+        lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "")),
+    "no tokens": lambda vec: vec.update(tokens=""),
+    "one token too many": _tokens_edited(lambda t: t.append(t[-1] + "z")),
+    "df as <f8": _dfs_edited(lambda dfs, vec: store(dfs, "<f8")),
+    "df as >i8": _dfs_edited(lambda dfs, vec: store(dfs, ">i8")),
+    "df too short": _dfs_edited(lambda dfs, vec: store(dfs[:-1])),
+    "df too long": _dfs_edited(lambda dfs, vec: store(np.append(dfs, 1))),
+    "df 0": _first_df(lambda vec: 0),
+    "df negative": _first_df(lambda vec: -1),
+    "df above n_documents": _first_df(lambda vec: vec["n_documents"] + 1),
+    "n_documents below the largest df": lambda vec: vec.update(
+        n_documents=int(stored_dfs(vec["document_frequency"]).max()) - 1),
+    "n_documents 10**400": lambda vec: vec.update(n_documents=10**400),
+}
+
+
 def predict_with(work: Path, doc) -> tuple[int, list[str]]:
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         enc, "parameter_shapes", guarded_shapes
@@ -153,17 +222,11 @@ class TestHostileBundles:
         ("lr", ("linear", "bias"), 10**400),
         ("lr", ("language_tag",), []),
         ("lr", ("vectorizer", "n_documents"), 40.5),
-        ("lr", ("vectorizer", "document_frequency", 0), 1.5),
-        ("lr", ("vectorizer", "document_frequency", 0), True),
-        ("lr", ("vectorizer", "tokens", 0), 12345),
-        ("lr", ("vectorizer", "tokens", -1), 0.5),
+        ("lr", ("vectorizer", "tokens"), 12345),
+        ("lr", ("vectorizer", "tokens"), 0.5),
         ("lr", ("vectorizer", "tokens"), {"a": 1}),
-        # Distinct characters, as many as there are tokens: iterated, the
-        # string would pass as a vocabulary of its characters.
-        ("lr", ("vectorizer", "tokens"),
-         lambda tokens: "".join(map(chr, range(0x4E00, 0x4E00 + len(tokens))))),
-        ("lr", ("vectorizer", "tokens"), lambda tokens: [*tokens[:-1], tokens[0]]),
-        ("lr", ("vectorizer", "document_frequency"), lambda dfs: dfs[:-1]),
+        ("lr", ("vectorizer", "tokens"), lambda text: text.split()),
+        ("lr", ("vectorizer", "document_frequency"), lambda dfs: stored_dfs(dfs).tolist()),
         ("lr", ("provenance",), None),
         ("enc", ("provenance",), []),
         ("lr", ("training_report", "epoch_losses"), "x"),
@@ -180,6 +243,14 @@ class TestHostileBundles:
             value = value(node)
         assert predict_with(work, with_value(doc, path, value)) == (5, ["BUNDLE_INCONSISTENT"])
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE_VOCABULARY))
+    def test_hostile_vocabulary_rejected_as_inconsistent(self, work, name):
+        doc = json.loads((work / "lr.bundle.json").read_text())
+        vec = doc["vectorizer"]
+        assert len(vec["tokens"].split()) > 2
+        HOSTILE_VOCABULARY[name](vec)
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
     @pytest.mark.parametrize("arm", ["lr", "enc"])
     @pytest.mark.parametrize("key", ["provenance", "language_tag"])
     def test_missing_provenance_is_inconsistent(self, work, arm, key):
@@ -187,7 +258,7 @@ class TestHostileBundles:
         del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("version", [2.0, "2", True, [2]])
+    @pytest.mark.parametrize("version", [3.0, "3", True, [3]])
     def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
         doc = json.loads((work / "enc.bundle.json").read_text())
         assert predict_with(work, with_value(doc, ("format_version",), version)) == (
@@ -195,7 +266,7 @@ class TestHostileBundles:
         )
 
     @pytest.mark.parametrize("arm, tensor", [
-        ("lr", ("vectorizer", "idf")),
+        ("lr", ("vectorizer", "document_frequency")),
         ("lr", ("linear", "weights")),
         ("enc", ("parameters", 0)),
         ("enc", ("parameters", -1)),
@@ -215,7 +286,7 @@ class TestHostileBundles:
         elif hostile == "byte length":
             stored["base64"] = base64.b64encode(raw[8:]).decode()
         elif hostile == "big-endian dtype":
-            stored["dtype"] = ">f8"
+            stored["dtype"] = ">" + stored["dtype"][1:]
         elif hostile == "bool in shape":
             stored["shape"] = [True] * len(stored["shape"]) or [True]
         elif hostile == "float in shape":
@@ -237,6 +308,7 @@ class TestHostileBundles:
             return np.frombuffer(base64.b64decode(tensor["base64"]), "<f8").tolist()
 
         if arm == "lr":
+            as_v2(doc, work)
             for section, key in (("vectorizer", "idf"), ("linear", "weights")):
                 doc[section][key] = values(doc[section][key])
         else:
@@ -244,6 +316,15 @@ class TestHostileBundles:
                 {"name": e["name"], "shape": e["shape"], "values": values(e)}
                 for e in doc["parameters"]
             ]
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    def test_v2_document_is_a_version_error(self, work, arm):
+        # Version 2 stored the LR tokens and frequencies as lists, and idf.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        doc["format_version"] = 2
+        if arm == "lr":
+            as_v2(doc, work)
         assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
 
     def test_huge_ngram_max_predicts_like_the_bundle_as_trained(self, work, tmp_path):

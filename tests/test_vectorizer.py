@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from abusivetext.vectorizer import (
     Rows,
     SparseVector,
     TfIdfConfig,
+    TfIdfModel,
     fit,
     tokenize,
     transform,
@@ -139,6 +141,34 @@ class TestFit:
         tokens = m1.tokens
         assert tokens == sorted(tokens)
 
+    def test_document_frequencies_are_one_int64_array(self):
+        model = fit(["a b", "a c"])
+        assert model.document_frequency.dtype == np.int64
+        assert model.document_frequency.tolist() == [2, 1, 1]
+
+    @pytest.mark.parametrize("dfs", [
+        [2, 1, 1],
+        np.array([2.0, 1.0, 1.0]),
+        np.array([2, 1, 1], dtype=np.int32),
+        np.array([2, 1], dtype=np.int64),
+        np.array([[2, 1, 1]], dtype=np.int64),
+    ])
+    def test_document_frequencies_of_another_type_or_shape_rejected(self, dfs):
+        with pytest.raises(ValueError, match="int64 array of shape"):
+            TfIdfModel(tokens=["a", "b", "c"], document_frequency=dfs, n_documents=2)
+
+    @pytest.mark.parametrize("tokens", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
+    def test_tokens_not_strictly_ascending_rejected(self, tokens):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            TfIdfModel(tokens, np.ones(len(tokens), dtype=np.int64), n_documents=1)
+
+    def test_equality_compares_document_frequencies(self):
+        model = fit(["a b", "a c", "b c"])
+        other = TfIdfModel(model.tokens, np.array([1, 2, 2]), n_documents=3)
+        assert other != model
+        assert other.idf.tolist() != model.idf.tolist()
+        assert TfIdfModel(model.tokens, model.document_frequency.copy(), 3) == model
+
 
 class TestTransform:
     def test_hand_computed_weights(self):
@@ -189,7 +219,7 @@ class TestInvariants:
         ]
         model = fit(corpus)
         for doc in corpus + ["zz zz", ""]:
-            norm = transform(model, doc).norm()
+            norm = math.sqrt(sum(w * w for _, w in transform(model, doc).entries))
             assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
     def test_entries_sorted_and_nonzero(self):
