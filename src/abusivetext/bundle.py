@@ -17,9 +17,9 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Iterable
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .textprep import CleanPolicy
 from .vectorizer import TfIdfConfig, TfIdfModel, transform_rows
 
 FORMAT_VERSION = 3
+# Top-level keys of every bundle; each payload adds its own SECTIONS.
+_BUNDLE_KEYS = ("format_version", "model_kind", "language_tag", "preprocessing",
+                "train_config", "training_report", "provenance")
 
 # Rows encoded per block when the encoder scores texts, far more than
 # predict_probs runs per forward pass: alternating small encode and forward
@@ -43,10 +46,24 @@ def _require(condition: bool, message: str) -> None:
         raise BundleInconsistentError(message)
 
 
-def _section(doc: dict, key: str) -> dict:
+def _require_keys(obj: dict, keys: Iterable[str], what: str) -> None:
+    """obj holds exactly the keys the writer writes: a key load would not
+    read is rejected, not dropped by the next save."""
+    expected = set(keys)
+    extra, missing = sorted(obj.keys() - expected), sorted(expected - obj.keys())
+    _require(not extra and not missing, f"{what} has unexpected keys {extra}, missing {missing}")
+
+
+def _section(doc: dict, key: str, keys: Iterable[str]) -> dict:
     value = doc[key]
     _require(isinstance(value, dict), f"bundle section {key!r} must be an object")
+    _require_keys(value, keys, f"bundle section {key!r}")
     return value
+
+
+def _record(cls: type, doc: dict, key: str) -> Any:
+    """The dataclass ``cls`` built from section doc[key], which asdict wrote."""
+    return cls(**_section(doc, key, [f.name for f in fields(cls)]))
 
 
 def encode_tensor(values: Any, dtype: str = "<f8") -> dict[str, Any]:
@@ -97,6 +114,7 @@ def decode_tensor(
 @dataclass
 class TfIdfLrPayload:
     KIND: ClassVar[str] = "tfidf_lr"
+    SECTIONS: ClassVar[tuple[str, ...]] = ("vectorizer", "linear")
 
     tfidf: TfIdfModel
     linear: LinearModel
@@ -124,7 +142,9 @@ class TfIdfLrPayload:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TfIdfLrPayload":
-        vec = _section(doc, "vectorizer")
+        vec = _section(
+            doc, "vectorizer", ("config", "n_documents", "tokens", "document_frequency")
+        )
         text = vec["tokens"]
         _require(isinstance(text, str), "vectorizer tokens must be one string")
         tokens = text.split()
@@ -135,9 +155,9 @@ class TfIdfLrPayload:
             tokens=tokens,
             document_frequency=dfs,
             n_documents=vec["n_documents"],
-            config=TfIdfConfig(**_section(vec, "config")),
+            config=_record(TfIdfConfig, vec, "config"),
         )
-        lin = _section(doc, "linear")
+        lin = _section(doc, "linear", ("dimension", "weights", "bias"))
         _require(
             lin["dimension"] == tfidf.dimension,
             "linear dimension does not match vocabulary size",
@@ -150,14 +170,15 @@ class TfIdfLrPayload:
         return cls(
             tfidf=tfidf,
             linear=linear,
-            train_config=TrainConfigLR(**_section(doc, "train_config")),
-            report=TrainReportLR(**_section(doc, "training_report")),
+            train_config=_record(TrainConfigLR, doc, "train_config"),
+            report=_record(TrainReportLR, doc, "training_report"),
         )
 
 
 @dataclass
 class MicroEncoderPayload:
     KIND: ClassVar[str] = "micro_encoder"
+    SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "encoder_config", "parameters")
 
     tokenizer: enc.SubwordTokenizer
     model: enc.EncoderModel
@@ -189,16 +210,16 @@ class MicroEncoderPayload:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MicroEncoderPayload":
-        tok = _section(doc, "tokenizer")
+        tok = _section(doc, "tokenizer", ("specials", "pieces", "merges"))
         _require(
-            tok.get("specials") == {"cls": enc.CLS_ID, "pad": enc.PAD_ID, "unk": enc.UNK_ID},
+            tok["specials"] == {"cls": enc.CLS_ID, "pad": enc.PAD_ID, "unk": enc.UNK_ID},
             "tokenizer special ids are not the expected ones",
         )
         tokenizer = enc.SubwordTokenizer(
             pieces=[bytes.fromhex(p) for p in tok["pieces"]],
             merges=[(bytes.fromhex(a), bytes.fromhex(b)) for a, b in tok["merges"]],
         )
-        config = enc.EncoderConfig(**_section(doc, "encoder_config"))
+        config = _record(enc.EncoderConfig, doc, "encoder_config")
         entries = doc["parameters"]
         # Every layer owns tensors; checked first, a huge n_layers builds no shapes.
         _require(config.n_layers <= len(entries), "more layers than parameter tensors")
@@ -218,8 +239,8 @@ class MicroEncoderPayload:
         return cls(
             tokenizer=tokenizer,
             model=enc.EncoderModel(params, config, tokenizer.vocab_size),
-            train_config=enc.TrainConfigEnc(**_section(doc, "train_config")),
-            report=enc.TrainReportEnc(**_section(doc, "training_report")),
+            train_config=_record(enc.TrainConfigEnc, doc, "train_config"),
+            report=_record(enc.TrainReportEnc, doc, "training_report"),
         )
 
 
@@ -335,14 +356,15 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     payload_class = PAYLOADS.get(kind) if isinstance(kind, str) else None
     if payload_class is None:
         raise BundleInconsistentError(f"unknown model_kind {kind!r}")
+    _require_keys(doc, _BUNDLE_KEYS + payload_class.SECTIONS, "bundle")
     try:
-        policy = CleanPolicy(**_section(doc, "preprocessing"))
+        policy = _record(CleanPolicy, doc, "preprocessing")
         payload = payload_class.from_doc(doc)
         return ModelBundle(
             language_tag=doc["language_tag"],
             policy=policy,
             payload=payload,
-            provenance=Provenance(**_section(doc, "provenance")),
+            provenance=_record(Provenance, doc, "provenance"),
         )
     except BundleInconsistentError:
         raise

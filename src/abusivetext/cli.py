@@ -318,10 +318,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"  {line}")
 
     def cleaned(split: DatasetSplit) -> Pairs:
-        return [
-            (textprep.preprocess(ex.text, config.preprocessing), ex.label)
-            for ex in split.examples
-        ]
+        texts = textprep.preprocess_all(
+            [ex.text for ex in split.examples], config.preprocessing
+        )
+        return [(text, ex.label) for text, ex in zip(texts, split.examples)]
 
     dev = dev_bytes = None
     if config.dev_path:
@@ -349,7 +349,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     bundle = bundlemod.deserialize_bundle(_read_file(args.model))
     split = parse_dataset(_read_file(args.input), FileFormat(args.format))
     probs = bundle.payload.probabilities(
-        [textprep.preprocess(ex.text, bundle.policy) for ex in split.examples]
+        textprep.preprocess_all([ex.text for ex in split.examples], bundle.policy)
     )
     lines = ["id\tprobability\tlabel"]
     for example, p in zip(split.examples, probs):

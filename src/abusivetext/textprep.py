@@ -5,6 +5,12 @@ All rules are Unicode-aware so Tamil and Malayalam script content (letters
 and their dependent vowel signs) survives intact. Removed characters become
 spaces, never deletions, so "word!word" does not fuse into "wordword";
 a final whitespace collapse cleans up the slack.
+
+Every step is word-local, which ``preprocess_all`` relies on: a URL match
+stops at whitespace (the regex and ``str.split`` agree on what that is), the
+translate table maps each code point to one and whitespace to itself, and the
+collapse is split/join. A future step must keep this, or ``preprocess_all``
+must stop cleaning word by word.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .checks import check_fields
 
@@ -123,3 +130,20 @@ def preprocess(text: str, policy: CleanPolicy = DEFAULT_POLICY) -> str:
     if policy.collapse_whitespace:
         text = collapse_whitespace(text)
     return text
+
+
+def preprocess_all(texts: Sequence[str], policy: CleanPolicy = DEFAULT_POLICY) -> list[str]:
+    """preprocess of each text. With the whitespace collapse on, each distinct
+    word is cleaned once per call, kept in a dict that dies with the call, and
+    each text is the join of its words' non-empty results."""
+    if not policy.collapse_whitespace:
+        return [preprocess(text, policy) for text in texts]
+    memo: dict[str, str] = {}
+    cleaned = []
+    for text in texts:
+        words = text.split()
+        for word in words:
+            if word not in memo:
+                memo[word] = preprocess(word, policy)
+        cleaned.append(" ".join(filter(None, map(memo.__getitem__, words))))
+    return cleaned

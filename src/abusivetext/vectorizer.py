@@ -58,6 +58,8 @@ class TfIdfModel:
 
     def __post_init__(self):
         check_fields(self)
+        if self.n_documents < 1:
+            raise ValueError("n_documents must be >= 1")
         self.token_to_index = {token: i for i, token in enumerate(self.tokens)}
         # The distinct tokens in sorted order: equal only if strictly ascending.
         if self.tokens != sorted(self.token_to_index):
@@ -118,12 +120,10 @@ def tokenize(text: str, ngram_max: int = 1) -> list[str]:
     """
     words = text.split()
     tokens = list(words)
-    # No n-gram is longer than the text, whatever ngram_max says.
+    # No n-gram is longer than the text, whatever ngram_max says. zip over
+    # the n shifted copies yields each window; the joins run in C.
     for n in range(2, min(ngram_max, len(words)) + 1):
-        tokens.extend(
-            NGRAM_SEPARATOR.join(words[i : i + n])
-            for i in range(len(words) - n + 1)
-        )
+        tokens += map(NGRAM_SEPARATOR.join, zip(*(words[i:] for i in range(n))))
     return tokens
 
 
@@ -209,25 +209,25 @@ def transform_rows(model: TfIdfModel, texts: Sequence[str]) -> Rows:
     out-of-vocabulary tokens dropped. Rows are L2-normalized when configured,
     each norm summed in index order; an all-OOV text is an empty row."""
     lookup = model.token_to_index.get
-    lengths, found, counts = [], [], []
+    lengths, found = [], []
     for text in texts:
-        before = len(found)
-        for token, count in Counter(tokenize(text, model.config.ngram_max)).items():
-            index = lookup(token)
-            if index is not None:
-                found.append(index)
-                counts.append(count)
-        lengths.append(len(found) - before)
-    rows = Rows.of(np.array(lengths, dtype=np.intp), found, counts, model.dimension)
-    # Each row's entries sorted by index, the rows kept in order.
-    order = np.lexsort((rows.indices, rows.row_of_entry))
-    indices = rows.indices[order]
-    data = rows.data[order] * model.idf[indices]
+        hits = [i for i in map(lookup, tokenize(text, model.config.ngram_max)) if i is not None]
+        found += hits
+        lengths.append(len(hits))
+    # One key per (row, index) hit: sorted and counted, they are the entries
+    # in CSR order with their raw counts.
+    dimension = model.dimension
+    row_of_hit = np.repeat(np.arange(len(texts)), lengths)
+    keys, counts = np.unique(row_of_hit * dimension + np.array(found, dtype=np.intp),
+                             return_counts=True)
+    row_of_entry, indices = np.divmod(keys, dimension)
+    rows = Rows.of(np.bincount(row_of_entry, minlength=len(texts)), indices, counts, dimension)
+    data = rows.data * model.idf[rows.indices]
     if model.config.l2_normalize:
         # bincount adds each row's squares one by one, in entry order.
         squares = np.bincount(rows.row_of_entry, weights=data * data, minlength=rows.n_rows)
         data = data / np.sqrt(squares)[rows.row_of_entry]
-    return rows._replace(indices=indices, data=data)
+    return rows._replace(data=data)
 
 
 def transform(model: TfIdfModel, text: str) -> SparseVector:

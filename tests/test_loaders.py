@@ -57,6 +57,10 @@ def work(tmp_path_factory):
         "model_path": str(root / "lr.bundle.json"), "model_kind": "tfidf_lr",
         "seed": 1, "tfidf": {"ngram_max": 2}, "lr": {"epochs": 3},
     }))
+    (root / "lr0.json").write_text(json.dumps({
+        "train_path": str(root / "train.tsv"), "model_path": str(root / "lr0.bundle.json"),
+        "model_kind": "tfidf_lr", "seed": 1, "tfidf": {"max_vocab": 0}, "lr": {"epochs": 1},
+    }))
     (root / "enc.json").write_text(json.dumps({
         "train_path": str(root / "train.tsv"), "dev_path": str(root / "dev.tsv"),
         "model_path": str(root / "enc.bundle.json"), "model_kind": "micro_encoder",
@@ -68,6 +72,7 @@ def work(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["train", "--config", str(root / "lr.json")]) == 0
         assert cli.main(["train", "--config", str(root / "enc.json")]) == 0
+        assert cli.main(["train", "--config", str(root / "lr0.json")]) == 0
     return root
 
 
@@ -222,6 +227,8 @@ class TestHostileBundles:
         ("lr", ("linear", "bias"), 10**400),
         ("lr", ("language_tag",), []),
         ("lr", ("vectorizer", "n_documents"), 40.5),
+        ("lr0", ("vectorizer", "n_documents"), -5),
+        ("lr0", ("vectorizer", "n_documents"), 0),
         ("lr", ("vectorizer", "tokens"), 12345),
         ("lr", ("vectorizer", "tokens"), 0.5),
         ("lr", ("vectorizer", "tokens"), {"a": 1}),
@@ -242,6 +249,53 @@ class TestHostileBundles:
                 node = node[key]
             value = value(node)
         assert predict_with(work, with_value(doc, path, value)) == (5, ["BUNDLE_INCONSISTENT"])
+
+    def test_zero_token_bundle_predicts(self, work):
+        doc = json.loads((work / "lr0.bundle.json").read_text())
+        assert doc["vectorizer"]["tokens"] == ""
+        assert predict_with(work, doc) == (0, [])
+
+    @pytest.mark.parametrize("arm, section, key, value", [
+        ("lr", ("vectorizer",), "idf", "idf tensor"),
+        ("lr", ("linear",), "note", 1),
+        ("lr", (), "note", 1),
+        ("lr", ("vectorizer", "config"), "lowercase", True),
+        ("lr", ("preprocessing",), "note", None),
+        ("enc", (), "vocab_size", 40),
+        ("enc", ("tokenizer",), "vocab_size", 40),
+        ("enc", ("tokenizer", "specials"), "mask", 3),
+        ("enc", ("encoder_config",), "note", 0.1),
+        ("enc", ("provenance",), "host", "x"),
+        ("enc", ("training_report",), "note", []),
+    ])
+    def test_stray_key_rejected_as_inconsistent(self, work, arm, section, key, value):
+        # A key load would not read, which a re-save would drop.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        if value == "idf tensor":  # the version 2 layout kept it here
+            value = store(bd.load_bundle(work / "lr.bundle.json").payload.tfidf.idf, "<f8")
+        node = doc
+        for name in section:
+            node = node[name]
+        node[key] = value
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm, section, key", [
+        ("lr", ("preprocessing",), "strip_digits"),
+        ("lr", ("vectorizer", "config"), "l2_normalize"),
+        ("lr", ("train_config",), "seed"),
+        ("lr", (), "training_report"),
+        ("enc", ("tokenizer",), "merges"),
+        ("enc", ("encoder_config",), "max_length"),
+        ("enc", (), "parameters"),
+    ])
+    def test_missing_key_rejected_as_inconsistent(self, work, arm, section, key):
+        # Defaults are not filled in: the writer writes every key.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        node = doc
+        for name in section:
+            node = node[name]
+        del node[key]
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_VOCABULARY))
     def test_hostile_vocabulary_rejected_as_inconsistent(self, work, name):

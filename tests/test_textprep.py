@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abusivetext import textprep
 from abusivetext.textprep import (
     _URL_RE,
     CleanPolicy,
@@ -13,6 +14,7 @@ from abusivetext.textprep import (
     collapse_whitespace,
     lowercase_latin,
     preprocess,
+    preprocess_all,
     remove_urls,
     strip_specials,
 )
@@ -292,3 +294,58 @@ class TestTranslateTable:
         for flags in range(32):
             policy = CleanPolicy(*(bool(flags >> bit & 1) for bit in range(5)))
             assert preprocess(text, policy) == reference_preprocess(text, policy)
+
+
+# Whitespace that str.split and the URL regex both split on, URL prefixes that
+# may start mid-word (U+017F folds to "s" under IGNORECASE), and word pieces.
+_BATCH_PIECES = st.one_of(
+    st.sampled_from([
+        "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2028",
+        "\u3000", " ", "\t", "http://", "WWW.", "httpſ://", "a", "Ab", "x!y",
+        "İ", "٣", TAMIL_WORD, "😀",
+    ]),
+    _ANY_CHAR,
+)
+_BATCH_TEXTS = st.lists(_BATCH_PIECES, max_size=16).map("".join)
+
+
+class TestPreprocessAll:
+    def test_every_code_point_in_one_batch(self):
+        # Each code point inside a word, and each after "www." in a run of
+        # URLs: a whitespace code point must end the URL it follows, exactly
+        # as it ends the word, and no other code point may.
+        texts = []
+        for start in range(0, 0x110000, 64):
+            chunk = [chr(c) for c in range(start, start + 64)]
+            texts += ["a".join(chunk), "".join(f"www.{ch}a" for ch in chunk)]
+        assert preprocess_all(texts) == [preprocess(t) for t in texts]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_BATCH_TEXTS, max_size=8), st.integers(0, 31))
+    def test_equals_per_text_preprocess_under_every_policy(self, texts, flags):
+        # Repeated texts share words, so the memo is read as well as filled.
+        policy = CleanPolicy(*(bool(flags >> bit & 1) for bit in range(5)))
+        texts = texts + texts[:2]
+        assert preprocess_all(texts, policy) == [preprocess(t, policy) for t in texts]
+
+    def test_each_call_cleans_its_distinct_words_anew(self, monkeypatch):
+        seen = []
+
+        def counting(text, policy=DEFAULT_POLICY):
+            seen.append(text)
+            return preprocess(text, policy)
+
+        monkeypatch.setattr(textprep, "preprocess", counting)
+        texts = ["Hello hello  world", "world HELLO", "", "x!y hello"]
+        first = preprocess_all(texts)
+        assert sorted(seen) == ["HELLO", "Hello", "hello", "world", "x!y"]
+        seen.clear()
+        assert preprocess_all(texts) == first == ["hello hello world", "world hello", "", "x y hello"]
+        assert sorted(seen) == ["HELLO", "Hello", "hello", "world", "x!y"]
+
+    def test_without_collapse_each_text_is_cleaned_whole(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(textprep, "preprocess", lambda text, policy: seen.append(text))
+        policy = CleanPolicy(collapse_whitespace=False)
+        preprocess_all(["a  b", "a  b"], policy)
+        assert seen == ["a  b", "a  b"]

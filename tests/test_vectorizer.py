@@ -44,11 +44,24 @@ def oracle_vectors(
     return weights
 
 
+def reference_tokenize(text: str, ngram_max: int = 1) -> list[str]:
+    """Each n-gram joined from its own slice of the words, unigrams first:
+    the oracle for the zip-based n-grams tokenize builds."""
+    words = text.split()
+    tokens = list(words)
+    for n in range(2, min(ngram_max, len(words)) + 1):
+        tokens.extend(
+            NGRAM_SEPARATOR.join(words[i : i + n])
+            for i in range(len(words) - n + 1)
+        )
+    return tokens
+
+
 def reference_transform(model, text: str) -> SparseVector:
-    """The per-row transform: sorted (index, weight) tuples, the norm's
-    squares added one by one in index order. The oracle for the arrays
-    transform_rows builds."""
-    counts = Counter(tokenize(text, model.config.ngram_max))
+    """The per-row transform: a Counter of the row's tokens, sorted (index,
+    weight) tuples, the norm's squares added one by one in index order. The
+    oracle for the arrays transform_rows builds."""
+    counts = Counter(reference_tokenize(text, model.config.ngram_max))
     token_to_index = model.token_to_index
     entries = sorted(
         (token_to_index[token], count * model.idf[token_to_index[token]])
@@ -92,6 +105,15 @@ class TestTokenize:
 
     def test_trigram_shorter_than_n(self):
         assert tokenize("a b", ngram_max=3) == ["a", "b", f"a{NGRAM_SEPARATOR}b"]
+
+    @given(
+        st.lists(st.sampled_from(["a", "b", "cc", "a", " ", "  ", "\t", "\u3000"]),
+                 max_size=14).map("".join),
+        st.integers(1, 6),
+    )
+    def test_matches_the_sliced_reference(self, text, ngram_max):
+        # Texts of fewer words than ngram_max included.
+        assert tokenize(text, ngram_max) == reference_tokenize(text, ngram_max)
 
     @given(st.lists(st.sampled_from("abc"), max_size=8).map(" ".join))
     def test_ngram_max_beyond_the_text_changes_nothing(self, text):
@@ -258,22 +280,27 @@ class TestInvariants:
 
 WORDS = st.sampled_from(["a", "b", "c", "dd", "e", "ff", "zz"])
 TEXTS = st.lists(WORDS, max_size=12).map(" ".join)
+# Rows to transform: the corpus words, repeated, and words no corpus holds,
+# so rows may be empty, all out of vocabulary, or count a token many times.
+QUERIES = st.lists(WORDS | st.sampled_from(["oov", "qq"]), max_size=12).map(" ".join)
 
 
 class TestTransformRows:
     @settings(deadline=None)
     @given(
         corpus=st.lists(TEXTS, min_size=1, max_size=8),
-        texts=st.lists(TEXTS, max_size=10),
-        ngram_max=st.integers(1, 3),
+        texts=st.lists(QUERIES | st.sampled_from(["", "oov qq oov"]), max_size=10),
+        ngram_max=st.integers(1, 4),
         l2_normalize=st.booleans(),
+        min_df=st.integers(1, 3),
         max_vocab=st.none() | st.integers(0, 6),
     )
     def test_bit_equal_to_the_per_row_reference(
-        self, corpus, texts, ngram_max, l2_normalize, max_vocab
+        self, corpus, texts, ngram_max, l2_normalize, min_df, max_vocab
     ):
         config = TfIdfConfig(
-            ngram_max=ngram_max, l2_normalize=l2_normalize, max_vocab=max_vocab
+            ngram_max=ngram_max, l2_normalize=l2_normalize, min_df=min_df,
+            max_vocab=max_vocab,
         )
         model = fit(corpus, config)
         expected = Rows.pack(
