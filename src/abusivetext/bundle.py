@@ -335,7 +335,8 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
 
     Raises BundleVersionError for any format_version other than the current
     one, and BundleInconsistentError for anything else the document gets
-    wrong: an unknown model_kind, a section that is not an object, or
+    wrong: an unknown model_kind, a section that is not an object, a key
+    the writer does not write or a missing one, or
     payload pieces that do not agree with each other (wrong array lengths,
     missing tensors, bad shapes, stored tensors that do not decode).
     """
