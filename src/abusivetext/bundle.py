@@ -25,6 +25,7 @@ import numpy as np
 
 from . import encoder as enc
 from .checks import check_fields
+from .configs import MICRO_ENCODER, TFIDF_LR
 from .errors import BundleInconsistentError, BundleVersionError
 from .linear import LinearModel, TrainConfigLR, TrainReportLR, predict_probas
 from .textprep import CleanPolicy
@@ -113,7 +114,7 @@ def decode_tensor(
 
 @dataclass
 class TfIdfLrPayload:
-    KIND: ClassVar[str] = "tfidf_lr"
+    KIND: ClassVar[str] = TFIDF_LR
     SECTIONS: ClassVar[tuple[str, ...]] = ("vectorizer", "linear")
 
     tfidf: TfIdfModel
@@ -177,7 +178,7 @@ class TfIdfLrPayload:
 
 @dataclass
 class MicroEncoderPayload:
-    KIND: ClassVar[str] = "micro_encoder"
+    KIND: ClassVar[str] = MICRO_ENCODER
     SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "encoder_config", "parameters")
 
     tokenizer: enc.SubwordTokenizer

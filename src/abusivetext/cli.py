@@ -24,12 +24,18 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import bundle as bundlemod
-from . import encoder as enc
-from . import linear, metrics, textprep, vectorizer
+from . import metrics, textprep
 from .checks import check_fields
+from .configs import (
+    MICRO_ENCODER,
+    TFIDF_LR,
+    EncoderConfig,
+    TfIdfConfig,
+    TrainConfigEnc,
+    TrainConfigLR,
+)
 from .corpus import (
     DatasetSplit,
     FileFormat,
@@ -52,6 +58,11 @@ from .errors import (
     MalformedRow,
     UnknownLabel,
 )
+
+# The numpy modules (bundle and the arms it imports) are imported only by
+# the commands that train or predict, so the others start without numpy.
+if TYPE_CHECKING:
+    from . import bundle as bundlemod
 
 SEED_ENV_VAR = "ABUSIVETEXT_SEED"
 
@@ -79,23 +90,23 @@ class RunConfig:
     train_path: str | None = None
     dev_path: str | None = None
     model_path: str | None = None
-    model_kind: str = bundlemod.TfIdfLrPayload.KIND
+    model_kind: str = TFIDF_LR
     language_tag: str = ""
     format: str = "tsv"
     seed: int | None = None
     preprocessing: textprep.CleanPolicy = field(default_factory=textprep.CleanPolicy)
-    tfidf: vectorizer.TfIdfConfig = field(default_factory=vectorizer.TfIdfConfig)
-    lr: linear.TrainConfigLR = field(default_factory=linear.TrainConfigLR)
-    encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
-    encoder_train: enc.TrainConfigEnc = field(default_factory=enc.TrainConfigEnc)
+    tfidf: TfIdfConfig = field(default_factory=TfIdfConfig)
+    lr: TrainConfigLR = field(default_factory=TrainConfigLR)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    encoder_train: TrainConfigEnc = field(default_factory=TrainConfigEnc)
     encoder_vocab_size: int = 512
 
     _NESTED = {
         "preprocessing": textprep.CleanPolicy,
-        "tfidf": vectorizer.TfIdfConfig,
-        "lr": linear.TrainConfigLR,
-        "encoder": enc.EncoderConfig,
-        "encoder_train": enc.TrainConfigEnc,
+        "tfidf": TfIdfConfig,
+        "lr": TrainConfigLR,
+        "encoder": EncoderConfig,
+        "encoder_train": TrainConfigEnc,
     }
 
     def __post_init__(self):
@@ -257,6 +268,8 @@ Pairs = list[tuple[str, Label]]
 def _train_tfidf_lr(
     config: RunConfig, train: Pairs, dev: Pairs | None
 ) -> bundlemod.TfIdfLrPayload:
+    from . import bundle as bundlemod, linear, vectorizer
+
     texts, labels = [text for text, _ in train], [label for _, label in train]
     tfidf = vectorizer.fit(texts, config.tfidf)
     model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config.lr)
@@ -279,6 +292,8 @@ def _train_micro_encoder(
         raise DevRequiredError(
             "the micro_encoder arm evaluates on dev every epoch; supply --dev"
         )
+    from . import bundle as bundlemod, encoder as enc
+
     tokenizer = enc.train_subword([text for text, _ in train], config.encoder_vocab_size)
     model, report = enc.train_encoder(
         train, dev, tokenizer, config.encoder, config.encoder_train
@@ -292,13 +307,12 @@ def _train_micro_encoder(
     )
 
 
-_TRAINERS = {
-    bundlemod.TfIdfLrPayload.KIND: _train_tfidf_lr,
-    bundlemod.MicroEncoderPayload.KIND: _train_micro_encoder,
-}
+_TRAINERS = {TFIDF_LR: _train_tfidf_lr, MICRO_ENCODER: _train_micro_encoder}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+
     config = _load_run_config(args)
     if not config.train_path:
         raise ValueError("no training file configured (use --train or the config file)")
@@ -346,8 +360,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+
     bundle = bundlemod.deserialize_bundle(_read_file(args.model))
-    split = parse_dataset(_read_file(args.input), FileFormat(args.format))
+    # The labels are never used, so an odd or missing label column is fine.
+    split = parse_dataset(
+        _read_file(args.input), FileFormat(args.format), has_labels=False
+    )
     probs = bundle.payload.probabilities(
         textprep.preprocess_all([ex.text for ex in split.examples], bundle.policy)
     )

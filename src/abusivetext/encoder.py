@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .checks import check_fields
+from .configs import EncoderConfig, TrainConfigEnc
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
 from .linear import sigmoid
@@ -285,51 +286,6 @@ def encode_batch(
 # ---------------------------------------------------------------------------
 # Model configuration and parameters
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 128
-    max_length: int = 128
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self)
-        for name in ("d_model", "n_heads", "n_layers", "d_ff", "max_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
-
-
-@dataclass(frozen=True)
-class TrainConfigEnc:
-    """Fine-tuning-style regime: fixed epoch count, per-epoch dev evaluation,
-    no early stopping. The 1e-5 default step size is far too small for
-    from-scratch training; raise it explicitly for desk-scale runs."""
-
-    learning_rate: float = 1e-5
-    epochs: int = 5
-    batch_size: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
 
 @dataclass
 class TrainReportEnc:

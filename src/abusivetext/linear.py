@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import check_fields
+from .configs import TrainConfigLR
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyData, LengthMismatch, TrainingDiverged
 from .metrics import PROB_CEIL, PROB_FLOOR
@@ -56,30 +57,6 @@ class LinearModel:
             and self.bias == other.bias
             and np.array_equal(self.weights, other.weights)
         )
-
-
-@dataclass(frozen=True)
-class TrainConfigLR:
-    """Training hyperparameters. None of these come from any published
-    recipe; they are toolkit defaults chosen for reproducible desk-scale runs."""
-
-    learning_rate: float = 0.1
-    epochs: int = 50
-    batch_size: int = 32
-    l2_penalty: float = 1e-4
-    seed: int = 0
-    shuffle: bool = True
-
-    def __post_init__(self):
-        check_fields(self)
-        # lr = 0 is allowed: "no update" runs are useful as a baseline check.
-        for name in ("learning_rate", "l2_penalty"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

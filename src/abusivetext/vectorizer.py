@@ -17,28 +17,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .checks import check_fields
+from .configs import TfIdfConfig
 from .errors import DimensionMismatch, EmptyCorpus
 
 # Joins the words of an n-gram; preprocessing strips this code point from
 # real text, so joined n-grams can never collide with a literal token.
 NGRAM_SEPARATOR = "␟"
-
-
-@dataclass(frozen=True)
-class TfIdfConfig:
-    min_df: int = 1
-    max_vocab: int | None = None
-    ngram_max: int = 1
-    l2_normalize: bool = True
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.min_df < 1:
-            raise ValueError("min_df must be >= 1")
-        if self.ngram_max < 1:
-            raise ValueError("ngram_max must be >= 1")
-        if self.max_vocab is not None and self.max_vocab < 0:
-            raise ValueError("max_vocab must be >= 0")
 
 
 @dataclass

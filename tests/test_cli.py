@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: happy paths, exit codes, and reproducibility."""
+import argparse
 import base64
 import hashlib
 import io
@@ -14,7 +15,7 @@ import pytest
 
 import abusivetext
 from abusivetext import bundle as bd
-from abusivetext import cli, linear, vectorizer
+from abusivetext import cli, configs, linear, vectorizer
 from abusivetext.corpus import (
     FileFormat,
     Label,
@@ -614,6 +615,30 @@ class TestPredictReadsInputOnce:
         assert run_cli("stats", "--input", str(unlabeled)) == 0
         assert "unlabeled:    2" in capsys.readouterr().out
 
+    def test_label_column_is_not_read(self, tmp_path, synth_files):
+        # Predictions are the same bytes whether the input's labels are
+        # valid, unknown or missing: predict reads only id and text.
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
+        rows = [line.split("\t") for line in dev.read_text().splitlines()]
+        assert rows[0] == ["id", "text", "label"]
+        variants = {
+            "valid": rows,
+            "unknown": [rows[0]] + [[i, t, "maybe"] for i, t, _ in rows[1:]],
+            "missing": [[i, t] for i, t, _ in rows],
+        }
+        outputs = {}
+        for name, variant in variants.items():
+            source = tmp_path / f"{name}.tsv"
+            source.write_text("".join("\t".join(r) + "\n" for r in variant))
+            preds = tmp_path / f"{name}-preds.tsv"
+            assert run_cli(
+                "predict", "--model", str(out), "--input", str(source), "--out", str(preds)
+            ) == 0
+            outputs[name] = preds.read_bytes()
+        assert outputs["unknown"] == outputs["valid"] == outputs["missing"]
+
 
 class TestReadmeRecipe:
     def test_encoder_recipe_reaches_high_dev_macro_f1(
@@ -673,6 +698,21 @@ class TestRunConfig:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "23")
         config = cli.RunConfig(seed=5).resolve_seed()
         assert config.seed == 5
+
+    def test_model_kinds_have_one_source(self):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        [kind] = [a for a in sub.choices["train"]._actions if a.dest == "model_kind"]
+        assert kind.choices == list(bd.PAYLOADS) == [configs.TFIDF_LR, configs.MICRO_ENCODER]
+        assert cli.RunConfig().model_kind == configs.TFIDF_LR
+        assert all(cls.KIND == name for name, cls in bd.PAYLOADS.items())
+        # The names are spelled out as string literals in configs.py alone.
+        src = Path(cli.__file__).parent
+        for name in (configs.TFIDF_LR, configs.MICRO_ENCODER):
+            literal = re.compile(f"[\"']{name}[\"']")
+            spelled = [path.name for path in sorted(src.glob("*.py"))
+                       for _ in literal.finditer(path.read_text(encoding="utf-8"))]
+            assert spelled == ["configs.py"], (name, spelled)
 
 
 class TestProvenance:

@@ -1,5 +1,6 @@
 """Logistic regression: sigmoid stability, gradient correctness via central
 finite differences, and training behavior on tiny instances."""
+import json
 import math
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import abusivetext
 from abusivetext import vectorizer
-from abusivetext.corpus import Label, synth_corpus
+from abusivetext.corpus import Label, synth_corpus, write_dataset
 from abusivetext.errors import DimensionMismatch, EmptyData, TrainingDiverged
 from abusivetext.linear import (
     LinearModel,
@@ -134,6 +135,92 @@ class TestSigmoid:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "False"
+
+
+# Runs each argv through cli.main in one fresh interpreter and prints, as
+# its last line, the numpy and package modules loaded after the import and
+# after each command.
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from abusivetext import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("abusivetext."))
+
+seen = {{"import": [0, loaded()]}}
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen[" ".join(argv)] = [code, loaded()]
+print(json.dumps(seen))
+"""
+ARRAY_MODULES = {
+    "numpy",
+    "abusivetext.bundle",
+    "abusivetext.encoder",
+    "abusivetext.linear",
+    "abusivetext.vectorizer",
+}
+
+
+def run_fresh(*commands: list[str]) -> dict[str, list]:
+    """{"import" or joined argv: [exit code, modules loaded after it]}."""
+    src = Path(abusivetext.__file__).resolve().parents[1]
+    code = RUN_COMMANDS.format(src=str(src), commands=[list(c) for c in commands])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input="Hello  WORLD http://x.y\n",
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestCliLoadsNumpyOnlyToTrainOrPredict:
+    """Only train and predict import the array modules; every other command,
+    and the CLI's own import, starts without numpy."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        data = tmp_path / "data.tsv"
+        data.write_bytes(write_dataset(synth_corpus(3, 6)))
+        preds = tmp_path / "preds.tsv"
+        rows = [line.split("\t") for line in data.read_text().splitlines()[1:]]
+        preds.write_text(
+            "id\tprobability\tlabel\n"
+            + "".join(f"{r[0]}\t0.500000\t{r[2]}\n" for r in rows)
+        )
+        return tmp_path, data, preds
+
+    def test_light_commands_load_no_numpy(self, files):
+        tmp_path, data, preds = files
+        seen = run_fresh(
+            ["stats", "--input", str(data)],
+            ["preprocess", "--keep-case"],
+            ["synth", "--seed", "1", "--n-per-class", "2", "--out", str(tmp_path / "s.tsv")],
+            ["evaluate", "--gold", str(data), "--pred", str(preds)],
+            ["--help"],
+            ["stats", "--input", str(tmp_path / "missing.tsv")],
+        )
+        codes = {command: code for command, (code, _) in seen.items()}
+        assert list(codes.values()) == [0, 0, 0, 0, 0, 0, 2], codes
+        for command, (_, modules) in seen.items():
+            assert ARRAY_MODULES.isdisjoint(modules), (command, modules)
+            assert "abusivetext.configs" in modules
+
+    def test_train_and_predict_load_numpy(self, files):
+        tmp_path, data, _ = files
+        model = tmp_path / "m.json"
+        for argv in (
+            ["train", "--train", str(data), "--out", str(model), "--seed", "1"],
+            ["predict", "--model", str(model), "--input", str(data),
+             "--out", str(tmp_path / "p.tsv")],
+        ):
+            (_, imported), (code, modules) = run_fresh(argv).values()
+            assert ARRAY_MODULES.isdisjoint(imported)
+            assert code == 0 and ARRAY_MODULES <= set(modules), (argv, modules)
 
 
 class TestPredictProba:
