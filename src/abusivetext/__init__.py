@@ -3,11 +3,9 @@ text: TF-IDF + logistic regression and a desk-scale transformer encoder, with
 exact macro-F1 evaluation arithmetic and a reproducible CLI."""
 
 from .corpus import (
-    DatasetSplit,
     DatasetStats,
     Label,
     LabeledExample,
-    SplitName,
     compute_stats,
     map_label,
     parse_dataset,
@@ -21,11 +19,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CleanPolicy",
     "ConfusionMatrix",
-    "DatasetSplit",
     "DatasetStats",
     "Label",
     "LabeledExample",
-    "SplitName",
     "class_report",
     "compute_stats",
     "confusion",

@@ -37,13 +37,12 @@ from .configs import (
     TrainConfigLR,
 )
 from .corpus import (
-    DatasetSplit,
     FileFormat,
     Label,
-    SplitName,
+    LabeledExample,
     compute_stats,
-    map_label,
     parse_dataset,
+    read_examples,
     read_table,
     synth_corpus,
     write_dataset,
@@ -193,8 +192,8 @@ def _read_file(path: str | Path) -> bytes:
     return p.read_bytes()
 
 
-def _stats_lines(split: DatasetSplit) -> list[str]:
-    stats = compute_stats(split)
+def _stats_lines(examples: Sequence[LabeledExample]) -> list[str]:
+    stats = compute_stats(examples)
     return [
         f"total:        {stats.total}",
         f"abusive:      {stats.per_label[Label.ABUSIVE]}",
@@ -235,8 +234,8 @@ def _print_report_table(cm: metrics.ConfusionMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    split = parse_dataset(_read_file(args.input), FileFormat(args.format))
-    for line in _stats_lines(split):
+    examples = parse_dataset(_read_file(args.input), FileFormat(args.format))
+    for line in _stats_lines(examples):
         print(line)
     return EXIT_OK
 
@@ -249,15 +248,16 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         lowercase_latin=not args.keep_case,
         strip_digits=args.strip_digits,
     )
-    for line in sys.stdin:
-        print(textprep.preprocess(line.rstrip("\n"), policy))
+    lines = [line.rstrip("\n") for line in sys.stdin]
+    for cleaned in textprep.preprocess_all(lines, policy):
+        print(cleaned)
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    split = synth_corpus(seed=args.seed, n_per_class=args.n_per_class)
-    Path(args.out).write_bytes(write_dataset(split, FileFormat(args.format)))
-    print(f"wrote {len(split.examples)} examples to {args.out}")
+    examples = synth_corpus(seed=args.seed, n_per_class=args.n_per_class)
+    Path(args.out).write_bytes(write_dataset(examples, FileFormat(args.format)))
+    print(f"wrote {len(examples)} examples to {args.out}")
     return EXIT_OK
 
 
@@ -324,26 +324,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown model_kind {kind!r}")
 
     train_bytes = _read_file(config.train_path)
-    train_split = parse_dataset(
-        train_bytes, FileFormat(config.format), has_labels=True, name=SplitName.TRAIN
-    )
+    train_examples = parse_dataset(train_bytes, FileFormat(config.format), has_labels=True)
     print(f"train split ({config.train_path}):")
-    for line in _stats_lines(train_split):
+    for line in _stats_lines(train_examples):
         print(f"  {line}")
 
-    def cleaned(split: DatasetSplit) -> Pairs:
-        texts = textprep.preprocess_all(
-            [ex.text for ex in split.examples], config.preprocessing
-        )
-        return [(text, ex.label) for text, ex in zip(texts, split.examples)]
+    def cleaned(examples: tuple[LabeledExample, ...]) -> Pairs:
+        texts = textprep.preprocess_all([ex.text for ex in examples], config.preprocessing)
+        return [(text, ex.label) for text, ex in zip(texts, examples)]
 
     dev = dev_bytes = None
     if config.dev_path:
         dev_bytes = _read_file(config.dev_path)
-        dev = cleaned(parse_dataset(
-            dev_bytes, FileFormat(config.format), has_labels=True, name=SplitName.DEV
-        ))
-    payload = trainer(config, cleaned(train_split), dev)
+        dev = cleaned(parse_dataset(dev_bytes, FileFormat(config.format), has_labels=True))
+    payload = trainer(config, cleaned(train_examples), dev)
     run_config = {
         key: value for key, value in config.to_dict().items()
         if key not in ("train_path", "dev_path", "model_path")
@@ -364,14 +358,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     bundle = bundlemod.deserialize_bundle(_read_file(args.model))
     # The labels are never used, so an odd or missing label column is fine.
-    split = parse_dataset(
+    examples = parse_dataset(
         _read_file(args.input), FileFormat(args.format), has_labels=False
     )
     probs = bundle.payload.probabilities(
-        textprep.preprocess_all([ex.text for ex in split.examples], bundle.policy)
+        textprep.preprocess_all([ex.text for ex in examples], bundle.policy)
     )
     lines = ["id\tprobability\tlabel"]
-    for example, p in zip(split.examples, probs):
+    for example, p in zip(examples, probs):
         lines.append(f"{example.id}\t{p:.6f}\t{metrics.decide(p).to_text()}")
     Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(probs)} predictions to {args.out}")
@@ -379,35 +373,27 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _parse_predictions(data: bytes) -> dict[str, Label]:
-    """Read predictions TSV bytes (id, probability, label) into id -> label."""
+    """Read predictions TSV bytes (id, probability, label) into id -> label.
+    Only the id and label columns are read, row by row as a dataset's are."""
     header_line, columns, rows = read_table(data, FileFormat.TSV)
     if "id" not in columns or "label" not in columns:
         raise MalformedRow(header_line, "predictions header must name 'id' and 'label'")
-    out: dict[str, Label] = {}
-    for number, cells in rows:
-        row_id = cells[columns["id"]].strip()
-        if row_id in out:
-            raise MalformedRow(number, f"duplicate id {row_id!r}")
-        try:
-            out[row_id] = map_label(cells[columns["label"]])
-        except UnknownLabel as exc:
-            raise MalformedRow(number, str(exc)) from exc
-    return out
+    id_and_label = {"id": columns["id"], "label": columns["label"]}
+    return {ex.id: ex.label for ex in read_examples(id_and_label, rows, has_labels=True)}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gold_split = parse_dataset(
-        _read_file(args.gold), FileFormat(args.format), has_labels=True,
-        name=SplitName.DEV,
+    gold_examples = parse_dataset(
+        _read_file(args.gold), FileFormat(args.format), has_labels=True
     )
     predictions = _parse_predictions(_read_file(args.pred))
-    gold_ids = [ex.id for ex in gold_split.examples]
+    gold_ids = [ex.id for ex in gold_examples]
     missing_in_pred = [i for i in gold_ids if i not in predictions]
     gold_id_set = set(gold_ids)
     missing_in_gold = [i for i in predictions if i not in gold_id_set]
     if missing_in_pred or missing_in_gold:
         raise IdMismatchError(missing_in_pred[:10], missing_in_gold[:10])
-    gold = [ex.label for ex in gold_split.examples]
+    gold = [ex.label for ex in gold_examples]
     pred = [predictions[i] for i in gold_ids]
     cm = metrics.confusion(gold, pred)
     _print_report_table(cm)

@@ -15,7 +15,7 @@ import io
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import BinaryIO, Iterator
+from typing import Iterator, Sequence
 
 from .errors import EncodingError, MalformedRow, UnknownLabel
 
@@ -46,12 +46,6 @@ def map_label(raw: str) -> Label:
     raise UnknownLabel(raw)
 
 
-class SplitName(str, enum.Enum):
-    TRAIN = "train"
-    DEV = "dev"
-    TEST = "test"
-
-
 @dataclass(frozen=True)
 class LabeledExample:
     """One comment. ``label`` is None for unlabeled test data."""
@@ -66,51 +60,22 @@ class LabeledExample:
 
 
 @dataclass(frozen=True)
-class DatasetSplit:
-    name: SplitName
-    examples: tuple[LabeledExample, ...]
-    language_tag: str = ""
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for ex in self.examples:
-            if ex.id in seen:
-                raise ValueError(f"duplicate example id: {ex.id!r}")
-            seen.add(ex.id)
-        if self.name in (SplitName.TRAIN, SplitName.DEV):
-            for ex in self.examples:
-                if ex.label is None:
-                    raise ValueError(
-                        f"{self.name.value} split requires a label on every example "
-                        f"(example {ex.id!r} has none)"
-                    )
-
-    def texts(self) -> list[str]:
-        return [ex.text for ex in self.examples]
-
-    def labels(self) -> list[Label]:
-        return [ex.label for ex in self.examples if ex.label is not None]
-
-
-@dataclass(frozen=True)
 class DatasetStats:
     total: int
     per_label: dict[Label, int]
     unlabeled: int
 
 
-def compute_stats(split: DatasetSplit) -> DatasetStats:
+def compute_stats(examples: Sequence[LabeledExample]) -> DatasetStats:
     """Exact per-label and unlabeled counts; total always reconciles."""
     per_label = {Label.NON_ABUSIVE: 0, Label.ABUSIVE: 0}
     unlabeled = 0
-    for ex in split.examples:
+    for ex in examples:
         if ex.label is None:
             unlabeled += 1
         else:
             per_label[ex.label] += 1
-    return DatasetStats(
-        total=len(split.examples), per_label=per_label, unlabeled=unlabeled
-    )
+    return DatasetStats(total=len(examples), per_label=per_label, unlabeled=unlabeled)
 
 
 class FileFormat(str, enum.Enum):
@@ -172,32 +137,19 @@ def read_table(
     return header_line, {cell.strip(): i for i, cell in enumerate(header)}, checked()
 
 
-def parse_dataset(
-    source: BinaryIO | bytes,
-    format: FileFormat = FileFormat.TSV,
-    has_labels: bool | None = None,
-    name: SplitName | None = None,
-    language_tag: str = "",
-) -> DatasetSplit:
-    """Parse a UTF-8 TSV/CSV byte stream into a DatasetSplit, preserving row order.
+def read_examples(
+    columns: dict[str, int], rows: Iterator[tuple[int, list[str]]], has_labels: bool
+) -> Iterator[LabeledExample]:
+    """The row loop of every table reader, datasets and predictions files
+    alike: one LabeledExample per data row of read_table.
 
-    Labels are read when the header names a ``label`` column (``has_labels``
-    True requires one, False ignores it), and the split then defaults to
-    TRAIN, otherwise to TEST. Raises MalformedRow (with the offending file
-    line) for wrong column counts, unknown labels, empty text, or duplicate
-    ids, and EncodingError for invalid UTF-8. When no ``id`` column exists,
-    ids are synthesized as ``row-<k>`` from the 0-based data-row index.
+    The id is the stripped ``id`` cell, or ``row-<k>`` from the 0-based
+    data-row index when ``columns`` has no ``id``; the text is the ``text``
+    cell, or empty when ``columns`` has no ``text``. An empty or repeated id,
+    an empty ``text`` cell and, with ``has_labels``, a label map_label
+    refuses are each a MalformedRow at the row's file line.
     """
-    data = source if isinstance(source, bytes) else source.read()
-    header_line, columns, rows = read_table(data, format)
-    if "text" not in columns:
-        raise MalformedRow(header_line, "header does not name a 'text' column")
-    if has_labels is None:
-        has_labels = "label" in columns
-    elif has_labels and "label" not in columns:
-        raise MalformedRow(header_line, "header does not name a 'label' column")
-
-    examples: list[LabeledExample] = []
+    text_column = columns.get("text")
     seen_ids: set[str] = set()
     for index, (number, cells) in enumerate(rows):
         example_id = (
@@ -208,8 +160,8 @@ def parse_dataset(
         if example_id in seen_ids:
             raise MalformedRow(number, f"duplicate id {example_id!r}")
         seen_ids.add(example_id)
-        text_value = cells[columns["text"]]
-        if text_value == "":
+        text = "" if text_column is None else cells[text_column]
+        if text_column is not None and text == "":
             raise MalformedRow(number, "empty text")
         label: Label | None = None
         if has_labels:
@@ -217,13 +169,26 @@ def parse_dataset(
                 label = map_label(cells[columns["label"]])
             except UnknownLabel as exc:
                 raise MalformedRow(number, str(exc)) from exc
-        examples.append(LabeledExample(id=example_id, text=text_value, label=label))
+        yield LabeledExample(id=example_id, text=text, label=label)
 
-    if name is None:
-        name = SplitName.TRAIN if has_labels else SplitName.TEST
-    return DatasetSplit(
-        name=name, examples=tuple(examples), language_tag=language_tag
-    )
+
+def parse_dataset(
+    data: bytes, format: FileFormat = FileFormat.TSV, has_labels: bool | None = None
+) -> tuple[LabeledExample, ...]:
+    """Parse UTF-8 TSV/CSV bytes into their examples, in file order.
+
+    Labels are read when the header names a ``label`` column (``has_labels``
+    True requires one, False ignores it). The header must name ``text``;
+    rows are checked by read_examples, and invalid UTF-8 is an EncodingError.
+    """
+    header_line, columns, rows = read_table(data, format)
+    if "text" not in columns:
+        raise MalformedRow(header_line, "header does not name a 'text' column")
+    if has_labels is None:
+        has_labels = "label" in columns
+    elif has_labels and "label" not in columns:
+        raise MalformedRow(header_line, "header does not name a 'label' column")
+    return tuple(read_examples(columns, rows, has_labels))
 
 
 # Token pools for the synthetic generator. The class pools never overlap, so
@@ -268,12 +233,8 @@ class VocabProfile:
 
 
 def synth_corpus(
-    seed: int,
-    n_per_class: int,
-    profile: VocabProfile = VocabProfile(),
-    name: SplitName = SplitName.TRAIN,
-    language_tag: str = "synthetic",
-) -> DatasetSplit:
+    seed: int, n_per_class: int, profile: VocabProfile = VocabProfile()
+) -> tuple[LabeledExample, ...]:
     """Generate a balanced, lexically separable corpus. Pure function of its
     arguments: the same seed always yields byte-identical examples."""
     if n_per_class < 1:
@@ -300,24 +261,25 @@ def synth_corpus(
                 words.insert(rng.randrange(len(words) + 1), url)
             drafts.append((" ".join(words), label))
     rng.shuffle(drafts)
-    examples = tuple(
+    return tuple(
         LabeledExample(id=f"synth-{i:04d}", text=text, label=label)
         for i, (text, label) in enumerate(drafts)
     )
-    return DatasetSplit(name=name, examples=examples, language_tag=language_tag)
 
 
-def write_dataset(split: DatasetSplit, format: FileFormat = FileFormat.TSV) -> bytes:
-    """Serialize a split back to file bytes (id, text, and label when present).
+def write_dataset(
+    examples: Sequence[LabeledExample], format: FileFormat = FileFormat.TSV
+) -> bytes:
+    """Serialize examples back to file bytes (id, text, and label when present).
 
     Inverse of parse_dataset for round-trip tooling; TSV refuses texts
     containing tabs or newlines rather than corrupting the table.
     """
-    labeled = all(ex.label is not None for ex in split.examples)
+    labeled = all(ex.label is not None for ex in examples)
     header = ["id", "text"] + (["label"] if labeled else [])
     if format is FileFormat.TSV:
         lines = ["\t".join(header)]
-        for ex in split.examples:
+        for ex in examples:
             if "\t" in ex.text or "\n" in ex.text or "\t" in ex.id:
                 raise ValueError(f"example {ex.id!r} cannot be written as TSV")
             row = [ex.id, ex.text]
@@ -328,7 +290,7 @@ def write_dataset(split: DatasetSplit, format: FileFormat = FileFormat.TSV) -> b
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for ex in split.examples:
+    for ex in examples:
         row = [ex.id, ex.text]
         if labeled:
             row.append(ex.label.to_text())

@@ -594,20 +594,6 @@ def embedding_gradient(ids: np.ndarray, dx: np.ndarray, vocab_size: int) -> np.n
     return sums.reshape(vocab_size, d)
 
 
-def forward(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> float:
-    """Probability that one encoded sequence is Abusive."""
-    ids = np.asarray(ids, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if ids.shape != (model.config.max_length,):
-        raise DimensionMismatch(
-            f"ids must have length {model.config.max_length}, got {ids.shape}"
-        )
-    probs, _ = forward_batch(
-        model.params, model.config, ids[None, :], mask[None, :]
-    )
-    return float(probs[0])
-
-
 def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut a padded batch to its longest real row (at least one column).
 
@@ -633,17 +619,6 @@ def predict_probs(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> np.
             model.params, model.config, *trim_padding(ids[block], mask[block])
         )
     return probs
-
-
-def attention_maps(
-    model: EncoderModel, ids: np.ndarray, mask: np.ndarray
-) -> list[np.ndarray]:
-    """Per-layer attention probabilities for one sequence: (n_heads, L, L)
-    for every layer but the last, whose map is the CLS row, (n_heads, 1, L)."""
-    _, cache = forward_batch(
-        model.params, model.config, ids[None, :], mask[None, :]
-    )
-    return [layer["attn"][0] for layer in cache["layers"]]
 
 
 # ---------------------------------------------------------------------------

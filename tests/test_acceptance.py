@@ -20,7 +20,6 @@ from abusivetext import cli
 from abusivetext import encoder as enc
 from abusivetext.corpus import (
     Label,
-    SplitName,
     VocabProfile,
     compute_stats,
     parse_dataset,
@@ -125,21 +124,20 @@ def test_criterion_5_encoder_gradient_check():
 def test_criterion_6_masking_invariance():
     tokenizer = enc.train_subword(["some words here", "other words there"], 48)
     config = enc.EncoderConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, max_length=16)
-    model = enc.EncoderModel(
-        enc.init_params(config, tokenizer.vocab_size, seed=3),
-        config,
-        tokenizer.vocab_size,
-    )
+    from test_encoder import forward_one_row
+
+    params = enc.init_params(config, tokenizer.vocab_size, seed=3)
     ids, mask = enc.encode(tokenizer, "some other words", config.max_length)
-    reference = enc.forward(model, ids, mask)
+    reference, attention = forward_one_row(params, config, ids, mask)
     rng = np.random.default_rng(12)
     tail = int(mask.sum())
     assert tail < config.max_length
     for _ in range(20):
         mutated = ids.copy()
         mutated[tail:] = rng.integers(0, tokenizer.vocab_size, ids.size - tail)
-        assert abs(enc.forward(model, mutated, mask) - reference) < 1e-6
-    for attn in enc.attention_maps(model, ids, mask):
+        p, _ = forward_one_row(params, config, mutated, mask)
+        assert abs(p - reference) < 1e-6
+    for attn in attention:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
 
@@ -147,15 +145,16 @@ def test_criterion_6_masking_invariance():
 def test_criterion_7_end_to_end_separable():
     # TF-IDF + LR arm on synth_corpus(seed 7, 200 per class).
     train = synth_corpus(7, 200)
-    dev = synth_corpus(8, 60, name=SplitName.DEV)
-    train_texts = [preprocess(t) for t in train.texts()]
-    dev_texts = [preprocess(t) for t in dev.texts()]
+    dev = synth_corpus(8, 60)
+    train_texts = [preprocess(ex.text) for ex in train]
+    dev_texts = [preprocess(ex.text) for ex in dev]
     tfidf = fit(train_texts)
     model, _ = train_lr(
-        transform_rows(tfidf, train_texts), train.labels(), TrainConfigLR(seed=7)
+        transform_rows(tfidf, train_texts), [ex.label for ex in train],
+        TrainConfigLR(seed=7),
     )
     pred = [decide(p) for p in predict_probas(model, transform_rows(tfidf, dev_texts))]
-    assert macro_f1(confusion(dev.labels(), pred)) >= 0.95
+    assert macro_f1(confusion([ex.label for ex in dev], pred)) >= 0.95
 
     # Micro-encoder overfit: 64 examples, step size raised to 1e-3, one
     # example per update for 200 epochs (12800 updates) -> accuracy 1.0.
@@ -164,8 +163,8 @@ def test_criterion_7_end_to_end_separable():
         profile=VocabProfile(words_min=3, words_max=6, keywords_min=2,
                              keywords_max=4, url_rate=0.0, punct_rate=0.0),
     )
-    toy_texts = [preprocess(t) for t in toy.texts()]
-    pairs = list(zip(toy_texts, toy.labels()))
+    toy_texts = [preprocess(ex.text) for ex in toy]
+    pairs = list(zip(toy_texts, [ex.label for ex in toy]))
     tokenizer = enc.train_subword(toy_texts, vocab_size=160)
     config = enc.EncoderConfig(d_model=32, n_heads=2, n_layers=1, d_ff=64, max_length=16)
     train_config = enc.TrainConfigEnc(
@@ -187,7 +186,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     train = tmp_path / "train.tsv"
     dev = tmp_path / "dev.tsv"
     train.write_bytes(write_dataset(synth_corpus(7, 30)))
-    dev.write_bytes(write_dataset(synth_corpus(8, 12, name=SplitName.DEV)))
+    dev.write_bytes(write_dataset(synth_corpus(8, 12)))
 
     arm_configs = {
         "tfidf_lr": {"lr": {"epochs": 10}},

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from abusivetext import bundle, cli
-from abusivetext.corpus import SplitName, synth_corpus, write_dataset
+from abusivetext.corpus import synth_corpus, write_dataset
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,7 +44,7 @@ def run(*argv: str) -> None:
 def test_traced_pipeline_restores_names_and_counts_the_model(tracer, tmp_path, arm):
     train, dev = tmp_path / "train.tsv", tmp_path / "dev.tsv"
     train.write_bytes(write_dataset(synth_corpus(7, 20)))
-    dev.write_bytes(write_dataset(synth_corpus(8, 8, name=SplitName.DEV)))
+    dev.write_bytes(write_dataset(synth_corpus(8, 8)))
     config, model = tmp_path / "run.json", tmp_path / "m.json"
     config.write_text(json.dumps({
         "train_path": str(train), "dev_path": str(dev), "model_path": str(model),

@@ -33,14 +33,14 @@ def lr_bundle_of(texts, labels, tfidf_config=vectorizer.TfIdfConfig()):
 @pytest.fixture(scope="module")
 def tfidf_lr_bundle():
     split = synth_corpus(3, 12)
-    return lr_bundle_of([preprocess(t) for t in split.texts()], split.labels())
+    return lr_bundle_of([preprocess(ex.text) for ex in split], [ex.label for ex in split])
 
 
 @pytest.fixture(scope="module")
 def encoder_bundle():
     split = synth_corpus(4, 8)
-    texts = [preprocess(t) for t in split.texts()]
-    pairs = list(zip(texts, split.labels()))
+    pairs = [(preprocess(ex.text), ex.label) for ex in split]
+    texts = [text for text, _ in pairs]
     tokenizer = enc.train_subword(texts, vocab_size=72)
     config = enc.EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=12)
     train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4, seed=5)
@@ -105,8 +105,9 @@ class TestRoundTrip:
 
     def test_zero_token_vocabulary_round_trips(self):
         split = synth_corpus(3, 12)
-        texts = [preprocess(t) for t in split.texts()]
-        bundle = lr_bundle_of(texts, split.labels(), vectorizer.TfIdfConfig(max_vocab=0))
+        texts = [preprocess(ex.text) for ex in split]
+        labels = [ex.label for ex in split]
+        bundle = lr_bundle_of(texts, labels, vectorizer.TfIdfConfig(max_vocab=0))
         raw = bd.serialize_bundle(bundle)
         vec = json.loads(raw)["vectorizer"]
         assert vec["tokens"] == "" and vec["document_frequency"]["shape"] == [0]

@@ -3,6 +3,7 @@ import argparse
 import base64
 import hashlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -19,12 +20,11 @@ from abusivetext import cli, configs, linear, vectorizer
 from abusivetext.corpus import (
     FileFormat,
     Label,
-    SplitName,
     parse_dataset,
     synth_corpus,
     write_dataset,
 )
-from abusivetext.textprep import CleanPolicy
+from abusivetext.textprep import CleanPolicy, preprocess
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,7 +43,7 @@ def synth_files(tmp_path):
     train = tmp_path / "train.tsv"
     dev = tmp_path / "dev.tsv"
     train.write_bytes(write_dataset(synth_corpus(7, 40)))
-    dev.write_bytes(write_dataset(synth_corpus(8, 15, name=SplitName.DEV)))
+    dev.write_bytes(write_dataset(synth_corpus(8, 15)))
     return train, dev
 
 
@@ -119,6 +119,55 @@ class TestStatsAndPreprocess:
         )
         assert run_cli("preprocess") == 0
         assert capsys.readouterr().out == "check now\nsecond line\n"
+
+    # \r\n endings, a lone \r, blank lines, a missing final newline, and no
+    # input at all.
+    PREPROCESS_INPUTS = (
+        "Check https://x.co NOW!!\r\nsecond LINE 42\r\n",
+        "lone\rcarriage www.ex.com/a\n\n  \n\nநல்ல படம் 2025 Super!!\n",
+        "no final newline https://t.co/x ÀB  c",
+        "",
+    )
+
+    @pytest.mark.parametrize("flags", itertools.product((False, True), repeat=5))
+    def test_preprocess_matches_per_line_cleaning(self, flags, monkeypatch, capsys):
+        keep_urls, keep_specials, keep_whitespace, keep_case, strip_digits = flags
+        argv = [
+            flag for flag, on in zip(
+                ("--keep-urls", "--keep-specials", "--keep-whitespace",
+                 "--keep-case", "--strip-digits"),
+                flags,
+            ) if on
+        ]
+        policy = CleanPolicy(
+            remove_urls=not keep_urls, strip_specials=not keep_specials,
+            collapse_whitespace=not keep_whitespace, lowercase_latin=not keep_case,
+            strip_digits=strip_digits,
+        )
+        for text in self.PREPROCESS_INPUTS:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert run_cli("preprocess", *argv) == 0
+            expected = "".join(
+                preprocess(line.rstrip("\n"), policy) + "\n" for line in io.StringIO(text)
+            )
+            assert capsys.readouterr().out == expected
+
+    def test_preprocess_reads_real_stdin_untranslated(self):
+        # Through a real pipe, \r\n is not translated, so with the whitespace
+        # kept the \r reaches the output.
+        text = "".join(self.PREPROCESS_INPUTS)
+        proc = subprocess.run(
+            [sys.executable, "-m", "abusivetext.cli", "preprocess",
+             "--keep-whitespace", "--keep-specials"],
+            input=text.encode(), capture_output=True, check=True,
+            cwd=Path(abusivetext.__file__).resolve().parents[1],
+        )
+        policy = CleanPolicy(strip_specials=False, collapse_whitespace=False)
+        expected = "".join(
+            preprocess(line.rstrip("\n"), policy) + "\n" for line in io.StringIO(text)
+        )
+        assert b"\r" in proc.stdout
+        assert proc.stdout == expected.encode()
 
 
 class TestTrainPredictEvaluate:
@@ -218,7 +267,7 @@ class TestTrainPredictEvaluate:
         run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out, epochs=40)))
         preds = tmp_path / "train-preds.tsv"
         run_cli("predict", "--model", str(out), "--input", str(train), "--out", str(preds))
-        gold = {ex.id: ex.label for ex in parse_dataset(train.read_bytes()).examples}
+        gold = {ex.id: ex.label for ex in parse_dataset(train.read_bytes())}
         agree = 0
         rows = preds.read_text().splitlines()[1:]
         for row in rows:
@@ -436,7 +485,7 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         doc["encoder"]["max_length"] = 1099511627776
         path.write_text(json.dumps(doc))
-        assert len(parse_dataset(train.read_bytes()).texts()) * 2**40 * 8 > 2**47
+        assert len(parse_dataset(train.read_bytes())) * 2**40 * 8 > 2**47
         assert run_cli("train", "--config", str(path)) == 1
         captured = capsys.readouterr()
         [line] = error_lines(captured.err)
@@ -554,6 +603,43 @@ class TestPredictionsFile:
         gold, preds = gold_and_predictions(tmp_path)
         lines = preds.read_text().splitlines()
         preds.write_bytes(("\r\n".join(lines[:4] + [""] + lines[4:]) + "\r\n").encode())
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 0
+        assert "macro F1:  1.0000" in capsys.readouterr().out
+
+
+class TestOneRowReader:
+    """Datasets (read by stats) and predictions files (read by evaluate) go
+    through one row loop, so a bad row ends the same way in either."""
+
+    @pytest.mark.parametrize("reader", ["stats", "evaluate"])
+    @pytest.mark.parametrize("row_id, label, message", [
+        (" ", "Abusive", "empty id"),
+        ("g0", "Abusive", "duplicate id 'g0'"),
+        ("g3", "maybe", "unknown label: 'maybe'"),
+    ])
+    def test_bad_row_is_malformed_at_its_file_line(
+        self, tmp_path, capsys, reader, row_id, label, message
+    ):
+        gold, preds = gold_and_predictions(tmp_path)
+        path = gold if reader == "stats" else preds
+        lines = path.read_text().splitlines()
+        cells = lines[4].split("\t")  # file line 5, the row of g3
+        cells[0], cells[-1] = row_id, label
+        lines[4] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        argv = {
+            "stats": ["stats", "--input", str(gold)],
+            "evaluate": ["evaluate", "--gold", str(gold), "--pred", str(preds)],
+        }[reader]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"ERROR MALFORMED_ROW: row 5: {message}\n"
+
+    def test_predictions_read_only_id_and_label(self, tmp_path, capsys):
+        # An empty cell in a column evaluate does not read is no fault.
+        gold, preds = gold_and_predictions(tmp_path)
+        lines = preds.read_text().splitlines()
+        lines = [lines[0] + "\ttext"] + [line + "\t" for line in lines[1:]]
+        preds.write_text("\n".join(lines) + "\n")
         assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 0
         assert "macro F1:  1.0000" in capsys.readouterr().out
 

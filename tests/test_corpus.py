@@ -4,11 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from abusivetext.corpus import (
-    DatasetSplit,
     FileFormat,
     Label,
     LabeledExample,
-    SplitName,
     VocabProfile,
     compute_stats,
     map_label,
@@ -58,27 +56,24 @@ class TestParseDataset:
             "c\tthird comment\tabusive",
         )
         split = parse_dataset(data)
-        assert [ex.id for ex in split.examples] == ["a", "b", "c"]
-        assert [ex.label for ex in split.examples] == [Label(1), Label(0), Label(1)]
+        assert [ex.id for ex in split] == ["a", "b", "c"]
+        assert [ex.label for ex in split] == [Label(1), Label(0), Label(1)]
 
     def test_ids_synthesized_from_row_index(self):
         data = tsv("text\tlabel", "one\tAbusive", "two\tNon-Abusive")
         split = parse_dataset(data)
-        assert [ex.id for ex in split.examples] == ["row-0", "row-1"]
+        assert [ex.id for ex in split] == ["row-0", "row-1"]
 
     def test_unlabeled_parse(self):
         data = tsv("id\ttext", "x\thello there")
         split = parse_dataset(data, has_labels=False)
-        assert split.examples[0].label is None
-        assert split.name is SplitName.TEST
+        assert split[0].label is None
 
     def test_header_decides_whether_labels_are_read(self):
         labeled = parse_dataset(tsv("id\ttext\tlabel", "x\thi\tAbusive"))
-        assert labeled.name is SplitName.TRAIN
-        assert labeled.examples[0].label is Label.ABUSIVE
+        assert labeled[0].label is Label.ABUSIVE
         unlabeled = parse_dataset(tsv("id\ttext", "x\thi"))
-        assert unlabeled.name is SplitName.TEST
-        assert unlabeled.examples[0].label is None
+        assert unlabeled[0].label is None
 
     def test_required_label_column_missing(self):
         with pytest.raises(MalformedRow) as exc:
@@ -111,7 +106,7 @@ class TestParseDataset:
     def test_duplicate_texts_allowed(self):
         # Scraped comments repeat; only ids must be unique.
         data = tsv("id\ttext\tlabel", "a\tsame\tAbusive", "b\tsame\tAbusive")
-        assert len(parse_dataset(data).examples) == 2
+        assert len(parse_dataset(data)) == 2
 
     def test_empty_text_rejected_on_ingestion(self):
         data = tsv("id\ttext\tlabel", "a\t\tAbusive")
@@ -133,47 +128,30 @@ class TestParseDataset:
             'b,"two\nlines",Non-Abusive\n'
         ).encode("utf-8")
         split = parse_dataset(data, format=FileFormat.CSV)
-        assert split.examples[0].text == "hello, with comma"
-        assert split.examples[1].text == "two\nlines"
+        assert split[0].text == "hello, with comma"
+        assert split[1].text == "two\nlines"
 
     def test_commas_are_plain_text_in_tsv(self):
         data = tsv("id\ttext\tlabel", "a\thello, world\tAbusive")
-        assert parse_dataset(data).examples[0].text == "hello, world"
+        assert parse_dataset(data)[0].text == "hello, world"
 
     @given(st.integers(min_value=1, max_value=30))
     def test_row_count_and_order_preserved(self, n):
         rows = [f"r{k}\ttext number {k}\tAbusive" for k in range(n)]
         split = parse_dataset(tsv("id\ttext\tlabel", *rows))
-        assert len(split.examples) == n
-        assert [ex.id for ex in split.examples] == [f"r{k}" for k in range(n)]
+        assert len(split) == n
+        assert [ex.id for ex in split] == [f"r{k}" for k in range(n)]
 
     def test_write_then_parse_roundtrip(self):
         split = synth_corpus(5, 10)
         for format in (FileFormat.TSV, FileFormat.CSV):
             again = parse_dataset(write_dataset(split, format), format=format)
-            assert [ex.id for ex in again.examples] == [ex.id for ex in split.examples]
-            assert [ex.text for ex in again.examples] == [ex.text for ex in split.examples]
-            assert [ex.label for ex in again.examples] == [ex.label for ex in split.examples]
+            assert [ex.id for ex in again] == [ex.id for ex in split]
+            assert [ex.text for ex in again] == [ex.text for ex in split]
+            assert [ex.label for ex in again] == [ex.label for ex in split]
 
 
-class TestSplitInvariants:
-    def test_train_split_requires_labels(self):
-        with pytest.raises(ValueError):
-            DatasetSplit(
-                name=SplitName.TRAIN,
-                examples=(LabeledExample(id="a", text="x"),),
-            )
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetSplit(
-                name=SplitName.TEST,
-                examples=(
-                    LabeledExample(id="a", text="x"),
-                    LabeledExample(id="a", text="y"),
-                ),
-            )
-
+class TestLabeledExample:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             LabeledExample(id="", text="x")
@@ -181,7 +159,7 @@ class TestSplitInvariants:
 
 class TestComputeStats:
     def test_empty_split(self):
-        stats = compute_stats(DatasetSplit(name=SplitName.TEST, examples=()))
+        stats = compute_stats(())
         assert stats.total == 0
         assert stats.per_label == {Label.NON_ABUSIVE: 0, Label.ABUSIVE: 0}
         assert stats.unlabeled == 0
@@ -212,7 +190,7 @@ class TestComputeStats:
             )
             for i, c in enumerate(label_codes)
         )
-        stats = compute_stats(DatasetSplit(name=SplitName.TEST, examples=examples))
+        stats = compute_stats(examples)
         assert stats.total == sum(stats.per_label.values()) + stats.unlabeled
 
 
@@ -229,7 +207,7 @@ class TestSynthCorpus:
     def test_seed_changes_texts(self):
         a = synth_corpus(7, 50)
         b = synth_corpus(8, 50)
-        assert [ex.text for ex in a.examples] != [ex.text for ex in b.examples]
+        assert [ex.text for ex in a] != [ex.text for ex in b]
 
     def test_identical_bytes_on_repeated_calls(self):
         assert write_dataset(synth_corpus(7, 50)) == write_dataset(synth_corpus(7, 50))
@@ -241,14 +219,14 @@ class TestSynthCorpus:
     def test_profile_controls_noise(self):
         quiet = VocabProfile(url_rate=0.0, punct_rate=0.0)
         split = synth_corpus(3, 40, profile=quiet)
-        assert not any("http" in ex.text or "www." in ex.text for ex in split.examples)
+        assert not any("http" in ex.text or "www." in ex.text for ex in split)
 
     def test_classes_are_lexically_separable(self):
         # No token from one class pool may appear in the other class's texts.
         split = synth_corpus(11, 60)
         abusive_tokens = set()
         clean_tokens = set()
-        for ex in split.examples:
+        for ex in split:
             target = abusive_tokens if ex.label == Label.ABUSIVE else clean_tokens
             target.update(ex.text.split())
         markers_a = {t for t in abusive_tokens if t not in clean_tokens}

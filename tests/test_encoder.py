@@ -473,67 +473,52 @@ class TestEncoderConfig:
             enc.EncoderConfig(**{field: value})
 
 
+def forward_one_row(params, config, ids, mask):
+    """forward_batch on a batch of one encoded row: (its probability, the
+    per-layer attention maps of that row)."""
+    probs, cache = enc.forward_batch(params, config, ids[None, :], mask[None, :])
+    return float(probs[0]), [layer["attn"][0] for layer in cache["layers"]]
+
+
 class TestForward:
     def test_zero_head_gives_half(self, toy_tokenizer):
         params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=0)
         params["head.w"][:] = 0.0
         params["head.b"] = np.zeros(())
-        model = enc.EncoderModel(params, MICRO_CONFIG, toy_tokenizer.vocab_size)
         ids, mask = enc.encode(toy_tokenizer, "aaab", MICRO_CONFIG.max_length)
-        assert enc.forward(model, ids, mask) == 0.5
+        assert forward_one_row(params, MICRO_CONFIG, ids, mask)[0] == 0.5
 
     def test_attention_rows_sum_to_one(self, toy_tokenizer):
-        model = enc.EncoderModel(
-            enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=1),
-            MICRO_CONFIG,
-            toy_tokenizer.vocab_size,
-        )
+        params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=1)
         ids, mask = enc.encode(toy_tokenizer, "aaab bcd", MICRO_CONFIG.max_length)
-        for attn in enc.attention_maps(model, ids, mask):
+        for attn in forward_one_row(params, MICRO_CONFIG, ids, mask)[1]:
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_masked_keys_get_zero_attention(self, toy_tokenizer):
-        model = enc.EncoderModel(
-            enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=1),
-            MICRO_CONFIG,
-            toy_tokenizer.vocab_size,
-        )
+        params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=1)
         ids, mask = enc.encode(toy_tokenizer, "xyz", MICRO_CONFIG.max_length)
         padded = mask == 0.0
-        for attn in enc.attention_maps(model, ids, mask):
+        for attn in forward_one_row(params, MICRO_CONFIG, ids, mask)[1]:
             assert np.all(attn[:, :, padded] == 0.0)
 
     def test_pad_tail_mutation_is_invisible(self, toy_tokenizer):
-        model = enc.EncoderModel(
-            enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=2),
-            MICRO_CONFIG,
-            toy_tokenizer.vocab_size,
-        )
+        params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=2)
         ids, mask = enc.encode(toy_tokenizer, "hello", MICRO_CONFIG.max_length)
-        reference = enc.forward(model, ids, mask)
+        reference, _ = forward_one_row(params, MICRO_CONFIG, ids, mask)
         rng = np.random.default_rng(5)
         tail = int(mask.sum())
         for _ in range(10):
             mutated = ids.copy()
             mutated[tail:] = rng.integers(0, toy_tokenizer.vocab_size, ids.size - tail)
-            assert abs(enc.forward(model, mutated, mask) - reference) < 1e-6
+            p, _ = forward_one_row(params, MICRO_CONFIG, mutated, mask)
+            assert abs(p - reference) < 1e-6
 
     def test_output_strictly_inside_unit_interval(self, toy_tokenizer):
         params = enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=3)
         params["head.b"] = np.array(80.0)  # force a saturating logit
-        model = enc.EncoderModel(params, MICRO_CONFIG, toy_tokenizer.vocab_size)
         ids, mask = enc.encode(toy_tokenizer, "aaab", MICRO_CONFIG.max_length)
-        p = enc.forward(model, ids, mask)
+        p, _ = forward_one_row(params, MICRO_CONFIG, ids, mask)
         assert 0.0 < p < 1.0
-
-    def test_wrong_length_rejected(self, toy_tokenizer):
-        model = enc.EncoderModel(
-            enc.init_params(MICRO_CONFIG, toy_tokenizer.vocab_size, seed=1),
-            MICRO_CONFIG,
-            toy_tokenizer.vocab_size,
-        )
-        with pytest.raises(DimensionMismatch):
-            enc.forward(model, np.zeros(4, dtype=np.int64), np.ones(4))
 
     def test_shapes_at_layer_boundaries(self, toy_tokenizer):
         # Layer 0 runs every position; the last layer only the CLS row,
@@ -694,8 +679,7 @@ class TestTrainEncoder:
             13, n_per_class,
             profile=VocabProfile(words_min=2, words_max=4, url_rate=0.0, punct_rate=0.0),
         )
-        texts = [preprocess(t) for t in split.texts()]
-        return list(zip(texts, split.labels()))
+        return [(preprocess(ex.text), ex.label) for ex in split]
 
     def test_lr_zero_leaves_parameters_at_init(self):
         pairs = self.small_pairs()
@@ -1072,7 +1056,7 @@ class TestFlatTrainingStep:
             21, 10,
             profile=VocabProfile(words_min=1, words_max=9, url_rate=0.0, punct_rate=0.0),
         )
-        pairs = list(zip([preprocess(t) for t in split.texts()], split.labels()))
+        pairs = [(preprocess(ex.text), ex.label) for ex in split]
         tokenizer = enc.train_subword([t for t, _ in pairs[:14]], vocab_size=48)
         config = enc.EncoderConfig(
             d_model=8, n_heads=2, n_layers=n_layers, d_ff=16, max_length=10,

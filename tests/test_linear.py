@@ -136,6 +136,19 @@ class TestSigmoid:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_every_export_resolves_without_numpy(self):
+        # A name left in __all__ after its definition is gone fails here.
+        src = Path(abusivetext.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import abusivetext; "
+            "missing = [n for n in abusivetext.__all__ if not hasattr(abusivetext, n)]; "
+            "print(missing, 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[] False"
+
 
 # Runs each argv through cli.main in one fresh interpreter and prints, as
 # its last line, the numpy and package modules loaded after the import and
@@ -329,14 +342,14 @@ class TestTrainLr:
 
     def test_non_finite_loss_fails_at_its_epoch(self):
         split = synth_corpus(2, 10)
-        texts = [preprocess(t) for t in split.texts()]
+        texts = [preprocess(ex.text) for ex in split]
         tfidf = vectorizer.fit(texts)
         rows = vectorizer.transform_rows(tfidf, texts)
         config = TrainConfigLR(learning_rate=1e300, epochs=3)
         with np.errstate(all="ignore"), pytest.raises(
             TrainingDiverged, match="epoch 1:"
         ):
-            train_lr(rows, split.labels(), config)
+            train_lr(rows, [ex.label for ex in split], config)
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
@@ -435,11 +448,11 @@ def reference_train_lr(data, config):
 def tfidf_corpus(seed, n_per_class=30, oov_rows=4):
     """TF-IDF rows of a seeded synth corpus, plus all-OOV (zero) rows."""
     split = synth_corpus(seed, n_per_class)
-    texts = [preprocess(t) for t in split.texts()]
+    texts = [preprocess(ex.text) for ex in split]
     model = vectorizer.fit(texts, vectorizer.TfIdfConfig(ngram_max=2))
     data = [
         (vectorizer.transform(model, text), label)
-        for text, label in zip(texts, split.labels())
+        for text, label in zip(texts, (ex.label for ex in split))
     ]
     zero = vectorizer.transform(model, "zzz-never-seen qqq-unknown")
     assert zero.entries == ()

@@ -310,7 +310,7 @@ class TestTransformRows:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_synth_corpus_with_bigrams_and_oov_rows(self, seed):
-        texts = [preprocess(t) for t in synth_corpus(seed, 40).texts()]
+        texts = [preprocess(ex.text) for ex in synth_corpus(seed, 40)]
         model = fit(texts[:50], TfIdfConfig(ngram_max=2))
         texts += ["", "zzz-never-seen"]
         expected = Rows.pack(
