@@ -270,29 +270,35 @@ def synth_corpus(
 def write_dataset(
     examples: Sequence[LabeledExample], format: FileFormat = FileFormat.TSV
 ) -> bytes:
-    """Serialize examples back to file bytes (id, text, and label when present).
+    """Serialize examples to file bytes (id, text, and label when every
+    example has one): the inverse of parse_dataset.
 
-    Inverse of parse_dataset for round-trip tooling; TSV refuses texts
-    containing tabs or newlines rather than corrupting the table.
+    The bytes are parsed back before they are returned, and examples that
+    would not read back unchanged raise ValueError rather than write a table
+    that means something else: a TSV tab or newline, an id with surrounding
+    spaces, a repeated id, an empty text, labels on only some examples.
     """
     labeled = all(ex.label is not None for ex in examples)
     header = ["id", "text"] + (["label"] if labeled else [])
+    rows = [
+        [ex.id, ex.text] + ([ex.label.to_text()] if labeled else [])
+        for ex in examples
+    ]
     if format is FileFormat.TSV:
-        lines = ["\t".join(header)]
-        for ex in examples:
-            if "\t" in ex.text or "\n" in ex.text or "\t" in ex.id:
-                raise ValueError(f"example {ex.id!r} cannot be written as TSV")
-            row = [ex.id, ex.text]
-            if labeled:
-                row.append(ex.label.to_text())
-            lines.append("\t".join(row))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for ex in examples:
-        row = [ex.id, ex.text]
-        if labeled:
-            row.append(ex.label.to_text())
-        writer.writerow(row)
-    return buffer.getvalue().encode("utf-8")
+        lines = ["\t".join(row) for row in [header, *rows]]
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+    else:
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows([header, *rows])
+        data = buffer.getvalue().encode("utf-8")
+    try:
+        read_back = parse_dataset(data, format)
+    except MalformedRow as exc:
+        raise ValueError(f"examples cannot be written as {format.value}: {exc}") from exc
+    # Each example writes one row, so one that reads back as some other
+    # number of rows differs at its own place.
+    for ex, back in zip(examples, read_back):
+        if ex != back:
+            raise ValueError(f"example {ex.id!r} cannot be written as {format.value}")
+    return data

@@ -6,9 +6,9 @@ blocks of masked multi-head self-attention and a ReLU feed-forward, and a
 single-logit sigmoid head read off the CLS position. Padding keys receive a
 -1e30 additive score before the softmax, which makes the output exactly
 invariant to whatever sits in the PAD tail. The head reads nothing but the
-CLS row, so the last layer runs its queries, attention rows, residual, layer
-norms and feed-forward on that row alone; its keys and values still span
-every position.
+CLS row, so the last layer runs its query, attention rows, residual, layer
+norms and feed-forward on that row alone, and folds that one query into its
+key and value weights, so it builds no per-position keys or values.
 
 Tokenization is a corpus-trained byte-pair encoder: specials (CLS/PAD/UNK),
 then the corpus's single bytes, then merged pieces. Bytes never seen in
@@ -160,13 +160,15 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     n_bytes = len(pieces)
     known = set(pieces)
     merges: list[tuple[bytes, bytes]] = []
-    pair_counts: Counter[tuple[bytes, bytes]] = Counter()
+    # A plain dict, not a Counter: a Counter's missing-key hook is a Python
+    # call for every pair that a merge makes.
+    pair_counts: dict[tuple[bytes, bytes], int] = {}
     # The words that held each pair at some point; a listed word may since
     # have lost it, which only costs a scan that finds nothing.
     words_with: defaultdict[tuple[bytes, bytes], set[int]] = defaultdict(set)
     for index, (symbols, freq) in enumerate(words):
         for pair in zip(symbols, symbols[1:]):
-            pair_counts[pair] += freq
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
             words_with[pair].add(index)
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
@@ -183,26 +185,26 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
         changed: set[tuple[bytes, bytes]] = set()
         for index in words_with.pop(best):
             symbols, freq = words[index]
-            i = 0
-            while True:
-                try:
-                    i = symbols.index(a, i)
-                except ValueError:
-                    break
-                if i + 1 < len(symbols) and symbols[i + 1] == b:
+            # Every merge shortens the word by one, hence the moving bound.
+            i, last = 0, len(symbols) - 1
+            while i < last:
+                if symbols[i] == a and symbols[i + 1] == b:
                     symbols[i : i + 2] = (merged,)
+                    last -= 1
                     if i:
                         left = symbols[i - 1]
                         pair_counts[left, a] -= freq
-                        pair_counts[left, merged] += freq
-                        words_with[left, merged].add(index)
-                        changed.update(((left, a), (left, merged)))
-                    if i + 1 < len(symbols):
+                        pair = left, merged
+                        pair_counts[pair] = pair_counts.get(pair, 0) + freq
+                        words_with[pair].add(index)
+                        changed.update(((left, a), pair))
+                    if i < last:
                         right = symbols[i + 1]
                         pair_counts[b, right] -= freq
-                        pair_counts[merged, right] += freq
-                        words_with[merged, right].add(index)
-                        changed.update(((b, right), (merged, right)))
+                        pair = merged, right
+                        pair_counts[pair] = pair_counts.get(pair, 0) + freq
+                        words_with[pair].add(index)
+                        changed.update(((b, right), pair))
                 i += 1
         # A merge removes every occurrence of its pair, so no word keeps it.
         del pair_counts[best]
@@ -384,8 +386,9 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    centred = x - x.mean(axis=-1, keepdims=True)
-    var = (centred**2).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred**2, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centred * inv
     return gamma * xhat + beta, (xhat, inv)
@@ -393,13 +396,14 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
 
 def _layer_norm_backward(dy: np.ndarray, cache, gamma: np.ndarray):
     xhat, inv = cache
+    d = xhat.shape[-1]
     dgamma = (dy * xhat).sum(axis=(0, 1))
     dbeta = dy.sum(axis=(0, 1))
     dxhat = dy * gamma
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
     return dx, dgamma, dbeta
 
@@ -412,6 +416,67 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     b, h, length, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
+
+
+def _head_weights(w: np.ndarray, n_heads: int) -> np.ndarray:
+    """A (d, d) projection as the (n_heads, d, d_head) stack of each head's
+    columns: a view, so adding into it adds into ``w``."""
+    d = w.shape[0]
+    return w.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _self_attention(
+    params: dict[str, np.ndarray], p: str, config: EncoderConfig,
+    x: np.ndarray, key_bias: np.ndarray,
+) -> tuple[np.ndarray, dict]:
+    """Masked multi-head attention with a query at every position: the
+    merged context (batch, length, d) and what the backward pass needs."""
+    q = x @ params[p + "attn.wq"] + params[p + "attn.bq"]
+    k = x @ params[p + "attn.wk"] + params[p + "attn.bk"]
+    v = x @ params[p + "attn.wv"] + params[p + "attn.bv"]
+    qh = _split_heads(q, config.n_heads)
+    kh = _split_heads(k, config.n_heads)
+    vh = _split_heads(v, config.n_heads)
+    scores = qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(config.d_head))
+    scores += key_bias[:, :, None, :]
+    scores -= scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    attn = exp / exp.sum(axis=-1, keepdims=True)
+    return _merge_heads(attn @ vh), dict(qh=qh, kh=kh, vh=vh, attn=attn)
+
+
+def _cls_attention(
+    params: dict[str, np.ndarray], p: str, config: EncoderConfig,
+    x: np.ndarray, key_bias: np.ndarray,
+) -> tuple[np.ndarray, dict]:
+    """Masked multi-head attention for the CLS query alone, with no key or
+    value built: the merged context (batch, 1, d) and what the backward pass
+    needs.
+
+    Head h scores key j as scale * q_h . (x_j W_k,h + b_k,h). The bias term
+    is the same for every key of the row, so the softmax cancels it, and the
+    rest is x_j . u_h with u_h = W_k,h q_h. The attention rows sum to 1, so
+    the context sum_j attn_j (x_j W_v,h + b_v,h) is z_h W_v,h + b_v,h with
+    z_h = sum_j attn_j x_j. Both cost d per key and head where K and V cost
+    d * d per key."""
+    batch, _, d = x.shape
+    n_heads = config.n_heads
+    cls = x[:, :1, :]
+    q = (cls @ params[p + "attn.wq"] + params[p + "attn.bq"]).reshape(batch, n_heads, -1)
+    wk = _head_weights(params[p + "attn.wk"], n_heads)
+    wv = _head_weights(params[p + "attn.wv"], n_heads)
+    # (heads, d, d_head) @ (heads, d_head, batch), then batch first.
+    u = (wk @ q.transpose(1, 2, 0)).transpose(2, 0, 1)
+    scores = u @ x.transpose(0, 2, 1)
+    scores *= 1.0 / math.sqrt(config.d_head)
+    scores += key_bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    attn = exp / exp.sum(axis=-1, keepdims=True)
+    z = attn @ x
+    ctx = (z.transpose(1, 0, 2) @ wv).transpose(1, 0, 2).reshape(batch, 1, d)
+    ctx += params[p + "attn.bv"]
+    return ctx, dict(q=q, u=u, z=z, attn=attn[:, :, None, :])
 
 
 def forward_batch(
@@ -427,9 +492,12 @@ def forward_batch(
     columns of pos_emb. Dropout is applied only when a generator is passed
     (training mode) and the configured rate is nonzero; its masks are drawn
     at full max_length width and sliced, so trimming leaves the random
-    stream unchanged. The last layer computes only the CLS row (the one the
-    head reads), so its cached queries, attention rows and activations have
-    one position."""
+    stream unchanged.
+
+    The last layer computes only the CLS row (the one the head reads) and
+    builds no keys or values (see _cls_attention): its cached attention rows
+    are (batch, heads, 1, length) and its activations have one position.
+    Inner layers run full attention at every position."""
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_length:
         raise DimensionMismatch(
             f"ids must have shape (batch, 1..{config.max_length}), got {ids.shape}"
@@ -437,8 +505,7 @@ def forward_batch(
     if mask.shape != ids.shape:
         raise DimensionMismatch("mask shape must match ids shape")
 
-    scale = 1.0 / math.sqrt(config.d_head)
-    score_bias = (mask[:, None, None, :] - 1.0) * _MASK_BIAS
+    key_bias = (mask[:, None, :] - 1.0) * _MASK_BIAS
     drop_rate = config.dropout if dropout_rng is not None else 0.0
 
     batch, length = ids.shape
@@ -456,19 +523,13 @@ def forward_batch(
         p = f"layer{i}."
         x_in = x
         # The head reads only the CLS row, so the last layer computes its
-        # queries, and everything after them, for that row alone.
-        rows = x[:, :1, :] if i == config.n_layers - 1 else x
-        q = rows @ params[p + "attn.wq"] + params[p + "attn.bq"]
-        k = x @ params[p + "attn.wk"] + params[p + "attn.bk"]
-        v = x @ params[p + "attn.wv"] + params[p + "attn.bv"]
-        qh = _split_heads(q, config.n_heads)
-        kh = _split_heads(k, config.n_heads)
-        vh = _split_heads(v, config.n_heads)
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + score_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        exp = np.exp(scores)
-        attn = exp / exp.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(attn @ vh)
+        # query, and everything after it, for that row alone.
+        if i == config.n_layers - 1:
+            rows = x[:, :1, :]
+            ctx, attention = _cls_attention(params, p, config, x, key_bias)
+        else:
+            rows = x
+            ctx, attention = _self_attention(params, p, config, x, key_bias)
         proj = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         attn_drop = dropout_mask(rows.shape[1])
         if attn_drop is not None:
@@ -487,9 +548,8 @@ def forward_batch(
         )
         layers.append(
             dict(
-                x_in=x_in, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
-                ln1=ln1, x1=x1, h1=h1, h1r=h1r, ln2=ln2,
-                attn_drop=attn_drop, ffn_drop=ffn_drop,
+                x_in=x_in, ctx=ctx, ln1=ln1, x1=x1, h1=h1, h1r=h1r, ln2=ln2,
+                attn_drop=attn_drop, ffn_drop=ffn_drop, **attention,
             )
         )
     cls = x[:, 0, :]
@@ -511,6 +571,72 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def _self_attention_backward(
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], p: str,
+    config: EncoderConfig, layer: dict, dctx: np.ndarray, dx: np.ndarray,
+) -> np.ndarray:
+    """Add _self_attention's weight gradients into ``grads``, given the
+    context gradient (batch, length, d); returns the gradient of the layer's
+    input, ``dx`` (its residual part) plus the part through attention."""
+    scale = 1.0 / math.sqrt(config.d_head)
+    dctx = _split_heads(dctx, config.n_heads)
+    attn, vh, qh, kh = layer["attn"], layer["vh"], layer["qh"], layer["kh"]
+    dattn = dctx @ vh.transpose(0, 1, 3, 2)
+    dvh = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = dscores @ kh * scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+    x_in = layer["x_in"]
+    for name, dhead in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
+        dmat = _merge_heads(dhead)
+        grads[p + f"attn.{name}"] += _flat(x_in).T @ _flat(dmat)
+        grads[p + f"attn.b{name[1]}"] += dmat.sum(axis=(0, 1))
+        dx = dx + dmat @ params[p + f"attn.{name}"].T
+    return dx
+
+
+def _cls_attention_backward(
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], p: str,
+    config: EncoderConfig, layer: dict, dctx: np.ndarray, dcls: np.ndarray,
+) -> np.ndarray:
+    """Add _cls_attention's weight gradients into ``grads``, given the
+    context gradient (batch, 1, d); returns the gradient of the layer's
+    input, ``dcls`` (the residual's, CLS row only) plus the part through
+    attention. The key bias gets none: the softmax cancels it, so its
+    gradient is 0."""
+    scale = 1.0 / math.sqrt(config.d_head)
+    n_heads = config.n_heads
+    x, q, u, z = layer["x_in"], layer["q"], layer["u"], layer["z"]
+    attn = layer["attn"][:, :, 0, :]
+    batch, _, d = x.shape
+    # Heads first, so each per-head product is one stacked matmul.
+    dctx_h = dctx.reshape(batch, n_heads, -1).transpose(1, 0, 2)
+    dwv = _head_weights(grads[p + "attn.wv"], n_heads)
+    dwv += z.transpose(1, 2, 0) @ dctx_h
+    grads[p + "attn.bv"] += dctx.sum(axis=(0, 1))
+    wv = _head_weights(params[p + "attn.wv"], n_heads)
+    dz = (dctx_h @ wv.transpose(0, 2, 1)).transpose(1, 0, 2)
+    dattn = dz @ x.transpose(0, 2, 1)
+    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    ds *= scale
+    du = ds @ x
+    # attn^T dz + ds^T u as one product over 2 * heads: with the inner
+    # dimension as small as the head count, numpy's matmul does not use BLAS.
+    dx = (
+        np.concatenate((attn, ds), axis=1).transpose(0, 2, 1)
+        @ np.concatenate((dz, u), axis=1)
+    )
+    dwk = _head_weights(grads[p + "attn.wk"], n_heads)
+    dwk += du.transpose(1, 2, 0) @ q.transpose(1, 0, 2)
+    wk = _head_weights(params[p + "attn.wk"], n_heads)
+    dq = (du.transpose(1, 0, 2) @ wk).transpose(1, 0, 2).reshape(batch, d)
+    cls = x[:, 0, :]
+    grads[p + "attn.wq"] += cls.T @ dq
+    grads[p + "attn.bq"] += dq.sum(axis=0)
+    dx[:, 0] += dcls[:, 0] + dq @ params[p + "attn.wq"].T
+    return dx
+
+
 def backward_batch(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
@@ -525,7 +651,6 @@ def backward_batch(
     parameter's shape; new zero arrays are made when it is None."""
     ids = cache["ids"]
     batch, length = ids.shape
-    scale = 1.0 / math.sqrt(config.d_head)
 
     if grads is None:
         grads = {name: np.zeros_like(value) for name, value in params.items()}
@@ -557,26 +682,12 @@ def backward_batch(
         dproj = dr1 if layer["attn_drop"] is None else dr1 * layer["attn_drop"]
         grads[p + "attn.wo"] += _flat(layer["ctx"]).T @ _flat(dproj)
         grads[p + "attn.bo"] += dproj.sum(axis=(0, 1))
-        dctx = _split_heads(dproj @ params[p + "attn.wo"].T, config.n_heads)
-
-        attn, vh, qh, kh = layer["attn"], layer["vh"], layer["qh"], layer["kh"]
-        dattn = dctx @ vh.transpose(0, 1, 3, 2)
-        dvh = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dqh = dscores @ kh * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
-
-        # Keys and values span every input position; queries and the
-        # residual only the rows this layer computed.
-        x_in = layer["x_in"]
-        dx = np.zeros_like(x_in)
-        dx[:, : dr1.shape[1]] = dr1
-        for name, dhead in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
-            dmat = _merge_heads(dhead)
-            width = dmat.shape[1]
-            grads[p + f"attn.{name}"] += _flat(x_in[:, :width]).T @ _flat(dmat)
-            grads[p + f"attn.b{name[1]}"] += dmat.sum(axis=(0, 1))
-            dx[:, :width] += dmat @ params[p + f"attn.{name}"].T
+        dctx = dproj @ params[p + "attn.wo"].T
+        backward = (
+            _cls_attention_backward if i == config.n_layers - 1
+            else _self_attention_backward
+        )
+        dx = backward(params, grads, p, config, layer, dctx, dr1)
 
     grads["tok_emb"] += embedding_gradient(ids, dx, len(params["tok_emb"]))
     grads["pos_emb"][:length] += dx.sum(axis=0)

@@ -1,6 +1,6 @@
 """Label mapping, dataset parsing, statistics, and the synthetic generator."""
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abusivetext.corpus import (
@@ -149,6 +149,57 @@ class TestParseDataset:
             assert [ex.id for ex in again] == [ex.id for ex in split]
             assert [ex.text for ex in again] == [ex.text for ex in split]
             assert [ex.label for ex in again] == [ex.label for ex in split]
+
+
+# Cells that parse_dataset may not read back as written: separators, line
+# breaks, quotes, surrounding spaces.
+cells_st = st.text(alphabet=' ab\t\n\r",é', max_size=4)
+examples_st = st.lists(
+    st.builds(
+        LabeledExample,
+        id=cells_st.filter(bool),
+        text=cells_st,
+        label=st.sampled_from([None, Label.ABUSIVE, Label.NON_ABUSIVE]),
+    ),
+    max_size=4,
+)
+
+
+def plain_cell(cell: str) -> bool:
+    return cell != "" and cell == cell.strip() and not any(c in cell for c in "\t\n\r")
+
+
+class TestWriteDataset:
+    @settings(max_examples=400, deadline=None)
+    @given(examples=examples_st, format=st.sampled_from(FileFormat))
+    @example(
+        examples=[LabeledExample(id="a\nb", text="x", label=Label.ABUSIVE)],
+        format=FileFormat.TSV,
+    )
+    @example(
+        examples=[LabeledExample(id=" a ", text="x", label=Label.ABUSIVE)],
+        format=FileFormat.TSV,
+    )
+    @example(
+        examples=[LabeledExample(id="a\r", text="x", label=Label.ABUSIVE)],
+        format=FileFormat.CSV,
+    )
+    @example(
+        examples=[LabeledExample(id="a", text="x\ry", label=Label.ABUSIVE)],
+        format=FileFormat.CSV,
+    )
+    def test_reads_back_unchanged_or_is_refused(self, examples, format):
+        try:
+            data = write_dataset(examples, format)
+        except ValueError:
+            # Plain rows, with one label column or none, are always written.
+            assert not (
+                all(plain_cell(ex.id) and plain_cell(ex.text) for ex in examples)
+                and len({ex.id for ex in examples}) == len(examples)
+                and len({ex.label is None for ex in examples}) <= 1
+            )
+            return
+        assert parse_dataset(data, format) == tuple(examples)
 
 
 class TestLabeledExample:

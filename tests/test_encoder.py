@@ -4,9 +4,11 @@ seeded training behavior.
 The gradient checks run deliberately tiny configurations (d_model 8, one or
 two layers, two heads, sequence length 8) so central finite differences over
 every parameter tensor stay fast. The key-projection bias is a known special case:
-softmax is invariant to per-row score shifts, so its true gradient is zero
-and both sides of the check are numerical noise; the floored denominator
-below treats that correctly instead of dividing noise by noise.
+softmax is invariant to per-row score shifts, so its true gradient is zero.
+The last layer folds the CLS query into its key weights and drops that term,
+so there both sides of the check are exactly 0. In inner layers both sides
+are numerical noise; the floored denominator below treats that correctly
+instead of dividing noise by noise.
 """
 import random
 from collections import Counter
@@ -521,8 +523,9 @@ class TestForward:
         assert 0.0 < p < 1.0
 
     def test_shapes_at_layer_boundaries(self, toy_tokenizer):
-        # Layer 0 runs every position; the last layer only the CLS row,
-        # which attends over every key.
+        # Layer 0 runs full attention at every position; the last layer only
+        # the CLS query, folded into its key and value weights, so it keeps
+        # no per-position keys or values.
         config = TWO_LAYER_CONFIG
         ids, mask, _ = micro_batch(toy_tokenizer, batch=3)
         params = enc.init_params(config, toy_tokenizer.vocab_size, seed=4)
@@ -532,18 +535,27 @@ class TestForward:
         assert probs.shape == (b,)
         first, last = cache["layers"]
         assert first["qh"].shape == (b, heads, length, d_head)
+        assert first["kh"].shape == first["vh"].shape == (b, heads, length, d_head)
         assert first["attn"].shape == (b, heads, length, length)
         assert first["ctx"].shape == (b, length, d)
         assert first["x1"].shape == (b, length, d)
         assert first["h1"].shape == (b, length, d_ff)
         assert last["x_in"].shape == (b, length, d)
-        assert last["kh"].shape == last["vh"].shape == (b, heads, length, d_head)
-        assert last["qh"].shape == (b, heads, 1, d_head)
+        assert last["q"].shape == (b, heads, d_head)
+        assert last["u"].shape == last["z"].shape == (b, heads, d)
         assert last["attn"].shape == (b, heads, 1, length)
         assert last["ctx"].shape == (b, 1, d)
         assert last["x1"].shape == (b, 1, d)
         assert last["h1"].shape == (b, 1, d_ff)
         assert cache["cls"].shape == (b, d)
+        # Layer-norm caches are tuples; the dropout masks here are None.
+        arrays = [
+            array
+            for value in last.values()
+            for array in (value if isinstance(value, tuple) else (value,))
+            if array is not None
+        ]
+        assert all(array.shape != (b, heads, length, d_head) for array in arrays)
 
 
 def gradient_check(params, config, ids, mask, labels, step=1e-5):
@@ -950,11 +962,16 @@ class TestBackwardMatchesEinsumReference:
 
 
 class TestClsOnlyLastLayer:
+    # One head and one-wide heads are the two edges of the (d, heads,
+    # d_head) weight reshape in the folded last layer.
+    @pytest.mark.parametrize("n_heads", [1, 2, 4, 16])
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_matches_full_width_reference(self, toy_tokenizer, n_layers, dropout):
+    def test_matches_full_width_reference(
+        self, toy_tokenizer, n_layers, dropout, n_heads
+    ):
         config = enc.EncoderConfig(
-            d_model=16, n_heads=4, n_layers=n_layers, d_ff=24, max_length=12,
+            d_model=16, n_heads=n_heads, n_layers=n_layers, d_ff=24, max_length=12,
             dropout=dropout,
         )
         params = enc.init_params(config, toy_tokenizer.vocab_size, seed=n_layers)
@@ -983,6 +1000,25 @@ class TestClsOnlyLastLayer:
                 )
             if dropout:
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_last_layer_key_bias_has_no_effect(self, toy_tokenizer, n_layers):
+        # Softmax cancels the key bias, so the folded scores drop it: the
+        # probabilities do not depend on it, and its gradient is exactly 0.
+        config = enc.EncoderConfig(
+            d_model=16, n_heads=4, n_layers=n_layers, d_ff=24, max_length=12
+        )
+        params = enc.init_params(config, toy_tokenizer.vocab_size, seed=9)
+        ids, mask, labels = mixed_length_batch(
+            toy_tokenizer.vocab_size, 6, config.max_length, seed=9
+        )
+        probs, _ = enc.forward_batch(params, config, ids, mask)
+        bias = f"layer{n_layers - 1}.attn.bk"
+        params[bias] = np.random.default_rng(9).standard_normal(config.d_model) * 5.0
+        moved, cache = enc.forward_batch(params, config, ids, mask)
+        assert_same_array(moved, probs)
+        grads = enc.backward_batch(params, config, cache, moved, labels)
+        assert np.all(grads[bias] == 0.0)
 
 
 class TestBlockedPrediction:
