@@ -1,16 +1,20 @@
 """Versioned model persistence: one self-describing JSON document per model.
 
-The bundle binds a trained model to the exact feature extractor and
-preprocessing policy it was trained with, so prediction can never mix
-mismatched pieces. Each model kind is one payload class with its ``KIND``,
-``probabilities`` over cleaned texts and its own document sections
-(``to_doc``/``from_doc``); PAYLOADS maps kind names to those classes, and a
-bundle's kind is its payload's. Nothing derivable is stored (TF-IDF idf is
-recomputed from the document frequencies on load). Each array, ``<f8`` or
-``<i8``, is one ``{"dtype", "shape", "base64"}`` object of its little-endian
-bytes, so load(save(b)) re-serializes to identical bytes; TF-IDF tokens are
-one space-joined string and the rest is readable JSON. Version mismatches are
-rejected outright, never migrated.
+The bundle binds a trained model to the run config that trained it, so
+prediction can never mix mismatched pieces. That config, file paths left
+out, is the bundle's one settings record: the model kind, the cleaning
+policy and every arm's settings are read from it and stored nowhere else.
+Each model kind is one payload class with its ``KIND``, ``probabilities``
+over cleaned texts and its own document sections (``to_doc``, and
+``from_doc``, which builds the model with the config's settings); PAYLOADS
+maps kind names to those classes. Nothing derivable is stored (TF-IDF idf
+is recomputed from the document frequencies on load, and the LR dimension
+is the vocabulary size). Each array, ``<f8`` or ``<i8``, is one
+``{"dtype", "shape", "base64"}`` object of its little-endian bytes, so
+load(save(b)) re-serializes to identical bytes; TF-IDF tokens are one
+space-joined string and the rest is readable JSON. Version mismatches are
+rejected outright, never migrated: a version 3 bundle, which stored the
+settings a second time beside its provenance, ends in BundleVersionError.
 """
 from __future__ import annotations
 
@@ -25,16 +29,16 @@ import numpy as np
 
 from . import encoder as enc
 from .checks import check_fields
-from .configs import MICRO_ENCODER, TFIDF_LR
+from .configs import MICRO_ENCODER, PATH_KEYS, TFIDF_LR, RunConfig
 from .errors import BundleInconsistentError, BundleVersionError
-from .linear import LinearModel, TrainConfigLR, TrainReportLR, predict_probas
-from .textprep import CleanPolicy
-from .vectorizer import TfIdfConfig, TfIdfModel, transform_rows
+from .linear import LinearModel, TrainReportLR, predict_probas
+from .vectorizer import TfIdfModel, transform_rows
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
-_BUNDLE_KEYS = ("format_version", "model_kind", "language_tag", "preprocessing",
-                "train_config", "training_report", "provenance")
+_BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
+# The keys of the recorded run config.
+_RUN_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in PATH_KEYS)
 
 # Rows encoded per block when the encoder scores texts, far more than
 # predict_probs runs per forward pass: alternating small encode and forward
@@ -55,16 +59,26 @@ def _require_keys(obj: dict, keys: Iterable[str], what: str) -> None:
     _require(not extra and not missing, f"{what} has unexpected keys {extra}, missing {missing}")
 
 
-def _section(doc: dict, key: str, keys: Iterable[str]) -> dict:
-    value = doc[key]
-    _require(isinstance(value, dict), f"bundle section {key!r} must be an object")
-    _require_keys(value, keys, f"bundle section {key!r}")
+def _section(doc: dict, key: str, keys: Iterable[str], where: str = "bundle") -> dict:
+    value = doc.get(key)
+    _require(isinstance(value, dict), f"{where} section {key!r} must be an object")
+    _require_keys(value, keys, f"{where} section {key!r}")
     return value
 
 
 def _record(cls: type, doc: dict, key: str) -> Any:
     """The dataclass ``cls`` built from section doc[key], which asdict wrote."""
     return cls(**_section(doc, key, [f.name for f in fields(cls)]))
+
+
+def _run_config(doc: dict) -> RunConfig:
+    """The recorded run config. It and each nested config hold exactly the
+    keys the writer writes, so no setting is a default filled in on load;
+    the config classes check the values."""
+    raw = _section(doc, "run_config", _RUN_CONFIG_KEYS)
+    for key, cls in RunConfig._NESTED.items():
+        _section(raw, key, [f.name for f in fields(cls)], where="run_config")
+    return RunConfig.from_dict(raw)
 
 
 def encode_tensor(values: Any, dtype: str = "<f8") -> dict[str, Any]:
@@ -119,33 +133,31 @@ class TfIdfLrPayload:
 
     tfidf: TfIdfModel
     linear: LinearModel
-    train_config: TrainConfigLR
     report: TrainReportLR
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
         return predict_probas(self.linear, transform_rows(self.tfidf, cleaned_texts))
 
+    def built_with(self, config: RunConfig) -> bool:
+        return self.tfidf.config == config.tfidf
+
     def to_doc(self) -> dict[str, Any]:
         tfidf = self.tfidf
         return {
             "vectorizer": {
-                "config": asdict(tfidf.config),
                 "n_documents": tfidf.n_documents,
                 "tokens": " ".join(tfidf.tokens),
                 "document_frequency": encode_tensor(tfidf.document_frequency, "<i8"),
             },
             "linear": {
-                "dimension": self.linear.dimension,
                 "weights": encode_tensor(self.linear.weights),
                 "bias": self.linear.bias,
             },
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "TfIdfLrPayload":
-        vec = _section(
-            doc, "vectorizer", ("config", "n_documents", "tokens", "document_frequency")
-        )
+    def from_doc(cls, doc: dict, config: RunConfig) -> "TfIdfLrPayload":
+        vec = _section(doc, "vectorizer", ("n_documents", "tokens", "document_frequency"))
         text = vec["tokens"]
         _require(isinstance(text, str), "vectorizer tokens must be one string")
         tokens = text.split()
@@ -156,34 +168,24 @@ class TfIdfLrPayload:
             tokens=tokens,
             document_frequency=dfs,
             n_documents=vec["n_documents"],
-            config=_record(TfIdfConfig, vec, "config"),
+            config=config.tfidf,
         )
-        lin = _section(doc, "linear", ("dimension", "weights", "bias"))
-        _require(
-            lin["dimension"] == tfidf.dimension,
-            "linear dimension does not match vocabulary size",
-        )
+        lin = _section(doc, "linear", ("weights", "bias"))
         linear = LinearModel(
             weights=decode_tensor(lin["weights"], (tfidf.dimension,), "linear weights"),
             bias=lin["bias"],
-            dimension=lin["dimension"],
+            dimension=tfidf.dimension,
         )
-        return cls(
-            tfidf=tfidf,
-            linear=linear,
-            train_config=_record(TrainConfigLR, doc, "train_config"),
-            report=_record(TrainReportLR, doc, "training_report"),
-        )
+        return cls(tfidf, linear, report=_record(TrainReportLR, doc, "training_report"))
 
 
 @dataclass
 class MicroEncoderPayload:
     KIND: ClassVar[str] = MICRO_ENCODER
-    SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "encoder_config", "parameters")
+    SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "parameters")
 
     tokenizer: enc.SubwordTokenizer
     model: enc.EncoderModel
-    train_config: enc.TrainConfigEnc
     report: enc.TrainReportEnc
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
@@ -195,36 +197,33 @@ class MicroEncoderPayload:
             probs.extend(float(p) for p in enc.predict_probs(self.model, ids, mask))
         return probs
 
+    def built_with(self, config: RunConfig) -> bool:
+        return self.model.config == config.encoder
+
     def to_doc(self) -> dict[str, Any]:
         params = self.model.params
         return {
             "tokenizer": {
-                "specials": {"cls": enc.CLS_ID, "pad": enc.PAD_ID, "unk": enc.UNK_ID},
                 "pieces": [piece.hex() for piece in self.tokenizer.pieces],
                 "merges": [[a.hex(), b.hex()] for a, b in self.tokenizer.merges],
             },
-            "encoder_config": asdict(self.model.config),
             "parameters": [
                 {"name": name, **encode_tensor(params[name])} for name in sorted(params)
             ],
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "MicroEncoderPayload":
-        tok = _section(doc, "tokenizer", ("specials", "pieces", "merges"))
-        _require(
-            tok["specials"] == {"cls": enc.CLS_ID, "pad": enc.PAD_ID, "unk": enc.UNK_ID},
-            "tokenizer special ids are not the expected ones",
-        )
+    def from_doc(cls, doc: dict, config: RunConfig) -> "MicroEncoderPayload":
+        tok = _section(doc, "tokenizer", ("pieces", "merges"))
         tokenizer = enc.SubwordTokenizer(
             pieces=[bytes.fromhex(p) for p in tok["pieces"]],
             merges=[(bytes.fromhex(a), bytes.fromhex(b)) for a, b in tok["merges"]],
         )
-        config = _record(enc.EncoderConfig, doc, "encoder_config")
+        settings = config.encoder
         entries = doc["parameters"]
         # Every layer owns tensors; checked first, a huge n_layers builds no shapes.
-        _require(config.n_layers <= len(entries), "more layers than parameter tensors")
-        expected = enc.parameter_shapes(config, tokenizer.vocab_size)
+        _require(settings.n_layers <= len(entries), "more layers than parameter tensors")
+        expected = enc.parameter_shapes(settings, tokenizer.vocab_size)
         params: dict[str, np.ndarray] = {}
         for entry in entries:
             _require(isinstance(entry, dict), "parameter entries must be objects")
@@ -239,8 +238,7 @@ class MicroEncoderPayload:
         _require(not missing, f"bundle is missing parameter tensors: {sorted(missing)}")
         return cls(
             tokenizer=tokenizer,
-            model=enc.EncoderModel(params, config, tokenizer.vocab_size),
-            train_config=_record(enc.TrainConfigEnc, doc, "train_config"),
+            model=enc.EncoderModel(params, settings, tokenizer.vocab_size),
             report=_record(enc.TrainReportEnc, doc, "training_report"),
         )
 
@@ -252,26 +250,20 @@ PAYLOADS: dict[str, type[TfIdfLrPayload | MicroEncoderPayload]] = {
 
 @dataclass
 class Provenance:
-    """Where a bundle came from: the sha256 of the train and dev bytes, the
-    run config that trained it (seed folded in, file paths left out), and
+    """Where a bundle came from: the sha256 of the train and dev bytes and
     the package and numpy versions. It records no timestamp, path or host,
     so the same run repeated writes the same bytes."""
 
     train_sha256: str
     dev_sha256: str | None
-    run_config: dict[str, Any]
     abusivetext_version: str
     numpy_version: str
 
     def __post_init__(self):
         check_fields(self)
-        if not isinstance(self.run_config, dict):
-            raise ValueError("run_config must be an object")
 
     @classmethod
-    def of_run(
-        cls, train: bytes, dev: bytes | None, run_config: dict[str, Any]
-    ) -> "Provenance":
+    def of_run(cls, train: bytes, dev: bytes | None) -> "Provenance":
         # Imported here, not at the top: only training hashes anything, and
         # every command that imports the CLI would pay for it.
         import hashlib
@@ -281,7 +273,6 @@ class Provenance:
         return cls(
             train_sha256=hashlib.sha256(train).hexdigest(),
             dev_sha256=None if dev is None else hashlib.sha256(dev).hexdigest(),
-            run_config=run_config,
             abusivetext_version=__version__,
             numpy_version=np.__version__,
         )
@@ -289,28 +280,30 @@ class Provenance:
 
 @dataclass
 class ModelBundle:
-    language_tag: str
-    policy: CleanPolicy
+    """A trained payload, the run config that trained it, and where it came
+    from. Raises ValueError unless the payload is of the config's model kind
+    and holds the config's settings for its arm, so the recorded config can
+    never disagree with the model it describes."""
+
+    config: RunConfig
     payload: TfIdfLrPayload | MicroEncoderPayload
     provenance: Provenance
 
     def __post_init__(self):
-        check_fields(self)
-
-    @property
-    def model_kind(self) -> str:
-        return self.payload.KIND
+        kind = self.config.model_kind
+        if self.payload.KIND != kind:
+            raise ValueError(f"a {self.payload.KIND} payload cannot go in a {kind} bundle")
+        if not self.payload.built_with(self.config):
+            raise ValueError(f"the {kind} payload was not built with the run config's settings")
 
 
 def _bundle_doc(bundle: ModelBundle) -> dict[str, Any]:
     payload = bundle.payload
+    run_config = bundle.config.to_dict()
     return {
         "format_version": FORMAT_VERSION,
-        "model_kind": payload.KIND,
-        "language_tag": bundle.language_tag,
-        "preprocessing": asdict(bundle.policy),
+        "run_config": {key: run_config[key] for key in _RUN_CONFIG_KEYS},
         **payload.to_doc(),
-        "train_config": asdict(payload.train_config),
         "training_report": asdict(payload.report),
         "provenance": asdict(bundle.provenance),
     }
@@ -327,23 +320,23 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def load_bundle(path: str | Path) -> ModelBundle:
-    return deserialize_bundle(Path(path).read_bytes())
-
-
 def deserialize_bundle(data: bytes) -> ModelBundle:
     """Parse and validate a bundle document.
 
     Raises BundleVersionError for any format_version other than the current
     one, and BundleInconsistentError for anything else the document gets
-    wrong: an unknown model_kind, a section that is not an object, a key
-    the writer does not write or a missing one, or
-    payload pieces that do not agree with each other (wrong array lengths,
+    wrong: bytes that are not JSON (nesting too deep and integer literals
+    too long included), a run_config that is not one the writer writes or
+    that its config classes reject, a section that is not an object, a key
+    the writer does not write or a missing one, or payload pieces that do
+    not agree with each other or with the config (wrong array lengths,
     missing tensors, bad shapes, stored tensors that do not decode).
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal past the int conversion limit.
+    except (ValueError, RecursionError) as exc:
         raise BundleInconsistentError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BundleInconsistentError(
@@ -354,18 +347,13 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         raise BundleVersionError(
             f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
         )
-    kind = doc.get("model_kind")
-    payload_class = PAYLOADS.get(kind) if isinstance(kind, str) else None
-    if payload_class is None:
-        raise BundleInconsistentError(f"unknown model_kind {kind!r}")
-    _require_keys(doc, _BUNDLE_KEYS + payload_class.SECTIONS, "bundle")
     try:
-        policy = _record(CleanPolicy, doc, "preprocessing")
-        payload = payload_class.from_doc(doc)
+        config = _run_config(doc)
+        payload_class = PAYLOADS[config.model_kind]
+        _require_keys(doc, _BUNDLE_KEYS + payload_class.SECTIONS, "bundle")
         return ModelBundle(
-            language_tag=doc["language_tag"],
-            policy=policy,
-            payload=payload,
+            config=config,
+            payload=payload_class.from_doc(doc, config),
             provenance=_record(Provenance, doc, "provenance"),
         )
     except BundleInconsistentError:

@@ -20,22 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from . import metrics, textprep
-from .checks import check_fields
-from .configs import (
-    MICRO_ENCODER,
-    TFIDF_LR,
-    EncoderConfig,
-    TfIdfConfig,
-    TrainConfigEnc,
-    TrainConfigLR,
-)
+from .configs import MICRO_ENCODER, TFIDF_LR, RunConfig
 from .corpus import (
     FileFormat,
     Label,
@@ -63,8 +54,6 @@ from .errors import (
 if TYPE_CHECKING:
     from . import bundle as bundlemod
 
-SEED_ENV_VAR = "ABUSIVETEXT_SEED"
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FILE_NOT_FOUND = 2
@@ -78,84 +67,11 @@ EXIT_ID_MISMATCH = 6
 # Run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Everything a training run needs; serializable so runs can be replayed.
-
-    ``seed``, when set (or supplied via ABUSIVETEXT_SEED), overrides the
-    per-arm training-config seeds so one value drives the whole run.
-    """
-
-    train_path: str | None = None
-    dev_path: str | None = None
-    model_path: str | None = None
-    model_kind: str = TFIDF_LR
-    language_tag: str = ""
-    format: str = "tsv"
-    seed: int | None = None
-    preprocessing: textprep.CleanPolicy = field(default_factory=textprep.CleanPolicy)
-    tfidf: TfIdfConfig = field(default_factory=TfIdfConfig)
-    lr: TrainConfigLR = field(default_factory=TrainConfigLR)
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    encoder_train: TrainConfigEnc = field(default_factory=TrainConfigEnc)
-    encoder_vocab_size: int = 512
-
-    _NESTED = {
-        "preprocessing": textprep.CleanPolicy,
-        "tfidf": TfIdfConfig,
-        "lr": TrainConfigLR,
-        "encoder": EncoderConfig,
-        "encoder_train": TrainConfigEnc,
-    }
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.encoder_vocab_size < 4:
-            raise ValueError(
-                "encoder_vocab_size must be >= 4 (three specials and one byte)"
-            )
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ValueError("run config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for key, value in raw.items():
-            nested_cls = cls._NESTED.get(key)
-            if nested_cls is None:
-                continue
-            if not isinstance(value, dict):
-                raise ValueError(f"config key {key!r} must be an object")
-            nested_unknown = set(value) - {f.name for f in fields(nested_cls)}
-            if nested_unknown:
-                raise ValueError(f"unknown keys under {key!r}: {sorted(nested_unknown)}")
-            kwargs[key] = nested_cls(**value)
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    def resolve_seed(self) -> "RunConfig":
-        """Fold the run seed (or the env fallback) into the arm configs."""
-        seed = self.seed
-        if seed is None and os.environ.get(SEED_ENV_VAR):
-            seed = int(os.environ[SEED_ENV_VAR])
-        if seed is None:
-            return self
-        return replace(
-            self,
-            seed=seed,
-            lr=replace(self.lr, seed=seed),
-            encoder_train=replace(self.encoder_train, seed=seed),
-        )
-
-
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    raw = json.loads(_read_file(args.config).decode("utf-8")) if args.config else {}
+    try:
+        raw = json.loads(_read_file(args.config).decode("utf-8")) if args.config else {}
+    except RecursionError as exc:
+        raise ValueError(f"run config nests too deeply: {exc}") from exc
     config = RunConfig.from_dict(raw)
     overrides: dict[str, Any] = {}
     for flag, key in (
@@ -275,9 +191,7 @@ def _train_tfidf_lr(
     model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config.lr)
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}: train_loss {loss:.6f}")
-    payload = bundlemod.TfIdfLrPayload(
-        tfidf=tfidf, linear=model, train_config=config.lr, report=report
-    )
+    payload = bundlemod.TfIdfLrPayload(tfidf=tfidf, linear=model, report=report)
     if dev is not None:
         probs = payload.probabilities([text for text, _ in dev])
         score = metrics.decided_macro_f1([label for _, label in dev], probs)
@@ -302,9 +216,7 @@ def _train_micro_encoder(
         zip(report.epoch_train_losses, report.epoch_dev_macro_f1), start=1
     ):
         print(f"epoch {epoch}: train_loss {loss:.6f} dev_macro_f1 {f1:.4f}")
-    return bundlemod.MicroEncoderPayload(
-        tokenizer=tokenizer, model=model, train_config=config.encoder_train, report=report
-    )
+    return bundlemod.MicroEncoderPayload(tokenizer=tokenizer, model=model, report=report)
 
 
 _TRAINERS = {TFIDF_LR: _train_tfidf_lr, MICRO_ENCODER: _train_micro_encoder}
@@ -318,11 +230,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("no training file configured (use --train or the config file)")
     if not config.model_path:
         raise ValueError("no model output path configured (use --out)")
-    kind = config.model_kind
-    trainer = _TRAINERS.get(kind) if isinstance(kind, str) else None
-    if trainer is None:
-        raise ValueError(f"unknown model_kind {kind!r}")
-
     train_bytes = _read_file(config.train_path)
     train_examples = parse_dataset(train_bytes, FileFormat(config.format), has_labels=True)
     print(f"train split ({config.train_path}):")
@@ -337,16 +244,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.dev_path:
         dev_bytes = _read_file(config.dev_path)
         dev = cleaned(parse_dataset(dev_bytes, FileFormat(config.format), has_labels=True))
-    payload = trainer(config, cleaned(train_examples), dev)
-    run_config = {
-        key: value for key, value in config.to_dict().items()
-        if key not in ("train_path", "dev_path", "model_path")
-    }
+    payload = _TRAINERS[config.model_kind](config, cleaned(train_examples), dev)
     bundle = bundlemod.ModelBundle(
-        language_tag=config.language_tag,
-        policy=config.preprocessing,
+        config=config,
         payload=payload,
-        provenance=bundlemod.Provenance.of_run(train_bytes, dev_bytes, run_config),
+        provenance=bundlemod.Provenance.of_run(train_bytes, dev_bytes),
     )
     bundlemod.save_bundle(bundle, config.model_path)
     print(f"model bundle written to {config.model_path}")
@@ -362,7 +264,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _read_file(args.input), FileFormat(args.format), has_labels=False
     )
     probs = bundle.payload.probabilities(
-        textprep.preprocess_all([ex.text for ex in examples], bundle.policy)
+        textprep.preprocess_all([ex.text for ex in examples], bundle.config.preprocessing)
     )
     lines = ["id\tprobability\tlabel"]
     for example, p in zip(examples, probs):

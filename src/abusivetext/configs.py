@@ -1,18 +1,27 @@
-"""The two model kinds and the configs of their arms, kept free of numpy.
+"""The two model kinds, the configs of their arms and the run config that
+holds them all, kept free of numpy.
 
-``cli`` builds its run config from these without importing the array
-modules, so the commands that never train or predict start without numpy.
-``vectorizer``, ``linear`` and ``encoder`` import their configs from here.
+``cli`` builds its run config here without importing the array modules, so
+the commands that never train or predict start without numpy. A bundle
+stores the run config as its one settings record. ``vectorizer``, ``linear``
+and ``encoder`` import their configs from here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any
 
 from .checks import check_fields
+from .textprep import CleanPolicy
 
 # Model kind names: bundle payload KINDs and the --model-kind choices.
 TFIDF_LR = "tfidf_lr"
 MICRO_ENCODER = "micro_encoder"
+
+SEED_ENV_VAR = "ABUSIVETEXT_SEED"
+# The run config's file paths: a bundle records the config without them.
+PATH_KEYS = ("train_path", "dev_path", "model_path")
 
 
 @dataclass(frozen=True)
@@ -99,3 +108,81 @@ class TrainConfigEnc:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+
+@dataclass
+class RunConfig:
+    """Everything a training run needs; serializable so runs can be replayed.
+
+    ``seed``, when set (or supplied via ABUSIVETEXT_SEED), overrides the
+    per-arm training-config seeds so one value drives the whole run.
+    """
+
+    train_path: str | None = None
+    dev_path: str | None = None
+    model_path: str | None = None
+    model_kind: str = TFIDF_LR
+    language_tag: str = ""
+    format: str = "tsv"
+    seed: int | None = None
+    preprocessing: CleanPolicy = field(default_factory=CleanPolicy)
+    tfidf: TfIdfConfig = field(default_factory=TfIdfConfig)
+    lr: TrainConfigLR = field(default_factory=TrainConfigLR)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    encoder_train: TrainConfigEnc = field(default_factory=TrainConfigEnc)
+    encoder_vocab_size: int = 512
+
+    _NESTED = {
+        "preprocessing": CleanPolicy,
+        "tfidf": TfIdfConfig,
+        "lr": TrainConfigLR,
+        "encoder": EncoderConfig,
+        "encoder_train": TrainConfigEnc,
+    }
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.model_kind not in (TFIDF_LR, MICRO_ENCODER):
+            raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if self.encoder_vocab_size < 4:
+            raise ValueError(
+                "encoder_vocab_size must be >= 4 (three specials and one byte)"
+            )
+
+    @classmethod
+    def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("run config must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        unknown = set(raw) - known
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        kwargs = dict(raw)
+        for key, value in raw.items():
+            nested_cls = cls._NESTED.get(key)
+            if nested_cls is None:
+                continue
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must be an object")
+            nested_unknown = set(value) - {f.name for f in fields(nested_cls)}
+            if nested_unknown:
+                raise ValueError(f"unknown keys under {key!r}: {sorted(nested_unknown)}")
+            kwargs[key] = nested_cls(**value)
+        return cls(**kwargs)
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    def resolve_seed(self) -> "RunConfig":
+        """Fold the run seed (or the env fallback) into the arm configs."""
+        seed = self.seed
+        if seed is None and os.environ.get(SEED_ENV_VAR):
+            seed = int(os.environ[SEED_ENV_VAR])
+        if seed is None:
+            return self
+        return replace(
+            self,
+            seed=seed,
+            lr=replace(self.lr, seed=seed),
+            encoder_train=replace(self.encoder_train, seed=seed),
+        )

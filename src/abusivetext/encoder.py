@@ -517,7 +517,9 @@ def forward_batch(
         keep = dropout_rng.random(shape)[:, :width, :] >= drop_rate
         return keep.astype(np.float64) / (1.0 - drop_rate)
 
-    x = params["tok_emb"][ids] + params["pos_emb"][None, :length, :]
+    # The gather is a fresh array, so the positions are added into it.
+    x = params["tok_emb"][ids]
+    x += params["pos_emb"][:length]
     layers = []
     for i in range(config.n_layers):
         p = f"layer{i}."

@@ -99,17 +99,6 @@ def _char_map(
     return _CharMap(strip_specials, strip_digits, lowercase_latin)
 
 
-def strip_specials(text: str) -> str:
-    """Replace every code point that is not letter/mark/digit/whitespace
-    with a single space."""
-    return text.translate(_char_map(True, False, False))
-
-
-def lowercase_latin(text: str) -> str:
-    """Lowercase Latin-script letters only."""
-    return text.translate(_char_map(False, False, True))
-
-
 def collapse_whitespace(text: str) -> str:
     """Collapse every whitespace run to one space and trim the ends."""
     return " ".join(text.split())

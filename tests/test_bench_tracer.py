@@ -66,7 +66,7 @@ def test_traced_pipeline_restores_names_and_counts_the_model(tracer, tmp_path, a
     iteration = traced.take_iteration(0)
     assert iteration["calls"]["cli.train"] == 1
     derived = iteration["derived"]
-    payload = bundle.load_bundle(model).payload
+    payload = bundle.deserialize_bundle(model.read_bytes()).payload
     if arm == "tfidf_lr":
         assert derived["vectorizer.dimension"] == payload.tfidf.dimension > 0
     else:

@@ -2,6 +2,7 @@
 import base64
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from abusivetext import bundle as bd
 from abusivetext import encoder as enc
 from abusivetext import linear, vectorizer
+from abusivetext.configs import MICRO_ENCODER, RunConfig
 from abusivetext.corpus import synth_corpus
 from abusivetext.errors import BundleInconsistentError, BundleVersionError
 from abusivetext.textprep import CleanPolicy, preprocess
@@ -21,12 +23,9 @@ def lr_bundle_of(texts, labels, tfidf_config=vectorizer.TfIdfConfig()):
     config = linear.TrainConfigLR(epochs=5, seed=3)
     model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config)
     return bd.ModelBundle(
-        language_tag="synthetic",
-        policy=CleanPolicy(),
-        payload=bd.TfIdfLrPayload(
-            tfidf=tfidf, linear=model, train_config=config, report=report
-        ),
-        provenance=bd.Provenance.of_run(b"", None, {}),
+        config=RunConfig(language_tag="synthetic", tfidf=tfidf_config, lr=config),
+        payload=bd.TfIdfLrPayload(tfidf=tfidf, linear=model, report=report),
+        provenance=bd.Provenance.of_run(b"", None),
     )
 
 
@@ -46,12 +45,13 @@ def encoder_bundle():
     train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4, seed=5)
     model, report = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
     return bd.ModelBundle(
-        language_tag="synthetic",
-        policy=CleanPolicy(strip_digits=True),
-        payload=bd.MicroEncoderPayload(
-            tokenizer=tokenizer, model=model, train_config=train_config, report=report
+        config=RunConfig(
+            model_kind=MICRO_ENCODER, language_tag="synthetic",
+            preprocessing=CleanPolicy(strip_digits=True), encoder=config,
+            encoder_train=train_config, encoder_vocab_size=72,
         ),
-        provenance=bd.Provenance.of_run(b"", None, {}),
+        payload=bd.MicroEncoderPayload(tokenizer=tokenizer, model=model, report=report),
+        provenance=bd.Provenance.of_run(b"", None),
     )
 
 
@@ -70,21 +70,66 @@ class TestRoundTrip:
         lr_loaded = bd.deserialize_bundle(bd.serialize_bundle(tfidf_lr_bundle))
         assert lr_loaded.payload.linear == tfidf_lr_bundle.payload.linear
         assert np.array_equal(lr_loaded.payload.tfidf.idf, tfidf_lr_bundle.payload.tfidf.idf)
-        assert lr_loaded.policy == tfidf_lr_bundle.policy
+        assert lr_loaded.config == tfidf_lr_bundle.config
         enc_loaded = bd.deserialize_bundle(bd.serialize_bundle(encoder_bundle))
         assert enc_loaded.payload.model == encoder_bundle.payload.model
         assert enc_loaded.payload.tokenizer == encoder_bundle.payload.tokenizer
+        assert enc_loaded.config == encoder_bundle.config
 
     def test_save_and_load_files(self, tmp_path, tfidf_lr_bundle):
         path = tmp_path / "model.bundle.json"
         bd.save_bundle(tfidf_lr_bundle, path)
-        assert bd.serialize_bundle(bd.load_bundle(path)) == path.read_bytes()
+        assert bd.serialize_bundle(bd.deserialize_bundle(path.read_bytes())) == path.read_bytes()
 
     def test_kind_comes_from_the_payload(self, tfidf_lr_bundle, encoder_bundle):
         for bundle in (tfidf_lr_bundle, encoder_bundle):
             doc = json.loads(bd.serialize_bundle(bundle))
-            assert doc["model_kind"] == bundle.model_kind == bundle.payload.KIND
-            assert bd.PAYLOADS[bundle.model_kind] is type(bundle.payload)
+            kind = doc["run_config"]["model_kind"]
+            assert kind == bundle.config.model_kind == bundle.payload.KIND
+            assert bd.PAYLOADS[kind] is type(bundle.payload)
+
+    def test_top_level_is_the_run_config_payload_report_and_provenance(
+        self, tfidf_lr_bundle, encoder_bundle
+    ):
+        for bundle in (tfidf_lr_bundle, encoder_bundle):
+            doc = json.loads(bd.serialize_bundle(bundle))
+            assert list(doc) == [
+                "format_version", "run_config", *bundle.payload.SECTIONS,
+                "training_report", "provenance",
+            ]
+            recorded = bundle.config.to_dict()
+            for key in ("train_path", "dev_path", "model_path"):
+                del recorded[key]
+            assert doc["run_config"] == recorded
+            assert sorted(doc["provenance"]) == [
+                "abusivetext_version", "dev_sha256", "numpy_version", "train_sha256",
+            ]
+
+    def test_settings_are_stored_once(self, tfidf_lr_bundle, encoder_bundle):
+        removed = {"model_kind", "language_tag", "preprocessing", "train_config",
+                   "encoder_config", "config", "dimension", "specials"}
+        for bundle in (tfidf_lr_bundle, encoder_bundle):
+            doc = json.loads(bd.serialize_bundle(bundle))
+            outside = {k: v for k, v in doc.items() if k != "run_config"}
+            assert removed.isdisjoint(_keys(outside))
+            assert "run_config" not in _keys(doc["run_config"]) | _keys(outside)
+
+    def test_payload_of_another_kind_is_refused(self, tfidf_lr_bundle, encoder_bundle):
+        for bundle, other in ((tfidf_lr_bundle, encoder_bundle),
+                              (encoder_bundle, tfidf_lr_bundle)):
+            with pytest.raises(ValueError, match="payload cannot go in a"):
+                bd.ModelBundle(bundle.config, other.payload, bundle.provenance)
+
+    def test_payload_built_with_other_settings_is_refused(
+        self, tfidf_lr_bundle, encoder_bundle
+    ):
+        configs = [
+            replace(tfidf_lr_bundle.config, tfidf=vectorizer.TfIdfConfig(ngram_max=2)),
+            replace(encoder_bundle.config, encoder=enc.EncoderConfig()),
+        ]
+        for bundle, config in zip((tfidf_lr_bundle, encoder_bundle), configs):
+            with pytest.raises(ValueError, match="not built with the run config"):
+                bd.ModelBundle(config, bundle.payload, bundle.provenance)
 
     def test_loaded_arrays_are_writable_native_float64(self, tfidf_lr_bundle, encoder_bundle):
         lr = bd.deserialize_bundle(bd.serialize_bundle(tfidf_lr_bundle)).payload
@@ -98,7 +143,7 @@ class TestRoundTrip:
     def test_vectorizer_stores_tokens_as_one_string_and_no_idf(self, tfidf_lr_bundle):
         tfidf = tfidf_lr_bundle.payload.tfidf
         vec = json.loads(bd.serialize_bundle(tfidf_lr_bundle))["vectorizer"]
-        assert sorted(vec) == ["config", "document_frequency", "n_documents", "tokens"]
+        assert sorted(vec) == ["document_frequency", "n_documents", "tokens"]
         assert vec["tokens"] == " ".join(tfidf.tokens)
         assert vec["document_frequency"]["dtype"] == "<i8"
         assert _values(vec["document_frequency"]).tolist() == tfidf.document_frequency.tolist()
@@ -127,8 +172,8 @@ class TestRoundTrip:
         )
         linear_model = linear.LinearModel(weights=np.zeros(2), bias=0.0, dimension=2)
         bundle = bd.ModelBundle(
-            language_tag="synthetic", policy=CleanPolicy(),
-            payload=bd.TfIdfLrPayload(tfidf, linear_model, payload.train_config, payload.report),
+            config=tfidf_lr_bundle.config,
+            payload=bd.TfIdfLrPayload(tfidf, linear_model, payload.report),
             provenance=tfidf_lr_bundle.provenance,
         )
         with pytest.raises(BundleInconsistentError):
@@ -181,10 +226,9 @@ class TestRoundTrip:
 
     def test_provenance_round_trips(self, tfidf_lr_bundle):
         bundle = bd.ModelBundle(
-            language_tag="synthetic",
-            policy=tfidf_lr_bundle.policy,
+            config=tfidf_lr_bundle.config,
             payload=tfidf_lr_bundle.payload,
-            provenance=bd.Provenance.of_run(b"train", None, {"seed": 3}),
+            provenance=bd.Provenance.of_run(b"train", b"dev"),
         )
         raw = bd.serialize_bundle(bundle)
         loaded = bd.deserialize_bundle(raw)
@@ -194,6 +238,15 @@ class TestRoundTrip:
     def test_version_field_comes_first(self, tfidf_lr_bundle):
         raw = bd.serialize_bundle(tfidf_lr_bundle).decode("utf-8")
         assert raw.splitlines()[1].strip().startswith('"format_version"')
+
+
+def _keys(node) -> set:
+    """Every object key anywhere in a JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
 
 
 def _values(tensor: dict) -> np.ndarray:
@@ -238,17 +291,17 @@ class TestRejection:
     def test_unknown_kind(self, tfidf_lr_bundle):
         raw = _mutate(
             bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d.update(model_kind="perceptron"),
+            lambda d: d["run_config"].update(model_kind="perceptron"),
         )
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
     def test_dimension_mismatch(self, tfidf_lr_bundle):
-        raw = _mutate(
-            bd.serialize_bundle(tfidf_lr_bundle),
-            lambda d: d["linear"].update(dimension=d["linear"]["dimension"] + 1),
-        )
-        with pytest.raises(BundleInconsistentError):
+        def one_more(d):
+            d["linear"]["weights"] = _stored(np.append(_values(d["linear"]["weights"]), 0.0))
+
+        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), one_more)
+        with pytest.raises(BundleInconsistentError, match="linear weights has shape"):
             bd.deserialize_bundle(raw)
 
     def test_document_frequency_length_mismatch(self, tfidf_lr_bundle):
@@ -307,8 +360,8 @@ class TestRejection:
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
-    @pytest.mark.parametrize("section", ["preprocessing", "vectorizer", "linear",
-                                         "train_config", "training_report"])
+    @pytest.mark.parametrize("section", ["run_config", "vectorizer", "linear",
+                                         "training_report", "provenance"])
     @pytest.mark.parametrize("value", [None, [], "x", 3])
     def test_section_that_is_not_an_object(self, tfidf_lr_bundle, section, value):
         raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), lambda d: d.update({section: value}))
@@ -317,8 +370,11 @@ class TestRejection:
 
     @pytest.mark.parametrize("kind", [[], {}, None, 3])
     def test_kind_that_is_not_a_name(self, tfidf_lr_bundle, kind):
-        raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), lambda d: d.update(model_kind=kind))
-        with pytest.raises(BundleInconsistentError, match="unknown model_kind"):
+        raw = _mutate(
+            bd.serialize_bundle(tfidf_lr_bundle),
+            lambda d: d["run_config"].update(model_kind=kind),
+        )
+        with pytest.raises(BundleInconsistentError, match="model_kind must be a string"):
             bd.deserialize_bundle(raw)
 
     def test_not_json(self):

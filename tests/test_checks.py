@@ -11,7 +11,7 @@ from abusivetext import encoder as enc
 from abusivetext import linear, vectorizer
 from abusivetext.checks import check_fields, checked_kind
 from abusivetext.bundle import Provenance
-from abusivetext.cli import RunConfig
+from abusivetext.configs import RunConfig
 from abusivetext.textprep import CleanPolicy
 
 INT_FIELDS = [
@@ -89,10 +89,9 @@ def test_run_config_strings(name, value):
 
 
 def test_provenance_fields():
-    good = dict(train_sha256="a", dev_sha256=None, run_config={},
-                abusivetext_version="0", numpy_version="0")
+    good = dict(train_sha256="a", dev_sha256=None, abusivetext_version="0", numpy_version="0")
     assert Provenance(**good).dev_sha256 is None
-    for name, value in [("train_sha256", None), ("numpy_version", 2), ("run_config", [])]:
+    for name, value in [("train_sha256", None), ("numpy_version", 2), ("dev_sha256", [])]:
         with pytest.raises(ValueError, match=f"{name} must be"):
             Provenance(**{**good, name: value})
 

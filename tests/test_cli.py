@@ -5,6 +5,8 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import platform
 import re
 import shlex
 import subprocess
@@ -291,13 +293,12 @@ class TestTrainPredictEvaluate:
             path = tmp_path / f"{name}.bundle.json"
             bd.save_bundle(
                 bd.ModelBundle(
-                    language_tag="", policy=policy,
+                    config=configs.RunConfig(preprocessing=policy),
                     payload=bd.TfIdfLrPayload(
                         tfidf=tfidf, linear=model,
-                        train_config=linear.TrainConfigLR(),
                         report=linear.TrainReportLR(epoch_losses=[0.0]),
                     ),
-                    provenance=bd.Provenance.of_run(b"", None, {}),
+                    provenance=bd.Provenance.of_run(b"", None),
                 ),
                 path,
             )
@@ -569,8 +570,7 @@ class TestExitCodes:
             bundles.append(json.loads(out.read_text()))
         # No synth row comes near 64 words, so 64 already covers every n-gram.
         for doc in bundles:
-            doc["vectorizer"]["config"].pop("ngram_max")
-            doc["provenance"]["run_config"]["tfidf"].pop("ngram_max")
+            doc["run_config"]["tfidf"].pop("ngram_max")
         assert bundles[0] == bundles[1]
 
     @pytest.mark.parametrize("raw", ["[]", "null", "3"])
@@ -767,7 +767,7 @@ class TestRunConfig:
         assert config.encoder_train.seed == 11
 
     def test_env_var_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "23")
+        monkeypatch.setenv(configs.SEED_ENV_VAR, "23")
         config = cli.RunConfig().resolve_seed()
         assert config.seed == 23
         assert config.lr.seed == 23
@@ -781,7 +781,7 @@ class TestRunConfig:
         assert cli.RunConfig(encoder_vocab_size=4).encoder_vocab_size == 4
 
     def test_explicit_seed_beats_env(self, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "23")
+        monkeypatch.setenv(configs.SEED_ENV_VAR, "23")
         config = cli.RunConfig(seed=5).resolve_seed()
         assert config.seed == 5
 
@@ -802,20 +802,24 @@ class TestRunConfig:
 
 
 class TestProvenance:
+    @pytest.mark.parametrize("make_config, arm_train", [
+        (lr_config, "lr"), (encoder_config, "encoder_train"),
+    ])
     def test_records_input_digests_versions_and_replayable_config(
-        self, tmp_path, synth_files
+        self, tmp_path, synth_files, make_config, arm_train
     ):
         train, dev = synth_files
         out = tmp_path / "m.json"
-        assert run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out, seed=9))) == 0
-        provenance = json.loads(out.read_text())["provenance"]
+        assert run_cli("train", "--config", str(make_config(tmp_path, train, dev, out, seed=9))) == 0
+        doc = json.loads(out.read_text())
+        provenance = doc["provenance"]
         assert provenance["train_sha256"] == hashlib.sha256(train.read_bytes()).hexdigest()
         assert provenance["dev_sha256"] == hashlib.sha256(dev.read_bytes()).hexdigest()
         assert provenance["abusivetext_version"] == abusivetext.__version__
         assert provenance["numpy_version"] == np.__version__
-        run_config = provenance["run_config"]
+        run_config = doc["run_config"]
         assert not {"train_path", "dev_path", "model_path"} & set(run_config)
-        assert run_config["seed"] == run_config["lr"]["seed"] == 9
+        assert run_config["seed"] == run_config[arm_train]["seed"] == 9
         assert str(tmp_path) not in out.read_text()
         # With the paths put back, the recorded config trains the same bundle.
         replay = tmp_path / "replay.json"
@@ -832,12 +836,12 @@ class TestProvenance:
     ):
         train, _ = synth_files
         out = tmp_path / "m.json"
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "4")
+        monkeypatch.setenv(configs.SEED_ENV_VAR, "4")
         assert run_cli("train", "--train", str(train), "--out", str(out)) == 0
-        provenance = json.loads(out.read_text())["provenance"]
-        assert provenance["dev_sha256"] is None
-        assert provenance["run_config"]["seed"] == 4
-        assert provenance["run_config"]["encoder_train"]["seed"] == 4
+        doc = json.loads(out.read_text())
+        assert doc["provenance"]["dev_sha256"] is None
+        assert doc["run_config"]["seed"] == 4
+        assert doc["run_config"]["encoder_train"]["seed"] == 4
 
     @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
     def test_load_and_resave_reproduces_the_bundle(self, tmp_path, synth_files, make_config):
@@ -846,6 +850,61 @@ class TestProvenance:
         assert run_cli("train", "--config", str(make_config(tmp_path, train, dev, out))) == 0
         raw = out.read_bytes()
         assert bd.serialize_bundle(bd.deserialize_bundle(raw)) == raw
+
+
+# Runs one CLI command per stdin line in this process, with the package under
+# test first on the path.
+RUN_LINES = """
+import sys
+sys.path.insert(0, {src!r})
+from abusivetext.cli import main
+for line in sys.stdin:
+    assert main(line.split()) == 0, line
+"""
+
+
+def openblas_picks_its_kernel_at_run_time() -> bool:
+    return platform.machine() in ("x86_64", "AMD64") and "DYNAMIC_ARCH" in str(
+        np.show_config(mode="dicts")
+    )
+
+
+class TestAcrossBlasKernels:
+    """An OpenBLAS built with DYNAMIC_ARCH picks its kernels for the CPU it
+    runs on; OPENBLAS_CORETYPE stands in for another machine's choice."""
+
+    @pytest.mark.skipif(
+        not openblas_picks_its_kernel_at_run_time(),
+        reason="needs x86-64 numpy on an OpenBLAS built with DYNAMIC_ARCH",
+    )
+    def test_only_encoder_bundles_depend_on_the_kernel(self, tmp_path, synth_files):
+        train, dev = synth_files
+        commands = "".join(
+            f"train --config {config}\n"
+            f"predict --model {arm}.bundle.json --input ../{dev.name} --out {arm}.preds.tsv\n"
+            f"evaluate --gold ../{dev.name} --pred {arm}.preds.tsv --json-out {arm}.report.json\n"
+            for arm, config in (("lr", "run.json"), ("enc", "run-enc.json"))
+        )
+        script = RUN_LINES.format(src=str(Path(abusivetext.__file__).resolve().parents[1]))
+        outputs = []
+        for core in ("Haswell", "Prescott"):
+            work = tmp_path / core
+            work.mkdir()
+            relative = (Path("..") / train.name, Path("..") / dev.name)
+            lr_config(work, *relative, Path("lr.bundle.json"))
+            encoder_config(work, *relative, Path("enc.bundle.json"))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], input=commands, cwd=work,
+                env={**os.environ, "OPENBLAS_CORETYPE": core},
+                capture_output=True, text=True, check=True,
+            )
+            files = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+            outputs.append({**files, "stdout": proc.stdout, "stderr": proc.stderr})
+        haswell, prescott = outputs
+        assert len(haswell) == 10 and haswell.keys() == prescott.keys()
+        assert [name for name in haswell if haswell[name] != prescott[name]] == [
+            "enc.bundle.json"
+        ]
 
 
 class TestConsoleEntry:

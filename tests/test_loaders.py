@@ -135,10 +135,29 @@ def as_v2(doc, work: Path) -> None:
     """Rewrite an LR bundle's vectorizer section in the version 2 layout:
     tokens and document frequencies as lists, and the idf tensor."""
     vec = doc["vectorizer"]
-    idf = bd.load_bundle(work / "lr.bundle.json").payload.tfidf.idf
+    idf = bd.deserialize_bundle((work / "lr.bundle.json").read_bytes()).payload.tfidf.idf
     vec.update(tokens=vec["tokens"].split(),
                document_frequency=stored_dfs(vec["document_frequency"]).tolist(),
                idf=store(idf, "<f8"))
+
+
+def as_v3(doc) -> None:
+    """Rewrite a bundle in the version 3 layout: the settings stored beside
+    the payload sections as well as in provenance, the LR dimension and the
+    tokenizer's special ids."""
+    run_config = doc.pop("run_config")
+    doc.update(format_version=3, model_kind=run_config["model_kind"],
+               language_tag=run_config["language_tag"],
+               preprocessing=run_config["preprocessing"])
+    if "vectorizer" in doc:
+        doc["vectorizer"]["config"] = run_config["tfidf"]
+        doc["linear"]["dimension"] = len(doc["vectorizer"]["tokens"].split())
+        doc["train_config"] = run_config["lr"]
+    else:
+        doc["tokenizer"]["specials"] = {"cls": 0, "pad": 1, "unk": 2}
+        doc["encoder_config"] = run_config["encoder"]
+        doc["train_config"] = run_config["encoder_train"]
+    doc["provenance"]["run_config"] = run_config
 
 
 def _tokens_edited(edit):
@@ -189,6 +208,35 @@ HOSTILE_VOCABULARY = {
 }
 
 
+def _drop(key):
+    return lambda section: section.pop(key)
+
+
+# One hostile recorded run config each; every one is a bundle no writer could
+# have made.
+HOSTILE_RECORDED_CONFIG = {
+    "not an object": lambda doc: doc.update(run_config=["tfidf_lr"]),
+    "missing nested key": lambda doc: doc["run_config"]["lr"].pop("epochs"),
+    "missing top-level key": lambda doc: doc["run_config"].pop("encoder_vocab_size"),
+    "extra key": lambda doc: doc["run_config"].update(note=1),
+    "extra nested key": lambda doc: doc["run_config"]["encoder"].update(note=1),
+    "path key": lambda doc: doc["run_config"].update(train_path="train.tsv"),
+    "unknown model_kind": lambda doc: doc["run_config"].update(model_kind="perceptron"),
+    "the other arm's model_kind": lambda doc: doc["run_config"].update(
+        model_kind="micro_encoder" if "vectorizer" in doc else "tfidf_lr"),
+    "encoder_vocab_size 3": lambda doc: doc["run_config"].update(encoder_vocab_size=3),
+    "lr.epochs 0": lambda doc: doc["run_config"]["lr"].update(epochs=0),
+}
+
+
+def predict_raw(work: Path, data: bytes) -> tuple[int, list[str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.json"
+        model.write_bytes(data)
+        return run_cli("predict", "--model", str(model), "--input",
+                       str(work / "input.tsv"), "--out", str(Path(tmp) / "p.tsv"))
+
+
 def predict_with(work: Path, doc) -> tuple[int, list[str]]:
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         enc, "parameter_shapes", guarded_shapes
@@ -212,20 +260,20 @@ class TestHostileBundles:
     @pytest.mark.parametrize("arm, path, value", [
         ("enc", ("tokenizer",), None),
         ("enc", ("tokenizer",), []),
-        ("enc", ("encoder_config", "n_layers"), 10**30),
-        ("enc", ("encoder_config", "n_layers"), 1e30),
+        ("enc", ("run_config", "encoder", "n_layers"), 10**30),
+        ("enc", ("run_config", "encoder", "n_layers"), 1e30),
         ("lr", ("vectorizer",), "x"),
         ("lr", ("linear", "weights", "shape", 0), 10**400),
-        ("lr", ("model_kind",), []),
-        ("lr", ("model_kind",), {}),
-        ("enc", ("encoder_config", "d_model"), 4.0),
-        ("enc", ("encoder_config", "max_length"), 8.0),
-        ("enc", ("encoder_config", "n_layers"), True),
-        ("lr", ("vectorizer", "config", "ngram_max"), 2.5),
+        ("lr", ("run_config", "model_kind"), []),
+        ("lr", ("run_config", "model_kind"), {}),
+        ("enc", ("run_config", "encoder", "d_model"), 4.0),
+        ("enc", ("run_config", "encoder", "max_length"), 8.0),
+        ("enc", ("run_config", "encoder", "n_layers"), True),
+        ("lr", ("run_config", "tfidf", "ngram_max"), 2.5),
         ("lr", ("linear", "bias"), "0.25"),
         ("lr", ("linear", "bias"), False),
         ("lr", ("linear", "bias"), 10**400),
-        ("lr", ("language_tag",), []),
+        ("lr", ("run_config", "language_tag"), []),
         ("lr", ("vectorizer", "n_documents"), 40.5),
         ("lr0", ("vectorizer", "n_documents"), -5),
         ("lr0", ("vectorizer", "n_documents"), 0),
@@ -259,12 +307,12 @@ class TestHostileBundles:
         ("lr", ("vectorizer",), "idf", "idf tensor"),
         ("lr", ("linear",), "note", 1),
         ("lr", (), "note", 1),
-        ("lr", ("vectorizer", "config"), "lowercase", True),
-        ("lr", ("preprocessing",), "note", None),
+        ("lr", ("run_config", "tfidf"), "lowercase", True),
+        ("lr", ("run_config", "preprocessing"), "note", None),
         ("enc", (), "vocab_size", 40),
         ("enc", ("tokenizer",), "vocab_size", 40),
-        ("enc", ("tokenizer", "specials"), "mask", 3),
-        ("enc", ("encoder_config",), "note", 0.1),
+        ("enc", ("tokenizer",), "specials", {"cls": 0, "pad": 1, "unk": 2}),
+        ("enc", ("run_config", "encoder"), "note", 0.1),
         ("enc", ("provenance",), "host", "x"),
         ("enc", ("training_report",), "note", []),
     ])
@@ -272,7 +320,8 @@ class TestHostileBundles:
         # A key load would not read, which a re-save would drop.
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
         if value == "idf tensor":  # the version 2 layout kept it here
-            value = store(bd.load_bundle(work / "lr.bundle.json").payload.tfidf.idf, "<f8")
+            loaded = bd.deserialize_bundle((work / "lr.bundle.json").read_bytes())
+            value = store(loaded.payload.tfidf.idf, "<f8")
         node = doc
         for name in section:
             node = node[name]
@@ -280,12 +329,12 @@ class TestHostileBundles:
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("arm, section, key", [
-        ("lr", ("preprocessing",), "strip_digits"),
-        ("lr", ("vectorizer", "config"), "l2_normalize"),
-        ("lr", ("train_config",), "seed"),
+        ("lr", ("run_config", "preprocessing"), "strip_digits"),
+        ("lr", ("run_config", "tfidf"), "l2_normalize"),
+        ("lr", ("run_config", "lr"), "seed"),
         ("lr", (), "training_report"),
         ("enc", ("tokenizer",), "merges"),
-        ("enc", ("encoder_config",), "max_length"),
+        ("enc", ("run_config", "encoder"), "max_length"),
         ("enc", (), "parameters"),
     ])
     def test_missing_key_rejected_as_inconsistent(self, work, arm, section, key):
@@ -306,13 +355,13 @@ class TestHostileBundles:
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("arm", ["lr", "enc"])
-    @pytest.mark.parametrize("key", ["provenance", "language_tag"])
+    @pytest.mark.parametrize("key", ["provenance", "run_config"])
     def test_missing_provenance_is_inconsistent(self, work, arm, key):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
         del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("version", [3.0, "3", True, [3]])
+    @pytest.mark.parametrize("version", [4.0, "4", True, [4]])
     def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
         doc = json.loads((work / "enc.bundle.json").read_text())
         assert predict_with(work, with_value(doc, ("format_version",), version)) == (
@@ -381,10 +430,36 @@ class TestHostileBundles:
             as_v2(doc, work)
         assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
 
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    def test_v3_document_is_a_version_error(self, work, arm):
+        # Version 3 stored the settings beside the payload and the run config
+        # in provenance; labelled version 4, that layout is inconsistent.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v3(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = 4
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    @pytest.mark.parametrize("name", sorted(HOSTILE_RECORDED_CONFIG))
+    def test_hostile_recorded_run_config_is_inconsistent(self, work, arm, name):
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        HOSTILE_RECORDED_CONFIG[name](doc)
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("data", [
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"format_version": 4, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": ' + b"9" * 5000 + b"}",
+        b'{"format_version": 4, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+    ], ids=["deep list", "deep object", "long version", "long seed"])
+    def test_deep_or_huge_json_is_inconsistent(self, work, data):
+        assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])
+
     def test_huge_ngram_max_predicts_like_the_bundle_as_trained(self, work, tmp_path):
         doc = json.loads((work / "lr.bundle.json").read_text())
         model = tmp_path / "m.json"
-        model.write_text(json.dumps(with_value(doc, ("vectorizer", "config", "ngram_max"), 10**30)))
+        model.write_text(json.dumps(with_value(doc, ("run_config", "tfidf", "ngram_max"), 10**30)))
         for name, bundle in (("huge", model), ("trained", work / "lr.bundle.json")):
             assert run_cli("predict", "--model", str(bundle), "--input",
                            str(work / "input.tsv"), "--out", str(tmp_path / name)) == (0, [])
@@ -448,6 +523,18 @@ class TestHostileRunConfigs:
 
     @pytest.mark.parametrize("text", ["[]", '""', "3", "null"])
     def test_config_that_is_not_an_object_is_one_config_error(self, work, tmp_path, text):
+        config, out = tmp_path / "run.json", tmp_path / "m.json"
+        config.write_text(text)
+        assert run_cli("train", "--config", str(config), "--train",
+                       str(work / "train.tsv"), "--out", str(out)) == (1, ["CONFIG"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000 + "]" * 200_000,
+        '{"lr": ' * 100_000 + "1" + "}" * 100_000,
+        '{"seed": ' + "1" * 5000 + "}",
+    ], ids=["deep list", "deep object", "long seed"])
+    def test_deep_or_huge_json_is_one_config_error(self, work, tmp_path, text):
         config, out = tmp_path / "run.json", tmp_path / "m.json"
         config.write_text(text)
         assert run_cli("train", "--config", str(config), "--train",

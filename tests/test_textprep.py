@@ -12,15 +12,23 @@ from abusivetext.textprep import (
     CleanPolicy,
     DEFAULT_POLICY,
     collapse_whitespace,
-    lowercase_latin,
     preprocess,
     preprocess_all,
     remove_urls,
-    strip_specials,
 )
 
 TAMIL_WORD = "அம்மா"  # word with a dependent vowel sign
 MALAYALAM_WORD = "അമ്മ"
+
+
+def strip_specials(text: str) -> str:
+    """preprocess with special-character stripping as its only step."""
+    return preprocess(text, CleanPolicy(remove_urls=False, collapse_whitespace=False, lowercase_latin=False))
+
+
+def lowercase_latin(text: str) -> str:
+    """preprocess with Latin lowercasing as its only step."""
+    return preprocess(text, CleanPolicy(remove_urls=False, strip_specials=False, collapse_whitespace=False))
 
 
 def dravidian_letters(text: str) -> Counter:
