@@ -12,9 +12,11 @@ is recomputed from the document frequencies on load, and the LR dimension
 is the vocabulary size). Each array, ``<f8`` or ``<i8``, is one
 ``{"dtype", "shape", "base64"}`` object of its little-endian bytes, so
 load(save(b)) re-serializes to identical bytes; TF-IDF tokens are one
-space-joined string and the rest is readable JSON. Version mismatches are
-rejected outright, never migrated: a version 3 bundle, which stored the
-settings a second time beside its provenance, ends in BundleVersionError.
+space-joined string and the rest is readable JSON. The recorded config
+holds the run's one seed; the arm configs hold none. Version mismatches are
+rejected outright, never migrated: a version 4 bundle, which also stored a
+seed in each arm's training config (the untrained arm's included), ends in
+BundleVersionError.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .errors import BundleInconsistentError, BundleVersionError
 from .linear import LinearModel, TrainReportLR, predict_probas
 from .vectorizer import TfIdfModel, transform_rows
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
@@ -174,7 +176,6 @@ class TfIdfLrPayload:
         linear = LinearModel(
             weights=decode_tensor(lin["weights"], (tfidf.dimension,), "linear weights"),
             bias=lin["bias"],
-            dimension=tfidf.dimension,
         )
         return cls(tfidf, linear, report=_record(TrainReportLR, doc, "training_report"))
 

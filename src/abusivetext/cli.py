@@ -1,9 +1,9 @@
 """Command-line surface: stats, preprocess, synth, train, predict, evaluate.
 
-Every run is reproducible: training is seeded (config file, --seed flag, or
-the ABUSIVETEXT_SEED environment variable as a fallback), model bundles are
-byte-stable JSON, and predictions are written with fixed 6-decimal
-probabilities so reruns diff clean.
+Every run is reproducible: one seed drives training (the config's ``seed``
+or the --seed flag, default 0; nothing is read from the environment), model
+bundles are byte-stable JSON, and predictions are written with fixed
+6-decimal probabilities so reruns diff clean.
 
 Exit codes:
     0  success
@@ -86,7 +86,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
-    return replace(config, **overrides).resolve_seed()
+    return replace(config, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,9 @@ def _train_tfidf_lr(
 
     texts, labels = [text for text, _ in train], [label for _, label in train]
     tfidf = vectorizer.fit(texts, config.tfidf)
-    model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config.lr)
+    model, report = linear.train_lr(
+        vectorizer.transform_rows(tfidf, texts), labels, config.lr, config.seed
+    )
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}: train_loss {loss:.6f}")
     payload = bundlemod.TfIdfLrPayload(tfidf=tfidf, linear=model, report=report)
@@ -210,7 +212,7 @@ def _train_micro_encoder(
 
     tokenizer = enc.train_subword([text for text, _ in train], config.encoder_vocab_size)
     model, report = enc.train_encoder(
-        train, dev, tokenizer, config.encoder, config.encoder_train
+        train, dev, tokenizer, config.encoder, config.encoder_train, config.seed
     )
     for epoch, (loss, f1) in enumerate(
         zip(report.epoch_train_losses, report.epoch_dev_macro_f1), start=1

@@ -4,22 +4,23 @@ holds them all, kept free of numpy.
 ``cli`` builds its run config here without importing the array modules, so
 the commands that never train or predict start without numpy. A bundle
 stores the run config as its one settings record. ``vectorizer``, ``linear``
-and ``encoder`` import their configs from here.
+and ``encoder`` import their configs from here. The arm configs hold no
+seed: the run config's one ``seed`` drives whichever arm a run trains, and
+no setting is read from the environment.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .checks import check_fields
+from .corpus import FileFormat
 from .textprep import CleanPolicy
 
 # Model kind names: bundle payload KINDs and the --model-kind choices.
 TFIDF_LR = "tfidf_lr"
 MICRO_ENCODER = "micro_encoder"
 
-SEED_ENV_VAR = "ABUSIVETEXT_SEED"
 # The run config's file paths: a bundle records the config without them.
 PATH_KEYS = ("train_path", "dev_path", "model_path")
 
@@ -50,8 +51,6 @@ class TrainConfigLR:
     epochs: int = 50
     batch_size: int = 32
     l2_penalty: float = 1e-4
-    seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         check_fields(self)
@@ -98,7 +97,6 @@ class TrainConfigEnc:
     learning_rate: float = 1e-5
     epochs: int = 5
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -114,8 +112,8 @@ class TrainConfigEnc:
 class RunConfig:
     """Everything a training run needs; serializable so runs can be replayed.
 
-    ``seed``, when set (or supplied via ABUSIVETEXT_SEED), overrides the
-    per-arm training-config seeds so one value drives the whole run.
+    ``seed`` is the run's one seed: it drives the shuffling, initialization
+    and dropout of whichever arm the run trains.
     """
 
     train_path: str | None = None
@@ -124,7 +122,7 @@ class RunConfig:
     model_kind: str = TFIDF_LR
     language_tag: str = ""
     format: str = "tsv"
-    seed: int | None = None
+    seed: int = 0
     preprocessing: CleanPolicy = field(default_factory=CleanPolicy)
     tfidf: TfIdfConfig = field(default_factory=TfIdfConfig)
     lr: TrainConfigLR = field(default_factory=TrainConfigLR)
@@ -144,6 +142,8 @@ class RunConfig:
         check_fields(self)
         if self.model_kind not in (TFIDF_LR, MICRO_ENCODER):
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if self.format not in {f.value for f in FileFormat}:
+            raise ValueError(f"unknown format {self.format!r}")
         if self.encoder_vocab_size < 4:
             raise ValueError(
                 "encoder_vocab_size must be >= 4 (three specials and one byte)"
@@ -172,17 +172,3 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-    def resolve_seed(self) -> "RunConfig":
-        """Fold the run seed (or the env fallback) into the arm configs."""
-        seed = self.seed
-        if seed is None and os.environ.get(SEED_ENV_VAR):
-            seed = int(os.environ[SEED_ENV_VAR])
-        if seed is None:
-            return self
-        return replace(
-            self,
-            seed=seed,
-            lr=replace(self.lr, seed=seed),
-            encoder_train=replace(self.encoder_train, seed=seed),
-        )

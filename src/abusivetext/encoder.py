@@ -755,10 +755,12 @@ def train_encoder(
     tokenizer: SubwordTokenizer,
     enc_config: EncoderConfig = EncoderConfig(),
     train_config: TrainConfigEnc = TrainConfigEnc(),
+    seed: int = 0,
 ) -> tuple[EncoderModel, TrainReportEnc]:
     """Minimize cross-entropy with plain mini-batch gradient descent for a
     fixed number of epochs, recording dev macro-F1 after each one. No early
-    stopping and no model selection: the final-epoch model is returned."""
+    stopping and no model selection: the final-epoch model is returned.
+    ``seed`` drives the initialization, the shuffling and the dropout."""
     if len(train) == 0:
         raise EmptyData("encoder training data is empty")
     if len(dev) == 0:
@@ -770,11 +772,11 @@ def train_encoder(
     dev_ids, dev_mask = encode_batch(tokenizer, [t for t, _ in dev], max_length)
     dev_gold = [label for _, label in dev]
 
-    rng = np.random.default_rng(train_config.seed)
+    rng = np.random.default_rng(seed)
     # Parameters and gradients are views into one flat vector each, so a step
     # zero-fills and updates every tensor with one array operation.
     shapes = parameter_shapes(enc_config, tokenizer.vocab_size)
-    init = init_params(enc_config, tokenizer.vocab_size, train_config.seed)
+    init = init_params(enc_config, tokenizer.vocab_size, seed)
     theta = np.concatenate([init[name].ravel() for name in shapes])
     params = _views(theta, shapes)
     flat_grads = np.empty_like(theta)

@@ -37,26 +37,23 @@ def sigmoid(z) -> np.ndarray:
 class LinearModel:
     weights: np.ndarray
     bias: float
-    dimension: int
 
     def __post_init__(self):
         check_fields(self)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (self.dimension,):
-            raise DimensionMismatch(
-                f"weights have shape {self.weights.shape}, expected ({self.dimension},)"
-            )
+        if self.weights.ndim != 1:
+            raise DimensionMismatch(f"weights have shape {self.weights.shape}, expected 1-D")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("model weights must be finite")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearModel):
             return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.bias == other.bias
-            and np.array_equal(self.weights, other.weights)
-        )
+        return self.bias == other.bias and np.array_equal(self.weights, other.weights)
 
 
 @dataclass
@@ -163,11 +160,13 @@ def train_lr(
     rows: Rows,
     labels: Sequence[Label],
     config: TrainConfigLR = TrainConfigLR(),
+    seed: int = 0,
 ) -> tuple[LinearModel, TrainReportLR]:
     """Mini-batch gradient descent from zero initialization.
 
-    Shuffling is driven solely by config.seed, so identical data + config
-    yield a bit-identical model. The report carries the full-data loss after
+    Every epoch shuffles the rows with one Random(seed), so shuffling is
+    driven solely by seed, and identical data + config + seed yield a
+    bit-identical model. The report carries the full-data loss after
     each epoch and flags degenerate single-class training data. Raises
     TrainingDiverged at the first epoch whose loss is not finite.
     """
@@ -181,10 +180,9 @@ def train_lr(
     report = TrainReportLR(single_class=len(set(labels)) < 2)
     targets = np.array(labels, dtype=np.float64)
     order = list(range(rows.n_rows))
-    rng = Random(config.seed)
+    rng = Random(seed)
     for epoch in range(1, config.epochs + 1):
-        if config.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             pick = order[start : start + config.batch_size]
             grad_w, grad_b = _gradient(
@@ -198,4 +196,4 @@ def train_lr(
                 f"lr training diverged at epoch {epoch}: train loss {loss}"
             )
         report.epoch_losses.append(loss)
-    return LinearModel(weights=weights, bias=bias, dimension=rows.dimension), report
+    return LinearModel(weights=weights, bias=bias), report

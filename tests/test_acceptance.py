@@ -151,7 +151,7 @@ def test_criterion_7_end_to_end_separable():
     tfidf = fit(train_texts)
     model, _ = train_lr(
         transform_rows(tfidf, train_texts), [ex.label for ex in train],
-        TrainConfigLR(seed=7),
+        TrainConfigLR(), seed=7,
     )
     pred = [decide(p) for p in predict_probas(model, transform_rows(tfidf, dev_texts))]
     assert macro_f1(confusion([ex.label for ex in dev], pred)) >= 0.95
@@ -167,10 +167,8 @@ def test_criterion_7_end_to_end_separable():
     pairs = list(zip(toy_texts, [ex.label for ex in toy]))
     tokenizer = enc.train_subword(toy_texts, vocab_size=160)
     config = enc.EncoderConfig(d_model=32, n_heads=2, n_layers=1, d_ff=64, max_length=16)
-    train_config = enc.TrainConfigEnc(
-        learning_rate=1e-3, epochs=200, batch_size=1, seed=0
-    )
-    encoder_model, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
+    train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=200, batch_size=1)
+    encoder_model, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=0)
     ids = np.empty((len(pairs), config.max_length), dtype=np.int64)
     mask = np.empty((len(pairs), config.max_length))
     for row, (text, _) in enumerate(pairs):

@@ -20,10 +20,12 @@ from abusivetext.textprep import CleanPolicy, preprocess
 
 def lr_bundle_of(texts, labels, tfidf_config=vectorizer.TfIdfConfig()):
     tfidf = vectorizer.fit(texts, tfidf_config)
-    config = linear.TrainConfigLR(epochs=5, seed=3)
-    model, report = linear.train_lr(vectorizer.transform_rows(tfidf, texts), labels, config)
+    config = linear.TrainConfigLR(epochs=5)
+    model, report = linear.train_lr(
+        vectorizer.transform_rows(tfidf, texts), labels, config, seed=3
+    )
     return bd.ModelBundle(
-        config=RunConfig(language_tag="synthetic", tfidf=tfidf_config, lr=config),
+        config=RunConfig(language_tag="synthetic", seed=3, tfidf=tfidf_config, lr=config),
         payload=bd.TfIdfLrPayload(tfidf=tfidf, linear=model, report=report),
         provenance=bd.Provenance.of_run(b"", None),
     )
@@ -42,11 +44,11 @@ def encoder_bundle():
     texts = [text for text, _ in pairs]
     tokenizer = enc.train_subword(texts, vocab_size=72)
     config = enc.EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=12)
-    train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4, seed=5)
-    model, report = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
+    train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4)
+    model, report = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=5)
     return bd.ModelBundle(
         config=RunConfig(
-            model_kind=MICRO_ENCODER, language_tag="synthetic",
+            model_kind=MICRO_ENCODER, language_tag="synthetic", seed=5,
             preprocessing=CleanPolicy(strip_digits=True), encoder=config,
             encoder_train=train_config, encoder_vocab_size=72,
         ),
@@ -170,7 +172,7 @@ class TestRoundTrip:
             tokens=sorted([token, "zz"]), document_frequency=np.array([1, 1]),
             n_documents=1, config=payload.tfidf.config,
         )
-        linear_model = linear.LinearModel(weights=np.zeros(2), bias=0.0, dimension=2)
+        linear_model = linear.LinearModel(weights=np.zeros(2), bias=0.0)
         bundle = bd.ModelBundle(
             config=tfidf_lr_bundle.config,
             payload=bd.TfIdfLrPayload(tfidf, linear_model, payload.report),

@@ -18,14 +18,14 @@ INT_FIELDS = [
     (enc.EncoderConfig, "d_model"),
     (enc.EncoderConfig, "max_length"),
     (enc.TrainConfigEnc, "epochs"),
-    (enc.TrainConfigEnc, "seed"),
+    (enc.TrainConfigEnc, "batch_size"),
     (vectorizer.TfIdfConfig, "ngram_max"),
     (vectorizer.TfIdfConfig, "max_vocab"),
     (linear.TrainConfigLR, "batch_size"),
     (RunConfig, "encoder_vocab_size"),
     (RunConfig, "seed"),
 ]
-OPTIONAL = [(vectorizer.TfIdfConfig, "max_vocab"), (RunConfig, "seed")]
+OPTIONAL = [(vectorizer.TfIdfConfig, "max_vocab")]
 FLOAT_FIELDS = [
     (enc.EncoderConfig, "dropout"),
     (enc.TrainConfigEnc, "learning_rate"),
@@ -66,7 +66,6 @@ def test_float_field_takes_an_int(cls, name):
 @pytest.mark.parametrize("cls, name", [
     (CleanPolicy, "strip_digits"),
     (vectorizer.TfIdfConfig, "l2_normalize"),
-    (linear.TrainConfigLR, "shuffle"),
 ])
 @pytest.mark.parametrize("value", [1, 0.0, "true", None])
 def test_bool_field_takes_only_a_bool(cls, name, value):
@@ -77,7 +76,7 @@ def test_bool_field_takes_only_a_bool(cls, name, value):
 @pytest.mark.parametrize("value", ["0.25", True, math.nan])
 def test_linear_bias_must_be_a_finite_number(value):
     with pytest.raises(ValueError, match="bias must be"):
-        linear.LinearModel(weights=[0.0], bias=value, dimension=1)
+        linear.LinearModel(weights=[0.0], bias=value)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -86,6 +85,13 @@ def test_linear_bias_must_be_a_finite_number(value):
 def test_run_config_strings(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a string"):
         RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["xlsx", "TSV", ""])
+def test_run_config_format_must_be_a_file_format(value):
+    with pytest.raises(ValueError, match=f"unknown format {value!r}"):
+        RunConfig(format=value)
+    assert RunConfig(format="csv").format == "csv"
 
 
 def test_provenance_fields():

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: happy paths, exit codes, and reproducibility."""
 import argparse
 import base64
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -64,6 +65,11 @@ def gold_and_predictions(tmp_path):
     return gold, preds
 
 
+def seeded(seed):
+    """The config's seed setting; None leaves the key out."""
+    return {} if seed is None else {"seed": seed}
+
+
 def lr_config(tmp_path, train, dev, out, epochs=15, seed=7):
     path = tmp_path / "run.json"
     path.write_text(
@@ -73,7 +79,7 @@ def lr_config(tmp_path, train, dev, out, epochs=15, seed=7):
                 "dev_path": str(dev),
                 "model_path": str(out),
                 "model_kind": "tfidf_lr",
-                "seed": seed,
+                **seeded(seed),
                 "lr": {"epochs": epochs},
             }
         )
@@ -90,7 +96,7 @@ def encoder_config(tmp_path, train, dev, out, seed=7):
                 "dev_path": str(dev),
                 "model_path": str(out),
                 "model_kind": "micro_encoder",
-                "seed": seed,
+                **seeded(seed),
                 "encoder": {
                     "d_model": 16, "n_heads": 2, "n_layers": 1,
                     "d_ff": 32, "max_length": 16,
@@ -284,7 +290,7 @@ class TestTrainPredictEvaluate:
         tfidf = vectorizer.fit(["grawk grawk", "melith calm"])
         weights = np.zeros(tfidf.dimension)
         weights[tfidf.token_to_index["grawk"]] = 4.0
-        model = linear.LinearModel(weights=weights, bias=0.0, dimension=tfidf.dimension)
+        model = linear.LinearModel(weights=weights, bias=0.0)
         payloads = {}
         for name, policy in [
             ("lower", CleanPolicy()),
@@ -761,16 +767,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             cli.RunConfig.from_dict({"lr": {"epoch": 7}})
 
-    def test_seed_propagates_to_arm_configs(self):
-        config = cli.RunConfig.from_dict({"seed": 11}).resolve_seed()
-        assert config.lr.seed == 11
-        assert config.encoder_train.seed == 11
-
-    def test_env_var_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv(configs.SEED_ENV_VAR, "23")
-        config = cli.RunConfig().resolve_seed()
-        assert config.seed == 23
-        assert config.lr.seed == 23
+    def test_run_seed_is_the_only_seed(self):
+        assert cli.RunConfig().seed == 0
+        for cls in cli.RunConfig._NESTED.values():
+            assert "seed" not in {f.name for f in dataclasses.fields(cls)}, cls
 
     @pytest.mark.parametrize("size", [-1, 0, 3])
     def test_vocab_size_below_four_rejected_at_construction(self, size):
@@ -779,11 +779,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="encoder_vocab_size must be >= 4"):
             cli.RunConfig.from_dict({"encoder_vocab_size": size})
         assert cli.RunConfig(encoder_vocab_size=4).encoder_vocab_size == 4
-
-    def test_explicit_seed_beats_env(self, monkeypatch):
-        monkeypatch.setenv(configs.SEED_ENV_VAR, "23")
-        config = cli.RunConfig(seed=5).resolve_seed()
-        assert config.seed == 5
 
     def test_model_kinds_have_one_source(self):
         [sub] = [a for a in cli.build_parser()._actions
@@ -799,6 +794,26 @@ class TestRunConfig:
             spelled = [path.name for path in sorted(src.glob("*.py"))
                        for _ in literal.finditer(path.read_text(encoding="utf-8"))]
             assert spelled == ["configs.py"], (name, spelled)
+
+    def test_no_module_reads_the_environment(self):
+        # A setting read from the environment is an input no bundle records,
+        # so a replay of the recorded config could train something else.
+        reads = re.compile(r"\benviron\b|\bgetenv\b")
+        src = Path(cli.__file__).parent
+        readers = [path.name for path in sorted(src.glob("*.py"))
+                   if reads.search(path.read_text(encoding="utf-8"))]
+        assert readers == []
+
+
+def replay(tmp_path, run_config, train, dev) -> bytes:
+    """The bundle a recorded run config trains with its paths put back."""
+    config, again = tmp_path / "replay.json", tmp_path / "again.json"
+    config.write_text(json.dumps(
+        {**run_config, "train_path": str(train), "dev_path": str(dev),
+         "model_path": str(again)}
+    ))
+    assert run_cli("train", "--config", str(config)) == 0
+    return again.read_bytes()
 
 
 class TestProvenance:
@@ -819,29 +834,34 @@ class TestProvenance:
         assert provenance["numpy_version"] == np.__version__
         run_config = doc["run_config"]
         assert not {"train_path", "dev_path", "model_path"} & set(run_config)
-        assert run_config["seed"] == run_config[arm_train]["seed"] == 9
+        assert run_config["seed"] == 9
+        assert "seed" not in run_config[arm_train]
         assert str(tmp_path) not in out.read_text()
         # With the paths put back, the recorded config trains the same bundle.
-        replay = tmp_path / "replay.json"
-        again = tmp_path / "again.json"
-        replay.write_text(json.dumps(
-            {**run_config, "train_path": str(train), "dev_path": str(dev),
-             "model_path": str(again)}
-        ))
-        assert run_cli("train", "--config", str(replay)) == 0
-        assert again.read_bytes() == out.read_bytes()
+        assert replay(tmp_path, run_config, train, dev) == out.read_bytes()
 
-    def test_env_seed_is_folded_in_and_no_dev_is_null(
-        self, tmp_path, synth_files, monkeypatch
+    @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
+    def test_replay_of_an_unseeded_run_ignores_a_seed_variable(
+        self, tmp_path, synth_files, make_config, monkeypatch
     ):
+        # A run given no seed records seed 0, and the environment the replay
+        # runs in cannot change what it trains.
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        config = make_config(tmp_path, train, dev, out, seed=None)
+        assert run_cli("train", "--config", str(config)) == 0
+        run_config = json.loads(out.read_text())["run_config"]
+        monkeypatch.setenv("ABUSIVETEXT_SEED", "3")
+        assert replay(tmp_path, run_config, train, dev) == out.read_bytes()
+        assert run_config["seed"] == 0
+
+    def test_no_dev_is_null(self, tmp_path, synth_files):
         train, _ = synth_files
         out = tmp_path / "m.json"
-        monkeypatch.setenv(configs.SEED_ENV_VAR, "4")
         assert run_cli("train", "--train", str(train), "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["provenance"]["dev_sha256"] is None
-        assert doc["run_config"]["seed"] == 4
-        assert doc["run_config"]["encoder_train"]["seed"] == 4
+        assert doc["run_config"]["seed"] == 0
 
     @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
     def test_load_and_resave_reproduces_the_bundle(self, tmp_path, synth_files, make_config):

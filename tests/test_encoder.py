@@ -697,8 +697,8 @@ class TestTrainEncoder:
         pairs = self.small_pairs()
         tokenizer = enc.train_subword([t for t, _ in pairs], vocab_size=64)
         config = enc.EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=8)
-        train_config = enc.TrainConfigEnc(learning_rate=0.0, epochs=2, batch_size=4, seed=9)
-        model, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
+        train_config = enc.TrainConfigEnc(learning_rate=0.0, epochs=2, batch_size=4)
+        model, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=9)
         init = enc.init_params(config, tokenizer.vocab_size, seed=9)
         assert all(np.array_equal(model.params[k], init[k]) for k in init)
 
@@ -706,9 +706,9 @@ class TestTrainEncoder:
         pairs = self.small_pairs()
         tokenizer = enc.train_subword([t for t, _ in pairs], vocab_size=64)
         config = enc.EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_length=8)
-        train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=3, batch_size=4, seed=1)
-        m1, r1 = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
-        m2, r2 = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
+        train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=3, batch_size=4)
+        m1, r1 = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=1)
+        m2, r2 = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=1)
         assert m1 == m2
         assert r1 == r2
 
@@ -716,8 +716,8 @@ class TestTrainEncoder:
         pairs = self.small_pairs()
         tokenizer = enc.train_subword([t for t, _ in pairs], vocab_size=64)
         config = enc.EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=8)
-        train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=4, batch_size=4, seed=0)
-        _, report = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
+        train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=4, batch_size=4)
+        _, report = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=0)
         assert len(report.epoch_train_losses) == 4
         assert len(report.epoch_dev_macro_f1) == 4
         assert all(0.0 <= f1 <= 1.0 for f1 in report.epoch_dev_macro_f1)
@@ -750,9 +750,9 @@ class TestTrainEncoder:
         config = enc.EncoderConfig(
             d_model=8, n_heads=2, n_layers=1, d_ff=16, max_length=8, dropout=0.2
         )
-        train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4, seed=2)
-        m1, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
-        m2, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config)
+        train_config = enc.TrainConfigEnc(learning_rate=1e-3, epochs=2, batch_size=4)
+        m1, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=2)
+        m2, _ = enc.train_encoder(pairs, pairs, tokenizer, config, train_config, seed=2)
         assert m1 == m2
 
     def test_defaults_match_published_regime(self):
@@ -1044,7 +1044,7 @@ class TestBlockedPrediction:
         assert probs.shape == (0,)
 
 
-def reference_train_encoder(train, dev, tokenizer, enc_config, train_config):
+def reference_train_encoder(train, dev, tokenizer, enc_config, train_config, seed):
     """Training with one gradient dict of fresh zero arrays per step and one
     update per tensor, on per-row encodings. The oracle for the flat
     parameter and gradient vectors in train_encoder."""
@@ -1058,8 +1058,8 @@ def reference_train_encoder(train, dev, tokenizer, enc_config, train_config):
     )
     dev_gold = [label for _, label in dev]
 
-    rng = np.random.default_rng(train_config.seed)
-    params = enc.init_params(enc_config, tokenizer.vocab_size, train_config.seed)
+    rng = np.random.default_rng(seed)
+    params = enc.init_params(enc_config, tokenizer.vocab_size, seed)
     report = enc.TrainReportEnc()
     model = enc.EncoderModel(params, enc_config, tokenizer.vocab_size)
     for _ in range(train_config.epochs):
@@ -1098,14 +1098,14 @@ class TestFlatTrainingStep:
             d_model=8, n_heads=2, n_layers=n_layers, d_ff=16, max_length=10,
             dropout=dropout,
         )
-        train_config = enc.TrainConfigEnc(
-            learning_rate=5e-2, epochs=3, batch_size=3, seed=n_layers
-        )
+        train_config = enc.TrainConfigEnc(learning_rate=5e-2, epochs=3, batch_size=3)
         train, dev = pairs[:14], pairs[14:]
-        model, report = enc.train_encoder(train, dev, tokenizer, config, train_config)
+        model, report = enc.train_encoder(
+            train, dev, tokenizer, config, train_config, seed=n_layers
+        )
         ref_model, ref_report = reference_train_encoder(
             train, dev, enc.SubwordTokenizer(tokenizer.pieces, tokenizer.merges),
-            config, train_config,
+            config, train_config, seed=n_layers,
         )
         assert list(model.params) == list(ref_model.params)
         for name, value in ref_model.params.items():

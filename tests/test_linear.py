@@ -238,24 +238,30 @@ class TestCliLoadsNumpyOnlyToTrainOrPredict:
 
 class TestPredictProba:
     def test_zero_model_predicts_half(self):
-        model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
+        model = LinearModel(weights=np.zeros(4), bias=0.0)
         x = SparseVector(entries=((1, 0.3), (3, -2.0)), dimension=4)
         assert predict_proba(model, x) == 0.5
 
     def test_one_hot_reduces_to_sigmoid(self):
         weights = np.zeros(5)
         weights[2] = math.log(3.0)
-        model = LinearModel(weights=weights, bias=0.0, dimension=5)
+        model = LinearModel(weights=weights, bias=0.0)
         x = SparseVector(entries=((2, 1.0),), dimension=5)
         assert predict_proba(model, x) == pytest.approx(0.75, abs=1e-15)
 
+    def test_dimension_is_the_weight_count(self):
+        assert LinearModel(weights=np.zeros(3), bias=0.0).dimension == 3
+        for weights in (np.zeros((2, 2)), np.float64(0.0)):
+            with pytest.raises(DimensionMismatch, match="expected 1-D"):
+                LinearModel(weights=weights, bias=0.0)
+
     def test_dimension_mismatch(self):
-        model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
+        model = LinearModel(weights=np.zeros(4), bias=0.0)
         with pytest.raises(DimensionMismatch):
             predict_proba(model, SparseVector(entries=(), dimension=5))
 
     def test_dimension_mismatch_anywhere_in_a_batch(self):
-        model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
+        model = LinearModel(weights=np.zeros(4), bias=0.0)
         ok = SparseVector(entries=((1, 0.3),), dimension=4)
         with pytest.raises(DimensionMismatch):
             predict_probas(
@@ -263,7 +269,7 @@ class TestPredictProba:
             )
 
     def test_rows_of_another_dimension(self):
-        model = LinearModel(weights=np.zeros(4), bias=0.0, dimension=4)
+        model = LinearModel(weights=np.zeros(4), bias=0.0)
         with pytest.raises(DimensionMismatch):
             predict_probas(model, Rows.pack([SparseVector(entries=(), dimension=5)], 5))
 
@@ -319,7 +325,7 @@ class TestTrainLr:
         e1 = SparseVector(entries=((1, 1.0),), dimension=2)
         data = [(e0, Label(1)), (e1, Label(0))]
         model, report = train_lr(
-            *split(data), TrainConfigLR(learning_rate=1.0, epochs=300, seed=1)
+            *split(data), TrainConfigLR(learning_rate=1.0, epochs=300), seed=1
         )
         assert predict_proba(model, e0) > 0.9
         assert predict_proba(model, e1) < 0.1
@@ -376,7 +382,8 @@ class TestTrainLr:
         _, data = random_instance(rng, max_dim=6, max_n=12)
         _, report = train_lr(
             *split(data),
-            TrainConfigLR(learning_rate=0.01, epochs=40, batch_size=len(data), seed=0),
+            TrainConfigLR(learning_rate=0.01, epochs=40, batch_size=len(data)),
+            seed=0,
         )
         losses = report.epoch_losses
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -384,9 +391,9 @@ class TestTrainLr:
     def test_bit_identical_across_runs(self):
         rng = Random(123)
         _, data = random_instance(rng)
-        config = TrainConfigLR(epochs=8, seed=42)
-        m1, r1 = train_lr(*split(data), config)
-        m2, r2 = train_lr(*split(data), config)
+        config = TrainConfigLR(epochs=8)
+        m1, r1 = train_lr(*split(data), config, seed=42)
+        m2, r2 = train_lr(*split(data), config, seed=42)
         assert m1 == m2
         assert r1.epoch_losses == r2.epoch_losses
 
@@ -396,8 +403,9 @@ class TestTrainLr:
             _, data = random_instance(rng, max_dim=6, max_n=16)
             if len(data) > 4 and len({y for _, y in data}) == 2:
                 break
-        m1, _ = train_lr(*split(data), TrainConfigLR(epochs=3, batch_size=2, seed=1))
-        m2, _ = train_lr(*split(data), TrainConfigLR(epochs=3, batch_size=2, seed=2))
+        config = TrainConfigLR(epochs=3, batch_size=2)
+        m1, _ = train_lr(*split(data), config, seed=1)
+        m2, _ = train_lr(*split(data), config, seed=2)
         assert not np.array_equal(m1.weights, m2.weights)
 
 
@@ -409,16 +417,17 @@ def reference_score(weights, bias, x):
     return bias + total
 
 
-def reference_train_lr(data, config):
+def reference_train_lr(data, config, seed, shuffle=True):
     """Per-entry mini-batch gradient descent with explicit += loops: the
-    oracle for the CSR kernels behind train_lr."""
+    oracle for the CSR kernels behind train_lr. With shuffle False the rows
+    go in file order, which train_lr never does: an oracle for one batch."""
     weights = np.zeros(data[0][0].dimension)
     bias = 0.0
     losses = []
     order = list(range(len(data)))
-    rng = Random(config.seed)
+    rng = Random(seed)
     for _ in range(config.epochs):
-        if config.shuffle:
+        if shuffle:
             rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = [data[i] for i in order[start : start + config.batch_size]]
@@ -463,21 +472,21 @@ def tfidf_corpus(seed, n_per_class=30, oov_rows=4):
 
 class TestKernelsMatchPerEntryReference:
     @pytest.mark.parametrize(
-        "config",
+        "config, train_seed",
         [
-            TrainConfigLR(epochs=6, seed=3),
-            TrainConfigLR(epochs=4, batch_size=7, seed=11),
-            TrainConfigLR(epochs=3, batch_size=5, l2_penalty=0.0, seed=2),
-            TrainConfigLR(epochs=3, batch_size=9, shuffle=False, learning_rate=0.5),
-            TrainConfigLR(epochs=2, batch_size=1000, l2_penalty=0.05, seed=4),
+            (TrainConfigLR(epochs=6), 3),
+            (TrainConfigLR(epochs=4, batch_size=7), 11),
+            (TrainConfigLR(epochs=3, batch_size=5, l2_penalty=0.0), 2),
+            (TrainConfigLR(epochs=3, batch_size=9, learning_rate=0.5), 0),
+            (TrainConfigLR(epochs=2, batch_size=1000, l2_penalty=0.05), 4),
         ],
     )
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_train_lr_is_bit_identical(self, config, seed):
+    def test_train_lr_is_bit_identical(self, config, train_seed, seed):
         data = tfidf_corpus(seed)
         assert len(data) % 7 and len(data) % 5 and len(data) % 9
-        model, report = train_lr(*split(data), config)
-        weights, bias, losses = reference_train_lr(data, config)
+        model, report = train_lr(*split(data), config, seed=train_seed)
+        weights, bias, losses = reference_train_lr(data, config, train_seed)
         assert np.array_equal(model.weights, weights)
         assert model.bias == bias
         assert report.epoch_losses == losses
@@ -486,24 +495,24 @@ class TestKernelsMatchPerEntryReference:
         rng = Random(20240101)
         for _ in range(20):
             _, data = random_instance(rng, max_dim=12, max_n=40)
+            batch_size, train_seed = rng.randint(1, 9), rng.randint(0, 99)
             config = TrainConfigLR(
-                epochs=3, batch_size=rng.randint(1, 9), seed=rng.randint(0, 99),
-                l2_penalty=rng.choice([0.0, 1e-3]),
+                epochs=3, batch_size=batch_size, l2_penalty=rng.choice([0.0, 1e-3])
             )
-            model, report = train_lr(*split(data), config)
-            weights, bias, losses = reference_train_lr(data, config)
+            model, report = train_lr(*split(data), config, seed=train_seed)
+            weights, bias, losses = reference_train_lr(data, config, train_seed)
             assert np.array_equal(model.weights, weights)
             assert model.bias == bias
             assert report.epoch_losses == losses
 
     def test_public_functions_match_reference(self):
         data = tfidf_corpus(8)
-        model, _ = train_lr(*split(data), TrainConfigLR(epochs=2, seed=1))
+        model, _ = train_lr(*split(data), TrainConfigLR(epochs=2), seed=1)
         for x, _ in data:
             expected = sigmoid_one(reference_score(model.weights, model.bias, x))
             assert predict_proba(model, x) == expected
         weights, bias, losses = reference_train_lr(
-            data[:13], TrainConfigLR(epochs=1, batch_size=13, shuffle=False)
+            data[:13], TrainConfigLR(epochs=1, batch_size=13), seed=0, shuffle=False
         )
         grad_w, grad_b = batch_gradient(np.zeros_like(weights), 0.0, data[:13], 1e-4)
         assert np.array_equal(-0.1 * grad_w, weights)
@@ -513,7 +522,7 @@ class TestKernelsMatchPerEntryReference:
     @pytest.mark.parametrize("seed", [8, 9])
     def test_batched_probabilities_equal_per_row(self, seed):
         data = tfidf_corpus(seed)
-        model, _ = train_lr(*split(data), TrainConfigLR(epochs=2, seed=seed))
+        model, _ = train_lr(*split(data), TrainConfigLR(epochs=2), seed=seed)
         vectors = [x for x, _ in data]
         probs = predict_probas(model, Rows.pack(vectors, model.dimension))
         assert probs == [predict_proba(model, x) for x in vectors]
@@ -527,7 +536,7 @@ class TestKernelsMatchPerEntryReference:
         # compensated sum (math.fsum, or sum() on CPython >= 3.12) gives 1.0.
         x = SparseVector(entries=((0, 1e16), (1, 1.0), (2, -1e16)), dimension=3)
         assert math.fsum(w for _, w in x.entries) == 1.0
-        model = LinearModel(weights=np.ones(3), bias=0.0, dimension=3)
+        model = LinearModel(weights=np.ones(3), bias=0.0)
         assert predict_proba(model, x) == 0.5
         assert dataset_loss(model.weights, 0.0, [(x, Label(0))], 0.0) == math.log(2.0)
         grad_w, grad_b = batch_gradient(model.weights, 0.0, [(x, Label(0))], 0.0)

@@ -160,6 +160,16 @@ def as_v3(doc) -> None:
     doc["provenance"]["run_config"] = run_config
 
 
+def as_v4(doc) -> None:
+    """Rewrite a bundle in the version 4 layout: a seed in each arm's
+    training config, whichever arm the bundle holds, and the LR shuffle
+    switch."""
+    run_config = doc["run_config"]
+    doc["format_version"] = 4
+    run_config["lr"].update(seed=run_config["seed"], shuffle=True)
+    run_config["encoder_train"]["seed"] = run_config["seed"]
+
+
 def _tokens_edited(edit):
     def mutate(vec):
         tokens = vec["tokens"].split()
@@ -226,6 +236,12 @@ HOSTILE_RECORDED_CONFIG = {
         model_kind="micro_encoder" if "vectorizer" in doc else "tfidf_lr"),
     "encoder_vocab_size 3": lambda doc: doc["run_config"].update(encoder_vocab_size=3),
     "lr.epochs 0": lambda doc: doc["run_config"]["lr"].update(epochs=0),
+    "format xlsx": lambda doc: doc["run_config"].update(format="xlsx"),
+    # What version 4 stored: a run now has one seed, an int at the top level.
+    "lr.seed": lambda doc: doc["run_config"]["lr"].update(seed=1),
+    "lr.shuffle": lambda doc: doc["run_config"]["lr"].update(shuffle=True),
+    "encoder_train.seed": lambda doc: doc["run_config"]["encoder_train"].update(seed=1),
+    "seed null": lambda doc: doc["run_config"].update(seed=None),
 }
 
 
@@ -331,7 +347,7 @@ class TestHostileBundles:
     @pytest.mark.parametrize("arm, section, key", [
         ("lr", ("run_config", "preprocessing"), "strip_digits"),
         ("lr", ("run_config", "tfidf"), "l2_normalize"),
-        ("lr", ("run_config", "lr"), "seed"),
+        ("lr", ("run_config",), "seed"),
         ("lr", (), "training_report"),
         ("enc", ("tokenizer",), "merges"),
         ("enc", ("run_config", "encoder"), "max_length"),
@@ -361,7 +377,7 @@ class TestHostileBundles:
         del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("version", [4.0, "4", True, [4]])
+    @pytest.mark.parametrize("version", [5.0, "5", True, [5]])
     def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
         doc = json.loads((work / "enc.bundle.json").read_text())
         assert predict_with(work, with_value(doc, ("format_version",), version)) == (
@@ -437,7 +453,17 @@ class TestHostileBundles:
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
         as_v3(doc)
         assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
-        doc["format_version"] = 4
+        doc["format_version"] = bd.FORMAT_VERSION
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    def test_v4_document_is_a_version_error(self, work, arm):
+        # Version 4 stored a seed in each arm's training config; labelled
+        # the current version, that layout is inconsistent.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v4(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = bd.FORMAT_VERSION
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("arm", ["lr", "enc"])
@@ -449,9 +475,9 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("data", [
         b"[" * 200_000 + b"]" * 200_000,
-        b'{"format_version": 4, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": 5, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
         b'{"format_version": ' + b"9" * 5000 + b"}",
-        b'{"format_version": 4, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"format_version": 5, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
     ], ids=["deep list", "deep object", "long version", "long seed"])
     def test_deep_or_huge_json_is_inconsistent(self, work, data):
         assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])
@@ -520,6 +546,24 @@ class TestHostileRunConfigs:
     ])
     def test_type_confused_value_is_one_config_error(self, work, arm, path, value):
         assert train_with(work, arm, path, value) == (1, ["CONFIG"])
+
+    @pytest.mark.parametrize("arm, path, value", [
+        ("lr", ("lr", "seed"), 1),
+        ("lr", ("lr", "shuffle"), False),
+        ("enc", ("encoder_train", "seed"), 1),
+        ("lr", ("seed",), None),
+        ("enc", ("seed",), None),
+        ("lr", ("format",), "xlsx"),
+    ])
+    def test_setting_no_config_has_is_one_config_error(self, work, tmp_path, arm, path, value):
+        # The arm configs hold no seed or shuffle switch, the run seed is an
+        # int, and the format is one the readers know.
+        raw = json.loads((work / f"{arm}.json").read_text())
+        out = tmp_path / "m.json"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(with_value({**raw, "model_path": str(out)}, path, value)))
+        assert run_cli("train", "--config", str(config)) == (1, ["CONFIG"])
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[]", '""', "3", "null"])
     def test_config_that_is_not_an_object_is_one_config_error(self, work, tmp_path, text):
