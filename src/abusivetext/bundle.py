@@ -13,10 +13,11 @@ is the vocabulary size). Each array, ``<f8`` or ``<i8``, is one
 ``{"dtype", "shape", "base64"}`` object of its little-endian bytes, so
 load(save(b)) re-serializes to identical bytes; TF-IDF tokens are one
 space-joined string and the rest is readable JSON. The recorded config
-holds the run's one seed; the arm configs hold none. Version mismatches are
-rejected outright, never migrated: a version 4 bundle, which also stored a
-seed in each arm's training config (the untrained arm's included), ends in
-BundleVersionError.
+holds the run's one seed; the arm configs hold none. ``training_report``
+has one layout for both arms (per-epoch train losses and dev macro-F1, the
+latter empty for an LR run without dev) and no payload reads it. Version
+mismatches are rejected outright, never migrated: a version 5 bundle, whose
+LR report had other keys and no dev macro-F1, ends in BundleVersionError.
 """
 from __future__ import annotations
 
@@ -33,10 +34,11 @@ from . import encoder as enc
 from .checks import check_fields
 from .configs import MICRO_ENCODER, PATH_KEYS, TFIDF_LR, RunConfig
 from .errors import BundleInconsistentError, BundleVersionError
-from .linear import LinearModel, TrainReportLR, predict_probas
+from .linear import LinearModel, predict_probas
+from .metrics import TrainReport
 from .vectorizer import TfIdfModel, transform_rows
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
@@ -135,7 +137,6 @@ class TfIdfLrPayload:
 
     tfidf: TfIdfModel
     linear: LinearModel
-    report: TrainReportLR
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
         return predict_probas(self.linear, transform_rows(self.tfidf, cleaned_texts))
@@ -177,7 +178,7 @@ class TfIdfLrPayload:
             weights=decode_tensor(lin["weights"], (tfidf.dimension,), "linear weights"),
             bias=lin["bias"],
         )
-        return cls(tfidf, linear, report=_record(TrainReportLR, doc, "training_report"))
+        return cls(tfidf, linear)
 
 
 @dataclass
@@ -187,7 +188,6 @@ class MicroEncoderPayload:
 
     tokenizer: enc.SubwordTokenizer
     model: enc.EncoderModel
-    report: enc.TrainReportEnc
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
         max_length = self.model.config.max_length
@@ -237,11 +237,7 @@ class MicroEncoderPayload:
             params[name] = decode_tensor(tensor, expected[name], f"parameter {name!r}")
         missing = set(expected) - set(params)
         _require(not missing, f"bundle is missing parameter tensors: {sorted(missing)}")
-        return cls(
-            tokenizer=tokenizer,
-            model=enc.EncoderModel(params, settings, tokenizer.vocab_size),
-            report=_record(enc.TrainReportEnc, doc, "training_report"),
-        )
+        return cls(tokenizer, enc.EncoderModel(params, settings, tokenizer.vocab_size))
 
 
 PAYLOADS: dict[str, type[TfIdfLrPayload | MicroEncoderPayload]] = {
@@ -281,13 +277,14 @@ class Provenance:
 
 @dataclass
 class ModelBundle:
-    """A trained payload, the run config that trained it, and where it came
-    from. Raises ValueError unless the payload is of the config's model kind
-    and holds the config's settings for its arm, so the recorded config can
-    never disagree with the model it describes."""
+    """A trained payload, the run config that trained it, its training
+    report and where it came from. Raises ValueError unless the payload is
+    of the config's model kind and holds the config's settings for its arm,
+    so the recorded config can never disagree with the model it describes."""
 
     config: RunConfig
     payload: TfIdfLrPayload | MicroEncoderPayload
+    report: TrainReport
     provenance: Provenance
 
     def __post_init__(self):
@@ -299,13 +296,12 @@ class ModelBundle:
 
 
 def _bundle_doc(bundle: ModelBundle) -> dict[str, Any]:
-    payload = bundle.payload
     run_config = bundle.config.to_dict()
     return {
         "format_version": FORMAT_VERSION,
         "run_config": {key: run_config[key] for key in _RUN_CONFIG_KEYS},
-        **payload.to_doc(),
-        "training_report": asdict(payload.report),
+        **bundle.payload.to_doc(),
+        "training_report": asdict(bundle.report),
         "provenance": asdict(bundle.provenance),
     }
 
@@ -355,6 +351,7 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         return ModelBundle(
             config=config,
             payload=payload_class.from_doc(doc, config),
+            report=_record(TrainReport, doc, "training_report"),
             provenance=_record(Provenance, doc, "provenance"),
         )
     except BundleInconsistentError:

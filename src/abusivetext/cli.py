@@ -3,7 +3,8 @@
 Every run is reproducible: one seed drives training (the config's ``seed``
 or the --seed flag, default 0; nothing is read from the environment), model
 bundles are byte-stable JSON, and predictions are written with fixed
-6-decimal probabilities so reruns diff clean.
+6-decimal probabilities so reruns diff clean. ``train`` prints, for either arm,
+each epoch's train loss, with its dev macro-F1 given dev, then the last one.
 
 Exit codes:
     0  success
@@ -183,27 +184,23 @@ Pairs = list[tuple[str, Label]]
 
 def _train_tfidf_lr(
     config: RunConfig, train: Pairs, dev: Pairs | None
-) -> bundlemod.TfIdfLrPayload:
+) -> tuple[bundlemod.TfIdfLrPayload, metrics.TrainReport]:
     from . import bundle as bundlemod, linear, vectorizer
 
     texts, labels = [text for text, _ in train], [label for _, label in train]
     tfidf = vectorizer.fit(texts, config.tfidf)
-    model, report = linear.train_lr(
-        vectorizer.transform_rows(tfidf, texts), labels, config.lr, config.seed
+    dev_split = None if dev is None else (
+        vectorizer.transform_rows(tfidf, [text for text, _ in dev]), [label for _, label in dev]
     )
-    for epoch, loss in enumerate(report.epoch_losses, start=1):
-        print(f"epoch {epoch}: train_loss {loss:.6f}")
-    payload = bundlemod.TfIdfLrPayload(tfidf=tfidf, linear=model, report=report)
-    if dev is not None:
-        probs = payload.probabilities([text for text, _ in dev])
-        score = metrics.decided_macro_f1([label for _, label in dev], probs)
-        print(f"dev macro F1: {score:.4f}")
-    return payload
+    model, report = linear.train_lr(
+        vectorizer.transform_rows(tfidf, texts), labels, config.lr, config.seed, dev_split
+    )
+    return bundlemod.TfIdfLrPayload(tfidf=tfidf, linear=model), report
 
 
 def _train_micro_encoder(
     config: RunConfig, train: Pairs, dev: Pairs | None
-) -> bundlemod.MicroEncoderPayload:
+) -> tuple[bundlemod.MicroEncoderPayload, metrics.TrainReport]:
     if dev is None:
         raise DevRequiredError(
             "the micro_encoder arm evaluates on dev every epoch; supply --dev"
@@ -214,11 +211,7 @@ def _train_micro_encoder(
     model, report = enc.train_encoder(
         train, dev, tokenizer, config.encoder, config.encoder_train, config.seed
     )
-    for epoch, (loss, f1) in enumerate(
-        zip(report.epoch_train_losses, report.epoch_dev_macro_f1), start=1
-    ):
-        print(f"epoch {epoch}: train_loss {loss:.6f} dev_macro_f1 {f1:.4f}")
-    return bundlemod.MicroEncoderPayload(tokenizer=tokenizer, model=model, report=report)
+    return bundlemod.MicroEncoderPayload(tokenizer=tokenizer, model=model), report
 
 
 _TRAINERS = {TFIDF_LR: _train_tfidf_lr, MICRO_ENCODER: _train_micro_encoder}
@@ -246,10 +239,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.dev_path:
         dev_bytes = _read_file(config.dev_path)
         dev = cleaned(parse_dataset(dev_bytes, FileFormat(config.format), has_labels=True))
-    payload = _TRAINERS[config.model_kind](config, cleaned(train_examples), dev)
+    payload, report = _TRAINERS[config.model_kind](config, cleaned(train_examples), dev)
+    dev_f1 = report.epoch_dev_macro_f1
+    for epoch, loss in enumerate(report.epoch_train_losses, start=1):
+        column = f" dev_macro_f1 {dev_f1[epoch - 1]:.4f}" if dev_f1 else ""
+        print(f"epoch {epoch}: train_loss {loss:.6f}{column}")
+    if dev_f1:
+        print(f"dev macro F1: {dev_f1[-1]:.4f}")
     bundle = bundlemod.ModelBundle(
         config=config,
         payload=payload,
+        report=report,
         provenance=bundlemod.Provenance.of_run(train_bytes, dev_bytes),
     )
     bundlemod.save_bundle(bundle, config.model_path)

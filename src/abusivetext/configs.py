@@ -144,6 +144,8 @@ class RunConfig:
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
         if self.format not in {f.value for f in FileFormat}:
             raise ValueError(f"unknown format {self.format!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.encoder_vocab_size < 4:
             raise ValueError(
                 "encoder_vocab_size must be >= 4 (three specials and one byte)"

@@ -22,18 +22,16 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checks import check_fields
 from .configs import EncoderConfig, TrainConfigEnc
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
 from .linear import sigmoid
-from .metrics import decided_macro_f1
+from .metrics import TrainReport, decided_macro_f1
 
 CLS_ID = 0
 PAD_ID = 1
@@ -288,15 +286,6 @@ def encode_batch(
 # ---------------------------------------------------------------------------
 # Model configuration and parameters
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TrainReportEnc:
-    epoch_train_losses: list[float] = field(default_factory=list)
-    epoch_dev_macro_f1: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        check_fields(self)
-
 
 class EncoderModel:
     """Parameter tensors plus the architecture they instantiate."""
@@ -756,7 +745,7 @@ def train_encoder(
     enc_config: EncoderConfig = EncoderConfig(),
     train_config: TrainConfigEnc = TrainConfigEnc(),
     seed: int = 0,
-) -> tuple[EncoderModel, TrainReportEnc]:
+) -> tuple[EncoderModel, TrainReport]:
     """Minimize cross-entropy with plain mini-batch gradient descent for a
     fixed number of epochs, recording dev macro-F1 after each one. No early
     stopping and no model selection: the final-epoch model is returned.
@@ -781,7 +770,7 @@ def train_encoder(
     params = _views(theta, shapes)
     flat_grads = np.empty_like(theta)
     grads = _views(flat_grads, shapes)
-    report = TrainReportEnc()
+    report = TrainReport()
     model = EncoderModel(params, enc_config, tokenizer.vocab_size)
 
     for epoch in range(1, train_config.epochs + 1):

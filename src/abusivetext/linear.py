@@ -8,7 +8,7 @@ gradients can be checked against finite differences at tight tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
@@ -18,7 +18,7 @@ from .checks import check_fields
 from .configs import TrainConfigLR
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyData, LengthMismatch, TrainingDiverged
-from .metrics import PROB_CEIL, PROB_FLOOR
+from .metrics import PROB_CEIL, PROB_FLOOR, TrainReport, decided_macro_f1
 from .vectorizer import Rows, SparseVector
 
 
@@ -54,15 +54,6 @@ class LinearModel:
         if not isinstance(other, LinearModel):
             return NotImplemented
         return self.bias == other.bias and np.array_equal(self.weights, other.weights)
-
-
-@dataclass
-class TrainReportLR:
-    epoch_losses: list[float] = field(default_factory=list)
-    single_class: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def _add_up(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -161,14 +152,16 @@ def train_lr(
     labels: Sequence[Label],
     config: TrainConfigLR = TrainConfigLR(),
     seed: int = 0,
-) -> tuple[LinearModel, TrainReportLR]:
+    dev: tuple[Rows, Sequence[Label]] | None = None,
+) -> tuple[LinearModel, TrainReport]:
     """Mini-batch gradient descent from zero initialization.
 
     Every epoch shuffles the rows with one Random(seed), so shuffling is
     driven solely by seed, and identical data + config + seed yield a
-    bit-identical model. The report carries the full-data loss after
-    each epoch and flags degenerate single-class training data. Raises
-    TrainingDiverged at the first epoch whose loss is not finite.
+    bit-identical model. The report carries the full-data loss after each
+    epoch and, given dev rows and labels, the dev macro-F1, which leaves
+    the model and the shuffling as they were. Raises TrainingDiverged at
+    the first epoch whose loss is not finite.
     """
     if rows.n_rows == 0:
         raise EmptyData("training data is empty")
@@ -177,7 +170,7 @@ def train_lr(
 
     weights = np.zeros(rows.dimension, dtype=np.float64)
     bias = 0.0
-    report = TrainReportLR(single_class=len(set(labels)) < 2)
+    report = TrainReport()
     targets = np.array(labels, dtype=np.float64)
     order = list(range(rows.n_rows))
     rng = Random(seed)
@@ -195,5 +188,8 @@ def train_lr(
             raise TrainingDiverged(
                 f"lr training diverged at epoch {epoch}: train loss {loss}"
             )
-        report.epoch_losses.append(loss)
+        report.epoch_train_losses.append(loss)
+        if dev is not None:
+            dev_probs = predict_probas(LinearModel(weights=weights, bias=bias), dev[0])
+            report.epoch_dev_macro_f1.append(decided_macro_f1(dev[1], dev_probs))
     return LinearModel(weights=weights, bias=bias), report

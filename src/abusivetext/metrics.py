@@ -1,5 +1,5 @@
 """Evaluation arithmetic: confusion matrices, per-class precision/recall/F1,
-macro-F1, and the probability conventions both model arms share.
+macro-F1, and the probability conventions and training report both arms share.
 
 Conventions are fixed so reports are reproducible: the Abusive class (1) is
 the positive class, macro-F1 is the unweighted mean of the two per-class F1
@@ -9,9 +9,10 @@ decides Abusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
+from .checks import check_fields
 from .corpus import Label
 from .errors import EmptyInput, LengthMismatch
 
@@ -120,3 +121,16 @@ def macro_f1(cm: ConfusionMatrix) -> float:
 def decided_macro_f1(gold: Sequence[Label], probs: Sequence[float]) -> float:
     """Macro-F1 of the labels the probabilities decide, against gold."""
     return macro_f1(confusion(gold, [decide(p) for p in probs]))
+
+
+@dataclass
+class TrainReport:
+    """Each epoch's full-data train loss and dev macro-F1 (empty without dev)."""
+
+    epoch_train_losses: list[float] = field(default_factory=list)
+    epoch_dev_macro_f1: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.epoch_dev_macro_f1 and len(self.epoch_dev_macro_f1) != len(self.epoch_train_losses):
+            raise ValueError("epoch_dev_macro_f1 must be empty or hold one value per epoch")

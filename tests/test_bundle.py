@@ -2,7 +2,7 @@
 import base64
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ def lr_bundle_of(texts, labels, tfidf_config=vectorizer.TfIdfConfig()):
     )
     return bd.ModelBundle(
         config=RunConfig(language_tag="synthetic", seed=3, tfidf=tfidf_config, lr=config),
-        payload=bd.TfIdfLrPayload(tfidf=tfidf, linear=model, report=report),
+        payload=bd.TfIdfLrPayload(tfidf=tfidf, linear=model),
+        report=report,
         provenance=bd.Provenance.of_run(b"", None),
     )
 
@@ -52,7 +53,8 @@ def encoder_bundle():
             preprocessing=CleanPolicy(strip_digits=True), encoder=config,
             encoder_train=train_config, encoder_vocab_size=72,
         ),
-        payload=bd.MicroEncoderPayload(tokenizer=tokenizer, model=model, report=report),
+        payload=bd.MicroEncoderPayload(tokenizer=tokenizer, model=model),
+        report=report,
         provenance=bd.Provenance.of_run(b"", None),
     )
 
@@ -107,6 +109,17 @@ class TestRoundTrip:
                 "abusivetext_version", "dev_sha256", "numpy_version", "train_sha256",
             ]
 
+    def test_one_report_layout_for_both_arms(self, tfidf_lr_bundle, encoder_bundle):
+        # The bundle, not the payload, holds the report; the LR fixture had no dev.
+        for cls in bd.PAYLOADS.values():
+            assert "report" not in {f.name for f in fields(cls)}
+        for bundle, n_dev in ((tfidf_lr_bundle, 0), (encoder_bundle, 2)):
+            report = json.loads(bd.serialize_bundle(bundle))["training_report"]
+            assert list(report) == ["epoch_train_losses", "epoch_dev_macro_f1"]
+            assert report == asdict(bundle.report)
+            assert len(report["epoch_dev_macro_f1"]) == n_dev
+            assert bd.deserialize_bundle(bd.serialize_bundle(bundle)).report == bundle.report
+
     def test_settings_are_stored_once(self, tfidf_lr_bundle, encoder_bundle):
         removed = {"model_kind", "language_tag", "preprocessing", "train_config",
                    "encoder_config", "config", "dimension", "specials"}
@@ -120,7 +133,7 @@ class TestRoundTrip:
         for bundle, other in ((tfidf_lr_bundle, encoder_bundle),
                               (encoder_bundle, tfidf_lr_bundle)):
             with pytest.raises(ValueError, match="payload cannot go in a"):
-                bd.ModelBundle(bundle.config, other.payload, bundle.provenance)
+                bd.ModelBundle(bundle.config, other.payload, bundle.report, bundle.provenance)
 
     def test_payload_built_with_other_settings_is_refused(
         self, tfidf_lr_bundle, encoder_bundle
@@ -131,7 +144,7 @@ class TestRoundTrip:
         ]
         for bundle, config in zip((tfidf_lr_bundle, encoder_bundle), configs):
             with pytest.raises(ValueError, match="not built with the run config"):
-                bd.ModelBundle(config, bundle.payload, bundle.provenance)
+                bd.ModelBundle(config, bundle.payload, bundle.report, bundle.provenance)
 
     def test_loaded_arrays_are_writable_native_float64(self, tfidf_lr_bundle, encoder_bundle):
         lr = bd.deserialize_bundle(bd.serialize_bundle(tfidf_lr_bundle)).payload
@@ -175,7 +188,8 @@ class TestRoundTrip:
         linear_model = linear.LinearModel(weights=np.zeros(2), bias=0.0)
         bundle = bd.ModelBundle(
             config=tfidf_lr_bundle.config,
-            payload=bd.TfIdfLrPayload(tfidf, linear_model, payload.report),
+            payload=bd.TfIdfLrPayload(tfidf, linear_model),
+            report=tfidf_lr_bundle.report,
             provenance=tfidf_lr_bundle.provenance,
         )
         with pytest.raises(BundleInconsistentError):
@@ -230,6 +244,7 @@ class TestRoundTrip:
         bundle = bd.ModelBundle(
             config=tfidf_lr_bundle.config,
             payload=tfidf_lr_bundle.payload,
+            report=tfidf_lr_bundle.report,
             provenance=bd.Provenance.of_run(b"train", b"dev"),
         )
         raw = bd.serialize_bundle(bundle)

@@ -12,6 +12,7 @@ from abusivetext import linear, vectorizer
 from abusivetext.checks import check_fields, checked_kind
 from abusivetext.bundle import Provenance
 from abusivetext.configs import RunConfig
+from abusivetext.metrics import TrainReport
 from abusivetext.textprep import CleanPolicy
 
 INT_FIELDS = [
@@ -94,6 +95,15 @@ def test_run_config_format_must_be_a_file_format(value):
     assert RunConfig(format="csv").format == "csv"
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_run_config_seed_must_not_be_negative(seed):
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        RunConfig(seed=seed)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        RunConfig.from_dict({"seed": seed})
+    assert RunConfig(seed=0).seed == 0
+
+
 def test_provenance_fields():
     good = dict(train_sha256="a", dev_sha256=None, abusivetext_version="0", numpy_version="0")
     assert Provenance(**good).dev_sha256 is None
@@ -102,16 +112,23 @@ def test_provenance_fields():
             Provenance(**{**good, name: value})
 
 
-@pytest.mark.parametrize("cls, name, value", [
-    (linear.TrainReportLR, "epoch_losses", "x"),
-    (linear.TrainReportLR, "epoch_losses", [0.5, "0.5"]),
-    (enc.TrainReportEnc, "epoch_train_losses", [math.nan]),
-    (enc.TrainReportEnc, "epoch_train_losses", [1, 10**400]),
-    (enc.TrainReportEnc, "epoch_dev_macro_f1", (0.5,)),
+@pytest.mark.parametrize("name, value", [
+    ("epoch_train_losses", "x"),
+    ("epoch_train_losses", [0.5, "0.5"]),
+    ("epoch_train_losses", [math.nan]),
+    ("epoch_train_losses", [1, 10**400]),
+    ("epoch_dev_macro_f1", (0.5,)),
 ])
-def test_list_field_checks_each_item(cls, name, value):
+def test_list_field_checks_each_item(name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
-        cls(**{name: value})
+        TrainReport(**{name: value})
+
+
+@pytest.mark.parametrize("losses, dev", [([0.5], [1.0, 1.0]), ([0.5, 0.4], [1.0]), ([], [1.0])])
+def test_report_holds_no_dev_value_or_one_per_epoch(losses, dev):
+    with pytest.raises(ValueError, match="epoch_dev_macro_f1 must be empty or hold one"):
+        TrainReport(losses, dev)
+    assert TrainReport(losses, []).epoch_dev_macro_f1 == []
 
 
 @dataclasses.dataclass

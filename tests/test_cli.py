@@ -27,6 +27,7 @@ from abusivetext.corpus import (
     synth_corpus,
     write_dataset,
 )
+from abusivetext.metrics import TrainReport
 from abusivetext.textprep import CleanPolicy, preprocess
 
 
@@ -223,6 +224,34 @@ class TestTrainPredictEvaluate:
         ) == 0
         assert len(preds.read_text().splitlines()) == 31
 
+    @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
+    def test_dev_line_is_the_last_epochs_column(
+        self, tmp_path, synth_files, capsys, make_config
+    ):
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        assert run_cli("train", "--config", str(make_config(tmp_path, train, dev, out))) == 0
+        stdout = capsys.readouterr().out
+        column = re.findall(r"^epoch \d+: train_loss \S+ dev_macro_f1 (\S+)$",
+                            stdout, re.MULTILINE)
+        [final] = re.findall(r"^dev macro F1: (\S+)$", stdout, re.MULTILINE)
+        report = json.loads(out.read_text())["training_report"]
+        assert len(column) == len(report["epoch_train_losses"]) > 1
+        assert column == [f"{f1:.4f}" for f1 in report["epoch_dev_macro_f1"]]
+        assert final == column[-1]
+
+    def test_lr_without_dev_reports_no_dev_score(self, tmp_path, synth_files, capsys):
+        train, _ = synth_files
+        out = tmp_path / "m.json"
+        assert run_cli("train", "--train", str(train), "--out", str(out)) == 0
+        stdout = capsys.readouterr().out
+        epochs = re.findall(r"^epoch \d+: train_loss \S+$", stdout, re.MULTILINE)
+        assert len(epochs) == configs.TrainConfigLR().epochs
+        assert "dev_macro_f1" not in stdout and "dev macro F1" not in stdout
+        report = json.loads(out.read_text())["training_report"]
+        assert len(report["epoch_train_losses"]) == len(epochs)
+        assert report["epoch_dev_macro_f1"] == []
+
     def test_train_rerun_is_byte_identical(self, tmp_path, synth_files):
         train, dev = synth_files
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -300,10 +329,8 @@ class TestTrainPredictEvaluate:
             bd.save_bundle(
                 bd.ModelBundle(
                     config=configs.RunConfig(preprocessing=policy),
-                    payload=bd.TfIdfLrPayload(
-                        tfidf=tfidf, linear=model,
-                        report=linear.TrainReportLR(epoch_losses=[0.0]),
-                    ),
+                    payload=bd.TfIdfLrPayload(tfidf=tfidf, linear=model),
+                    report=TrainReport(epoch_train_losses=[0.0]),
                     provenance=bd.Provenance.of_run(b"", None),
                 ),
                 path,
@@ -512,6 +539,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         [line] = error_lines(captured.err)
         assert line.startswith("ERROR CONFIG: ") and "encoder_vocab_size" in line
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    @pytest.mark.parametrize("train_exists", [True, False])
+    def test_negative_seed_fails_before_reading_data(
+        self, tmp_path, synth_files, capsys, make_config, where, train_exists
+    ):
+        # A missing train file would be exit 2 if the data were read first.
+        train, dev = synth_files
+        out = tmp_path / "m.json"
+        if not train_exists:
+            train = tmp_path / "missing.tsv"
+        config = make_config(tmp_path, train, dev, out, seed=-1 if where == "config" else 7)
+        flags = ["--seed", "-1"] if where == "flag" else []
+        assert run_cli("train", "--config", str(config), *flags) == 1
+        captured = capsys.readouterr()
+        [line] = error_lines(captured.err)
+        assert line == "ERROR CONFIG: seed must be >= 0"
         assert captured.out == ""
         assert not out.exists()
 

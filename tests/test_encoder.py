@@ -26,7 +26,7 @@ from abusivetext.errors import (
     EmptyData,
     TrainingDiverged,
 )
-from abusivetext.metrics import decided_macro_f1
+from abusivetext.metrics import TrainReport, decided_macro_f1
 from abusivetext.textprep import preprocess
 
 MICRO_CONFIG = enc.EncoderConfig(
@@ -1060,7 +1060,7 @@ def reference_train_encoder(train, dev, tokenizer, enc_config, train_config, see
 
     rng = np.random.default_rng(seed)
     params = enc.init_params(enc_config, tokenizer.vocab_size, seed)
-    report = enc.TrainReportEnc()
+    report = TrainReport()
     model = enc.EncoderModel(params, enc_config, tokenizer.vocab_size)
     for _ in range(train_config.epochs):
         order = rng.permutation(len(train))

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -26,7 +27,7 @@ from abusivetext.linear import (
     sigmoid,
     train_lr,
 )
-from abusivetext.metrics import decide
+from abusivetext.metrics import decide, decided_macro_f1
 from abusivetext.textprep import preprocess
 from abusivetext.vectorizer import Rows, SparseVector
 
@@ -329,7 +330,7 @@ class TestTrainLr:
         )
         assert predict_proba(model, e0) > 0.9
         assert predict_proba(model, e1) < 0.1
-        assert report.epoch_losses[-1] < 0.1
+        assert report.epoch_train_losses[-1] < 0.1
 
     def test_lr_zero_returns_zero_model(self):
         data = [(SparseVector(entries=((0, 1.0),), dimension=1), Label(1))]
@@ -369,14 +370,6 @@ class TestTrainLr:
         with pytest.raises(DimensionMismatch):
             train_lr(*split(data), TrainConfigLR())
 
-    def test_single_class_flagged(self):
-        data = [
-            (SparseVector(entries=((0, 1.0),), dimension=1), Label(1)),
-            (SparseVector(entries=((0, 0.5),), dimension=1), Label(1)),
-        ]
-        _, report = train_lr(*split(data), TrainConfigLR(epochs=2))
-        assert report.single_class
-
     def test_loss_non_increasing_at_small_step(self):
         rng = Random(77)
         _, data = random_instance(rng, max_dim=6, max_n=12)
@@ -385,7 +378,7 @@ class TestTrainLr:
             TrainConfigLR(learning_rate=0.01, epochs=40, batch_size=len(data)),
             seed=0,
         )
-        losses = report.epoch_losses
+        losses = report.epoch_train_losses
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_bit_identical_across_runs(self):
@@ -395,7 +388,38 @@ class TestTrainLr:
         m1, r1 = train_lr(*split(data), config, seed=42)
         m2, r2 = train_lr(*split(data), config, seed=42)
         assert m1 == m2
-        assert r1.epoch_losses == r2.epoch_losses
+        assert r1.epoch_train_losses == r2.epoch_train_losses
+
+    def test_dev_scoring_leaves_the_model_and_losses_alone(self):
+        data, dev = tfidf_corpus(5)[:40], tfidf_corpus(5)[40:]
+        config = TrainConfigLR(epochs=6, batch_size=7)
+        model, report = train_lr(*split(data), config, seed=3)
+        scored, scored_report = train_lr(*split(data), config, 3, split(dev))
+        assert np.array_equal(scored.weights, model.weights)
+        assert scored.bias == model.bias
+        assert scored_report.epoch_train_losses == report.epoch_train_losses
+        assert report.epoch_dev_macro_f1 == []
+        assert len(scored_report.epoch_dev_macro_f1) == 6
+
+    def test_dev_rows_of_another_dimension(self):
+        data = [(SparseVector(entries=((0, 1.0),), dimension=1), Label(1))]
+        dev = [(SparseVector(entries=((1, 1.0),), dimension=2), Label(0))]
+        with pytest.raises(DimensionMismatch):
+            train_lr(*split(data), TrainConfigLR(epochs=1), 0, split(dev))
+
+    def test_dev_macro_f1_is_each_epochs_model_scored(self):
+        # Training for k epochs draws the first k shuffles of a longer run,
+        # so it returns the longer run's model at epoch k.
+        data, dev = tfidf_corpus(7)[:40], tfidf_corpus(7)[40:]
+        dev_rows, dev_labels = split(dev)
+        config = TrainConfigLR(epochs=8, batch_size=5, learning_rate=0.5)
+        _, report = train_lr(*split(data), config, 4, (dev_rows, dev_labels))
+        expected = []
+        for epochs in range(1, config.epochs + 1):
+            model, _ = train_lr(*split(data), replace(config, epochs=epochs), seed=4)
+            expected.append(decided_macro_f1(dev_labels, predict_probas(model, dev_rows)))
+        assert report.epoch_dev_macro_f1 == expected
+        assert len(set(expected)) > 1  # the score moves as the model learns
 
     def test_seed_changes_shuffled_training(self):
         rng = Random(9)
@@ -489,7 +513,7 @@ class TestKernelsMatchPerEntryReference:
         weights, bias, losses = reference_train_lr(data, config, train_seed)
         assert np.array_equal(model.weights, weights)
         assert model.bias == bias
-        assert report.epoch_losses == losses
+        assert report.epoch_train_losses == losses
 
     def test_random_instances_are_bit_identical(self):
         rng = Random(20240101)
@@ -503,7 +527,7 @@ class TestKernelsMatchPerEntryReference:
             weights, bias, losses = reference_train_lr(data, config, train_seed)
             assert np.array_equal(model.weights, weights)
             assert model.bias == bias
-            assert report.epoch_losses == losses
+            assert report.epoch_train_losses == losses
 
     def test_public_functions_match_reference(self):
         data = tfidf_corpus(8)

@@ -143,8 +143,9 @@ def as_v2(doc, work: Path) -> None:
 
 def as_v3(doc) -> None:
     """Rewrite a bundle in the version 3 layout: the settings stored beside
-    the payload sections as well as in provenance, the LR dimension and the
-    tokenizer's special ids."""
+    the payload sections as well as in provenance, the LR dimension, the
+    tokenizer's special ids and the version 5 training report."""
+    as_v5(doc)
     run_config = doc.pop("run_config")
     doc.update(format_version=3, model_kind=run_config["model_kind"],
                language_tag=run_config["language_tag"],
@@ -160,10 +161,22 @@ def as_v3(doc) -> None:
     doc["provenance"]["run_config"] = run_config
 
 
+def as_v5(doc) -> None:
+    """Rewrite a bundle in the version 5 layout: the LR training report held
+    the epoch losses as ``epoch_losses`` and a ``single_class`` flag, and no
+    dev macro-F1; the encoder's report was as it is now."""
+    doc["format_version"] = 5
+    if "vectorizer" in doc:
+        report = doc["training_report"]
+        doc["training_report"] = {"epoch_losses": report["epoch_train_losses"],
+                                  "single_class": False}
+
+
 def as_v4(doc) -> None:
-    """Rewrite a bundle in the version 4 layout: a seed in each arm's
-    training config, whichever arm the bundle holds, and the LR shuffle
-    switch."""
+    """Rewrite a bundle in the version 4 layout: the version 5 training
+    report, a seed in each arm's training config, whichever arm the bundle
+    holds, and the LR shuffle switch."""
+    as_v5(doc)
     run_config = doc["run_config"]
     doc["format_version"] = 4
     run_config["lr"].update(seed=run_config["seed"], shuffle=True)
@@ -242,6 +255,7 @@ HOSTILE_RECORDED_CONFIG = {
     "lr.shuffle": lambda doc: doc["run_config"]["lr"].update(shuffle=True),
     "encoder_train.seed": lambda doc: doc["run_config"]["encoder_train"].update(seed=1),
     "seed null": lambda doc: doc["run_config"].update(seed=None),
+    "seed -1": lambda doc: doc["run_config"].update(seed=-1),
 }
 
 
@@ -300,10 +314,12 @@ class TestHostileBundles:
         ("lr", ("vectorizer", "document_frequency"), lambda dfs: stored_dfs(dfs).tolist()),
         ("lr", ("provenance",), None),
         ("enc", ("provenance",), []),
-        ("lr", ("training_report", "epoch_losses"), "x"),
-        ("lr", ("training_report", "single_class"), 0),
+        ("lr", ("training_report", "epoch_train_losses"), "x"),
+        ("lr", ("training_report", "epoch_dev_macro_f1", 0), "0.5"),
         ("enc", ("training_report", "epoch_train_losses"), "x"),
         ("enc", ("training_report", "epoch_dev_macro_f1"), ["0.5"]),
+        ("lr", ("training_report", "epoch_dev_macro_f1", -1), None),
+        ("lr", ("training_report", "epoch_dev_macro_f1"), [0.5]),
     ])
     def test_rejected_as_inconsistent(self, work, arm, path, value):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
@@ -331,6 +347,9 @@ class TestHostileBundles:
         ("enc", ("run_config", "encoder"), "note", 0.1),
         ("enc", ("provenance",), "host", "x"),
         ("enc", ("training_report",), "note", []),
+        # What version 5 stored in the LR report.
+        ("lr", ("training_report",), "epoch_losses", [0.5, 0.4, 0.3]),
+        ("lr", ("training_report",), "single_class", False),
     ])
     def test_stray_key_rejected_as_inconsistent(self, work, arm, section, key, value):
         # A key load would not read, which a re-save would drop.
@@ -377,7 +396,7 @@ class TestHostileBundles:
         del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("version", [5.0, "5", True, [5]])
+    @pytest.mark.parametrize("version", [6.0, "6", True, [6]])
     def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
         doc = json.loads((work / "enc.bundle.json").read_text())
         assert predict_with(work, with_value(doc, ("format_version",), version)) == (
@@ -466,6 +485,18 @@ class TestHostileBundles:
         doc["format_version"] = bd.FORMAT_VERSION
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
+    @pytest.mark.parametrize("arm, relabelled", [("lr", (5, ["BUNDLE_INCONSISTENT"])),
+                                                  ("enc", (0, []))])
+    def test_v5_document_is_a_version_error(self, work, arm, relabelled):
+        # Version 5 stored the LR report as epoch_losses and single_class;
+        # labelled the current version, that layout is inconsistent, while
+        # an encoder bundle of version 5 differs in its version alone.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v5(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = bd.FORMAT_VERSION
+        assert predict_with(work, doc) == relabelled
+
     @pytest.mark.parametrize("arm", ["lr", "enc"])
     @pytest.mark.parametrize("name", sorted(HOSTILE_RECORDED_CONFIG))
     def test_hostile_recorded_run_config_is_inconsistent(self, work, arm, name):
@@ -475,9 +506,9 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("data", [
         b"[" * 200_000 + b"]" * 200_000,
-        b'{"format_version": 5, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": 6, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
         b'{"format_version": ' + b"9" * 5000 + b"}",
-        b'{"format_version": 5, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"format_version": 6, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
     ], ids=["deep list", "deep object", "long version", "long seed"])
     def test_deep_or_huge_json_is_inconsistent(self, work, data):
         assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])
