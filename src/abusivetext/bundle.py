@@ -7,23 +7,29 @@ policy and every arm's settings are read from it and stored nowhere else.
 Each model kind is one payload class with its ``KIND``, ``probabilities``
 over cleaned texts and its own document sections (``to_doc``, and
 ``from_doc``, which builds the model with the config's settings); PAYLOADS
-maps kind names to those classes. Nothing derivable is stored (TF-IDF idf
-is recomputed from the document frequencies on load, and the LR dimension
-is the vocabulary size). Each array, ``<f8`` or ``<i8``, is one
-``{"dtype", "shape", "base64"}`` object of its little-endian bytes, so
-load(save(b)) re-serializes to identical bytes; TF-IDF tokens are one
-space-joined string and the rest is readable JSON. The recorded config
-holds the run's one seed; the arm configs hold none. ``training_report``
-has one layout for both arms (per-epoch train losses and dev macro-F1, the
-latter empty for an LR run without dev) and no payload reads it. Version
-mismatches are rejected outright, never migrated: a version 5 bundle, whose
-LR report had other keys and no dev macro-F1, ends in BundleVersionError.
+maps kind names to those classes. Nothing derivable is stored: TF-IDF idf
+is recomputed from the document frequencies on load, the LR dimension is
+the vocabulary size, and the tokenizer's pieces are derived from its byte
+inventory and merge list with encoder.derive_pieces, as training derives
+them. Each float array is one ``{"dtype": "<f8", "shape", "base64"}``
+object of its little-endian bytes, so load(save(b)) re-serializes to
+identical bytes. The rest is text: the TF-IDF tokens as one space-joined
+string, their document frequencies as one string of space-joined decimals,
+and the tokenizer as ``bytes`` (the single-byte pieces, ascending, in hex)
+and ``merges`` (``left.right`` hex pairs in rank order, space-joined). The
+recorded config holds the run's one seed; the arm configs hold none.
+``training_report`` has one layout for both arms (per-epoch train losses and
+dev macro-F1, the latter empty for an LR run without dev) and no payload
+reads it. Version mismatches are rejected outright, never migrated: a
+version 6 bundle, which stored the frequencies as an ``<i8`` tensor and the
+tokenizer's pieces beside its merges, ends in BundleVersionError.
 """
 from __future__ import annotations
 
 import base64
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, ClassVar, Iterable
@@ -38,7 +44,7 @@ from .linear import LinearModel, predict_probas
 from .metrics import TrainReport
 from .vectorizer import TfIdfModel, transform_rows
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
@@ -85,32 +91,30 @@ def _run_config(doc: dict) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def encode_tensor(values: Any, dtype: str = "<f8") -> dict[str, Any]:
-    """The stored form of an array, as ``<f8`` or ``<i8``. Raises ValueError
-    on a non-finite value, which no bundle may hold."""
-    array = np.asarray(values, dtype=dtype)
-    if dtype == "<f8" and not np.isfinite(array).all():
+def encode_tensor(values: Any) -> dict[str, Any]:
+    """The stored ``<f8`` form of a float array. Raises ValueError on a
+    non-finite value, which no bundle may hold."""
+    array = np.asarray(values, dtype="<f8")
+    if not np.isfinite(array).all():
         raise ValueError("cannot store a non-finite value in a bundle")
     return {
-        "dtype": dtype,
+        "dtype": "<f8",
         "shape": list(array.shape),
         "base64": base64.b64encode(array.tobytes()).decode("ascii"),
     }
 
 
-def decode_tensor(
-    doc: Any, shape: tuple[int, ...], what: str, dtype: str = "<f8"
-) -> np.ndarray:
-    """The array a stored tensor holds, writable and native (float64 for
-    ``<f8``, int64 for ``<i8``). Raises BundleInconsistentError unless the
-    object has exactly the three keys, the dtype is ``dtype``, the shape is
-    a list of ints equal to ``shape``, the base64 is strict and decodes to 8
-    bytes per element, and every float value is finite."""
+def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The float64 array a stored tensor holds, writable and native. Raises
+    BundleInconsistentError unless the object has exactly the three keys, the
+    dtype is ``<f8``, the shape is a list of ints equal to ``shape``, the
+    base64 is strict and decodes to 8 bytes per element, and every value is
+    finite."""
     _require(
         isinstance(doc, dict) and doc.keys() == {"dtype", "shape", "base64"},
         f"{what} must be an object with exactly dtype, shape and base64",
     )
-    _require(doc["dtype"] == dtype, f"{what} dtype must be {dtype!r}")
+    _require(doc["dtype"] == "<f8", f"{what} dtype must be '<f8'")
     stored = doc["shape"]
     _require(
         isinstance(stored, list)
@@ -124,10 +128,26 @@ def decode_tensor(
         raise BundleInconsistentError(f"{what} is not valid base64: {exc}") from exc
     size = 8 * math.prod(shape)
     _require(len(raw) == size, f"{what} holds {len(raw)} bytes, expected {size}")
-    values = np.frombuffer(raw, dtype=dtype).astype(np.dtype(dtype).newbyteorder("="))
-    finite = dtype == "<i8" or bool(np.isfinite(values).all())
-    _require(finite, f"{what} contains non-finite values")
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    _require(bool(np.isfinite(values).all()), f"{what} contains non-finite values")
     return values.reshape(shape)
+
+
+# The stored text fields, each empty or items joined by single spaces:
+# positive ASCII decimals without leading zeros, at most 18 digits so that
+# each fits int64, and lowercase-hex merge pairs.
+_DECIMALS = re.compile(r"(?:[1-9][0-9]{0,17}(?: [1-9][0-9]{0,17})*)?")
+_HEX_BYTES = re.compile(r"(?:[0-9a-f]{2})*")
+_HEX_PAIRS = re.compile(
+    r"(?:(?:[0-9a-f]{2})+\.(?:[0-9a-f]{2})+(?: (?:[0-9a-f]{2})+\.(?:[0-9a-f]{2})+)*)?"
+)
+
+
+def _text(value: Any, pattern: re.Pattern, what: str) -> str:
+    """value, when it is a string that pattern matches in full."""
+    _require(isinstance(value, str) and pattern.fullmatch(value) is not None,
+             f"{what} is not in its stored text form")
+    return value
 
 
 @dataclass
@@ -150,7 +170,7 @@ class TfIdfLrPayload:
             "vectorizer": {
                 "n_documents": tfidf.n_documents,
                 "tokens": " ".join(tfidf.tokens),
-                "document_frequency": encode_tensor(tfidf.document_frequency, "<i8"),
+                "document_frequency": " ".join(map(str, tfidf.document_frequency.tolist())),
             },
             "linear": {
                 "weights": encode_tensor(self.linear.weights),
@@ -166,7 +186,11 @@ class TfIdfLrPayload:
         tokens = text.split()
         # Also rejects empty tokens and any whitespace but single spaces.
         _require(" ".join(tokens) == text, "vectorizer tokens must be joined by single spaces")
-        dfs = decode_tensor(vec["document_frequency"], (len(tokens),), "vectorizer df", "<i8")
+        dfs = np.fromstring(
+            _text(vec["document_frequency"], _DECIMALS, "vectorizer df"), np.int64, sep=" "
+        )
+        _require(len(dfs) == len(tokens),
+                 f"vectorizer df holds {len(dfs)} values for {len(tokens)} tokens")
         tfidf = TfIdfModel(
             tokens=tokens,
             document_frequency=dfs,
@@ -202,11 +226,14 @@ class MicroEncoderPayload:
         return self.model.config == config.encoder
 
     def to_doc(self) -> dict[str, Any]:
-        params = self.model.params
+        tokenizer, params = self.tokenizer, self.model.params
+        byte_pieces = sorted(p for p in tokenizer.pieces if len(p) == 1)
+        if enc.derive_pieces(byte_pieces, tokenizer.merges) != list(tokenizer.pieces):
+            raise ValueError("the tokenizer's pieces are not the ones its bytes and merges derive")
         return {
             "tokenizer": {
-                "pieces": [piece.hex() for piece in self.tokenizer.pieces],
-                "merges": [[a.hex(), b.hex()] for a, b in self.tokenizer.merges],
+                "bytes": b"".join(byte_pieces).hex(),
+                "merges": " ".join(f"{a.hex()}.{b.hex()}" for a, b in tokenizer.merges),
             },
             "parameters": [
                 {"name": name, **encode_tensor(params[name])} for name in sorted(params)
@@ -215,11 +242,17 @@ class MicroEncoderPayload:
 
     @classmethod
     def from_doc(cls, doc: dict, config: RunConfig) -> "MicroEncoderPayload":
-        tok = _section(doc, "tokenizer", ("pieces", "merges"))
-        tokenizer = enc.SubwordTokenizer(
-            pieces=[bytes.fromhex(p) for p in tok["pieces"]],
-            merges=[(bytes.fromhex(a), bytes.fromhex(b)) for a, b in tok["merges"]],
-        )
+        tok = _section(doc, "tokenizer", ("bytes", "merges"))
+        inventory = bytes.fromhex(_text(tok["bytes"], _HEX_BYTES, "tokenizer bytes"))
+        _require(all(a < b for a, b in zip(inventory, inventory[1:])),
+                 "tokenizer bytes must be strictly ascending")
+        merges = [
+            tuple(map(bytes.fromhex, pair.split(".")))
+            for pair in _text(tok["merges"], _HEX_PAIRS, "tokenizer merges").split()
+        ]
+        # derive_pieces raises ValueError for an operand that is not yet a piece.
+        pieces = enc.derive_pieces([bytes([b]) for b in inventory], merges)
+        tokenizer = enc.SubwordTokenizer(pieces=pieces, merges=merges)
         settings = config.encoder
         entries = doc["parameters"]
         # Every layer owns tensors; checked first, a huge n_layers builds no shapes.
@@ -327,7 +360,9 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     that its config classes reject, a section that is not an object, a key
     the writer does not write or a missing one, or payload pieces that do
     not agree with each other or with the config (wrong array lengths,
-    missing tensors, bad shapes, stored tensors that do not decode).
+    missing tensors, bad shapes, stored tensors that do not decode, text
+    fields not in their stored form, a merge operand that is not yet a
+    piece).
     """
     try:
         doc = json.loads(data.decode("utf-8"))

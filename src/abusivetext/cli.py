@@ -44,6 +44,7 @@ from .errors import (
     BundleInconsistentError,
     BundleVersionError,
     DevRequiredError,
+    EmptyData,
     EncodingError,
     IdMismatchError,
     MalformedRow,
@@ -239,6 +240,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.dev_path:
         dev_bytes = _read_file(config.dev_path)
         dev = cleaned(parse_dataset(dev_bytes, FileFormat(config.format), has_labels=True))
+        if not dev:
+            raise EmptyData(f"dev file {config.dev_path} has no rows")
     payload, report = _TRAINERS[config.model_kind](config, cleaned(train_examples), dev)
     dev_f1 = report.epoch_dev_macro_f1
     for epoch, loss in enumerate(report.epoch_train_losses, start=1):

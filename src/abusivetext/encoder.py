@@ -121,6 +121,24 @@ class SubwordTokenizer:
         return ids
 
 
+def derive_pieces(
+    byte_pieces: Sequence[bytes], merges: Sequence[tuple[bytes, bytes]]
+) -> list[bytes]:
+    """The piece inventory a byte inventory and a merge list fix: the single
+    bytes in the given order, then each merge's output the first time a merge
+    makes it. Raises ValueError for a merge operand that is not yet a piece."""
+    pieces = list(byte_pieces)
+    known = set(pieces)
+    for a, b in merges:
+        if a not in known or b not in known:
+            raise ValueError(f"merge {a.hex()}.{b.hex()} has an operand that is not yet a piece")
+        merged = a + b
+        if merged not in known:
+            known.add(merged)
+            pieces.append(merged)
+    return pieces
+
+
 def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     """Greedy byte-pair-merge training until the inventory reaches vocab_size.
 
@@ -139,6 +157,8 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
     lazy invalidation: an entry whose count is stale is dropped when it
     reaches the top. The key's order is the count-then-pair tie-break, so
     the merges and pieces are those of a full recount before every merge.
+    The pieces are derive_pieces of the sorted single bytes and the merges,
+    the same derivation a bundle's tokenizer is loaded with.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train a tokenizer on an empty corpus")
@@ -154,9 +174,8 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
         for word, freq in vocabulary
     ]
 
-    pieces: list[bytes] = sorted({s for symbols, _ in words for s in symbols})
-    n_bytes = len(pieces)
-    known = set(pieces)
+    byte_pieces = sorted({s for symbols, _ in words for s in symbols})
+    known = set(byte_pieces)
     merges: list[tuple[bytes, bytes]] = []
     # A plain dict, not a Counter: a Counter's missing-key hook is a Python
     # call for every pair that a merge makes.
@@ -170,16 +189,14 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
             words_with[pair].add(index)
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
-    while 3 + len(pieces) < vocab_size and pair_counts:
+    while 3 + len(known) < vocab_size and pair_counts:
         while pair_counts.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)
         best = heapq.heappop(heap)[1]
         merges.append(best)
         a, b = best
         merged = a + b
-        if merged not in known:
-            known.add(merged)
-            pieces.append(merged)
+        known.add(merged)
         changed: set[tuple[bytes, bytes]] = set()
         for index in words_with.pop(best):
             symbols, freq = words[index]
@@ -213,9 +230,9 @@ def train_subword(corpus: Sequence[str], vocab_size: int) -> SubwordTokenizer:
                 heapq.heappush(heap, (-count, pair))
             else:
                 del pair_counts[pair]
-    tokenizer = SubwordTokenizer(pieces=pieces, merges=merges)
+    tokenizer = SubwordTokenizer(pieces=derive_pieces(byte_pieces, merges), merges=merges)
     _remember_segmentations(
-        tokenizer, n_bytes,
+        tokenizer, len(byte_pieces),
         ((word, symbols) for (word, _), (symbols, _) in zip(vocabulary, words)),
     )
     return tokenizer

@@ -160,8 +160,34 @@ class TestRoundTrip:
         vec = json.loads(bd.serialize_bundle(tfidf_lr_bundle))["vectorizer"]
         assert sorted(vec) == ["document_frequency", "n_documents", "tokens"]
         assert vec["tokens"] == " ".join(tfidf.tokens)
-        assert vec["document_frequency"]["dtype"] == "<i8"
-        assert _values(vec["document_frequency"]).tolist() == tfidf.document_frequency.tolist()
+        assert vec["document_frequency"] == " ".join(map(str, tfidf.document_frequency.tolist()))
+        assert len(vec["document_frequency"].split(" ")) == tfidf.dimension
+
+    def test_tokenizer_stores_its_bytes_and_merges_and_no_pieces(self, encoder_bundle):
+        tokenizer = encoder_bundle.payload.tokenizer
+        tok = json.loads(bd.serialize_bundle(encoder_bundle))["tokenizer"]
+        assert list(tok) == ["bytes", "merges"]
+        singles = [p for p in tokenizer.pieces if len(p) == 1]
+        assert tok["bytes"] == b"".join(singles).hex() and len(singles) > 2
+        assert tok["merges"].split(" ") == [f"{a.hex()}.{b.hex()}" for a, b in tokenizer.merges]
+        assert enc.derive_pieces(singles, tokenizer.merges) == list(tokenizer.pieces)
+
+    def test_empty_tokenizer_vocabulary_round_trips(self, encoder_bundle):
+        # A corpus of blank texts has no bytes, so no merges: the bare specials.
+        tokenizer = enc.train_subword(["", "  "], vocab_size=8)
+        assert tokenizer.pieces == () and tokenizer.merges == ()
+        config = encoder_bundle.config
+        params = enc.init_params(config.encoder, tokenizer.vocab_size, seed=1)
+        bundle = replace(encoder_bundle, payload=bd.MicroEncoderPayload(
+            tokenizer, enc.EncoderModel(params, config.encoder, tokenizer.vocab_size)
+        ))
+        raw = bd.serialize_bundle(bundle)
+        assert json.loads(raw)["tokenizer"] == {"bytes": "", "merges": ""}
+        loaded = bd.deserialize_bundle(raw)
+        assert bd.serialize_bundle(loaded) == raw
+        assert loaded.payload.tokenizer == tokenizer
+        texts = ["ab c", ""]
+        assert loaded.payload.probabilities(texts) == bundle.payload.probabilities(texts)
 
     def test_zero_token_vocabulary_round_trips(self):
         split = synth_corpus(3, 12)
@@ -170,7 +196,7 @@ class TestRoundTrip:
         bundle = lr_bundle_of(texts, labels, vectorizer.TfIdfConfig(max_vocab=0))
         raw = bd.serialize_bundle(bundle)
         vec = json.loads(raw)["vectorizer"]
-        assert vec["tokens"] == "" and vec["document_frequency"]["shape"] == [0]
+        assert vec["tokens"] == "" and vec["document_frequency"] == ""
         loaded = bd.deserialize_bundle(raw)
         assert bd.serialize_bundle(loaded) == raw
         assert loaded.payload.tfidf == bundle.payload.tfidf
@@ -225,14 +251,12 @@ class TestRoundTrip:
         back = bd.decode_tensor(stored, shape, "tensor")
         assert back.shape == shape and back.tobytes() == values.tobytes()
 
-    def test_int64_tensor_round_trip_is_exact(self):
-        values = np.array([1, -1, 0, 2**63 - 1, -(2**63)], dtype=np.int64)
-        stored = json.loads(json.dumps(bd.encode_tensor(values, "<i8")))
-        assert stored["dtype"] == "<i8"
-        back = bd.decode_tensor(stored, (5,), "tensor", "<i8")
-        assert back.dtype == np.int64 and back.tolist() == values.tolist()
+    def test_tensors_are_float64_only(self):
+        # Integer arrays are stored as text, so the one tensor dtype is <f8.
+        assert bd.encode_tensor(np.array([1, 2], dtype=np.int64))["dtype"] == "<f8"
+        stored = _stored(np.array([1, 2], dtype=np.int64), "<i8")
         with pytest.raises(BundleInconsistentError, match="dtype must be '<f8'"):
-            bd.decode_tensor(stored, (5,), "tensor")
+            bd.decode_tensor(stored, (2,), "tensor")
 
     @pytest.mark.parametrize("text", [3, None, ["AAAAAAAAAAA="], "!AAAAAAAAAA=", "AAAAAAAAAAé="])
     def test_base64_that_is_not_strict_ascii_text_is_inconsistent(self, text):
@@ -323,23 +347,26 @@ class TestRejection:
 
     def test_document_frequency_length_mismatch(self, tfidf_lr_bundle):
         def one_more(d):
-            dfs = _values(d["vectorizer"]["document_frequency"])
-            d["vectorizer"]["document_frequency"] = _stored(np.append(dfs, 1), "<i8")
+            d["vectorizer"]["document_frequency"] += " 1"
 
         raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), one_more)
-        with pytest.raises(BundleInconsistentError, match="vectorizer df has shape"):
+        with pytest.raises(BundleInconsistentError, match="vectorizer df holds"):
             bd.deserialize_bundle(raw)
 
-    @pytest.mark.parametrize("df", [0, -1, "n_documents + 1"])
-    def test_document_frequency_out_of_range(self, tfidf_lr_bundle, df):
+    @pytest.mark.parametrize("df, match", [
+        (0, "not in its stored text form"),
+        (-1, "not in its stored text form"),
+        ("n_documents + 1", "must lie in 1.."),
+    ], ids=["0", "-1", "n_documents + 1"])
+    def test_document_frequency_out_of_range(self, tfidf_lr_bundle, df, match):
         def replace_first(d):
             vec = d["vectorizer"]
-            dfs = _values(vec["document_frequency"])
-            dfs[0] = vec["n_documents"] + 1 if df == "n_documents + 1" else df
-            vec["document_frequency"] = _stored(dfs, "<i8")
+            dfs = vec["document_frequency"].split(" ")
+            dfs[0] = str(vec["n_documents"] + 1 if df == "n_documents + 1" else df)
+            vec["document_frequency"] = " ".join(dfs)
 
         raw = _mutate(bd.serialize_bundle(tfidf_lr_bundle), replace_first)
-        with pytest.raises(BundleInconsistentError, match="must lie in 1.."):
+        with pytest.raises(BundleInconsistentError, match=match):
             bd.deserialize_bundle(raw)
 
     def test_nan_parameter_rejected_on_load(self, encoder_bundle):
@@ -370,12 +397,32 @@ class TestRejection:
             bd.deserialize_bundle(raw)
 
     def test_tokenizer_vocab_must_match_embedding_rows(self, encoder_bundle):
-        def drop_piece(d):
-            d["tokenizer"]["pieces"].pop()
+        # The last merge made a new piece, so without it there is one row too many.
+        def drop_last_merge(d):
+            d["tokenizer"]["merges"] = d["tokenizer"]["merges"].rsplit(" ", 1)[0]
 
-        raw = _mutate(bd.serialize_bundle(encoder_bundle), drop_piece)
-        with pytest.raises(BundleInconsistentError):
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), drop_last_merge)
+        with pytest.raises(BundleInconsistentError, match="parameter 'tok_emb' has shape"):
             bd.deserialize_bundle(raw)
+
+    def test_merge_operand_that_is_not_yet_a_piece(self, encoder_bundle):
+        def byte_ff(d):
+            d["tokenizer"]["merges"] += " ff.ff"
+
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), byte_ff)
+        with pytest.raises(BundleInconsistentError, match="operand that is not yet a piece"):
+            bd.deserialize_bundle(raw)
+
+    def test_pieces_that_are_not_derived_are_refused_on_save(self, encoder_bundle):
+        tokenizer = encoder_bundle.payload.tokenizer
+        pieces = list(tokenizer.pieces)
+        for edited in (pieces[:-2] + pieces[:-3:-1], [pieces[1], pieces[0], *pieces[2:]],
+                       pieces[:-1]):
+            payload = bd.MicroEncoderPayload(
+                enc.SubwordTokenizer(edited, tokenizer.merges), encoder_bundle.payload.model
+            )
+            with pytest.raises(ValueError, match="not the ones its bytes and merges derive"):
+                payload.to_doc()
 
     @pytest.mark.parametrize("section", ["run_config", "vectorizer", "linear",
                                          "training_report", "provenance"])

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: happy paths, exit codes, and reproducibility."""
 import argparse
-import base64
 import dataclasses
 import hashlib
 import io
@@ -13,6 +12,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ import pytest
 import abusivetext
 from abusivetext import bundle as bd
 from abusivetext import cli, configs, linear, vectorizer
+from abusivetext import encoder as enc
 from abusivetext.corpus import (
     FileFormat,
     Label,
@@ -417,9 +418,7 @@ class TestExitCodes:
         out = tmp_path / "m.json"
         run_cli("train", "--config", str(lr_config(tmp_path, train, dev, out)))
         doc = json.loads(out.read_text())
-        dfs = doc["vectorizer"]["document_frequency"]
-        values = np.append(np.frombuffer(base64.b64decode(dfs["base64"]), "<i8"), 1)
-        dfs.update(shape=[values.size], base64=base64.b64encode(values.tobytes()).decode())
+        doc["vectorizer"]["document_frequency"] += " 1"
         out.write_text(json.dumps(doc))
         rc = run_cli(
             "predict", "--model", str(out), "--input", str(dev),
@@ -524,6 +523,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         [line] = error_lines(captured.err)
         assert line.startswith("ERROR CONFIG: ") and "allocate" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
+    def test_empty_dev_file_fails_before_any_training(
+        self, tmp_path, synth_files, capsys, make_config
+    ):
+        train, _ = synth_files
+        dev, out = tmp_path / "empty-dev.tsv", tmp_path / "m.json"
+        dev.write_text("id\ttext\tlabel\n")
+        config = make_config(tmp_path, train, dev, out)
+        with mock.patch.object(enc, "train_subword") as train_subword, \
+                mock.patch.object(vectorizer, "fit") as fit:
+            assert run_cli("train", "--config", str(config)) == 1
+        train_subword.assert_not_called()
+        fit.assert_not_called()
+        assert error_lines(capsys.readouterr().err) == [
+            f"ERROR DATA: dev file {dev} has no rows"
+        ]
         assert not out.exists()
 
     def test_tiny_vocab_size_fails_before_reading_data(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abusivetext import bundle as bd
 from abusivetext import encoder as enc
 from abusivetext.corpus import Label, VocabProfile, synth_corpus
 from abusivetext.errors import (
@@ -426,6 +427,35 @@ class TestEncodeBatch:
             enc.encode_batch(toy_tokenizer, ["hello", ""], max_length)
         with pytest.raises(ValueError, match="max_length must be >= 1"):
             enc.encode_batch(toy_tokenizer, [], max_length)
+
+class TestDerivedPieces:
+    @settings(max_examples=100, deadline=None)
+    @given(case=trained_tokenizer_and_word())
+    def test_trained_pieces_are_derived_from_bytes_and_merges(self, case):
+        tokenizer, _ = case
+        singles = [p for p in tokenizer.pieces if len(p) == 1]
+        assert singles == sorted(singles)
+        assert enc.derive_pieces(singles, tokenizer.merges) == list(tokenizer.pieces)
+
+    def test_a_repeated_output_makes_no_second_piece(self):
+        # (ab, c) and (a, bc) both make "abc".
+        merges = [(b"a", b"b"), (b"b", b"c"), (b"ab", b"c"), (b"a", b"bc")]
+        assert enc.derive_pieces([b"a", b"b", b"c"], merges) == [
+            b"a", b"b", b"c", b"ab", b"bc", b"abc",
+        ]
+
+    @pytest.mark.parametrize("merges", [[(b"ab", b"a"), (b"a", b"b")], [(b"a", b"c")]])
+    def test_operand_that_is_not_yet_a_piece(self, merges):
+        with pytest.raises(ValueError, match="not yet a piece"):
+            enc.derive_pieces([b"a", b"b"], merges)
+
+    def test_bundle_refuses_the_hand_built_tokenizer(self):
+        # Its first merge reads "ab" before any merge made it, and it has no
+        # piece for "ba": no byte inventory and merge list derive its pieces.
+        params = enc.init_params(MICRO_CONFIG, HAND_BUILT.vocab_size, seed=0)
+        model = enc.EncoderModel(params, MICRO_CONFIG, HAND_BUILT.vocab_size)
+        with pytest.raises(ValueError, match="not yet a piece"):
+            bd.MicroEncoderPayload(HAND_BUILT, model).to_doc()
 
 
 class TestSeededWordMemo:

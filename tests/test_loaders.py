@@ -69,10 +69,13 @@ def work(tmp_path_factory):
         "encoder_train": {"learning_rate": 1e-2, "epochs": 1, "batch_size": 8},
         "encoder_vocab_size": 40,
     }))
+    # The same encoder with room for merges: vocabulary 40 holds the bytes alone.
+    merged = json.loads((root / "enc.json").read_text())
+    merged.update(model_path=str(root / "encm.bundle.json"), encoder_vocab_size=64)
+    (root / "encm.json").write_text(json.dumps(merged))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["train", "--config", str(root / "lr.json")]) == 0
-        assert cli.main(["train", "--config", str(root / "enc.json")]) == 0
-        assert cli.main(["train", "--config", str(root / "lr0.json")]) == 0
+        for arm in ("lr", "enc", "lr0", "encm"):
+            assert cli.main(["train", "--config", str(root / f"{arm}.json")]) == 0
     return root
 
 
@@ -121,8 +124,8 @@ def guarded_shapes(config, vocab_size, shapes=enc.parameter_shapes):
     return shapes(config, vocab_size)
 
 
-def stored_dfs(tensor) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(tensor["base64"]), "<i8").copy()
+def stored_dfs(text: str) -> list[int]:
+    return [int(value) for value in text.split()]
 
 
 def store(values, dtype="<i8") -> dict:
@@ -137,7 +140,7 @@ def as_v2(doc, work: Path) -> None:
     vec = doc["vectorizer"]
     idf = bd.deserialize_bundle((work / "lr.bundle.json").read_bytes()).payload.tfidf.idf
     vec.update(tokens=vec["tokens"].split(),
-               document_frequency=stored_dfs(vec["document_frequency"]).tolist(),
+               document_frequency=stored_dfs(vec["document_frequency"]),
                idf=store(idf, "<f8"))
 
 
@@ -161,10 +164,30 @@ def as_v3(doc) -> None:
     doc["provenance"]["run_config"] = run_config
 
 
+def as_v6(doc) -> None:
+    """Rewrite a bundle in the version 6 layout: the document frequencies as
+    one ``<i8`` tensor, and the tokenizer as its list of hex pieces beside a
+    list of hex merge pairs."""
+    doc["format_version"] = 6
+    if "vectorizer" in doc:
+        vec = doc["vectorizer"]
+        vec["document_frequency"] = store(stored_dfs(vec["document_frequency"]))
+    else:
+        tok = doc["tokenizer"]
+        merges = [pair.split(".") for pair in tok["merges"].split()]
+        pieces = enc.derive_pieces(
+            [bytes([b]) for b in bytes.fromhex(tok["bytes"])],
+            [(bytes.fromhex(a), bytes.fromhex(b)) for a, b in merges],
+        )
+        doc["tokenizer"] = {"pieces": [p.hex() for p in pieces], "merges": merges}
+
+
 def as_v5(doc) -> None:
-    """Rewrite a bundle in the version 5 layout: the LR training report held
-    the epoch losses as ``epoch_losses`` and a ``single_class`` flag, and no
-    dev macro-F1; the encoder's report was as it is now."""
+    """Rewrite a bundle in the version 5 layout: the version 6 payload, and
+    the LR training report held the epoch losses as ``epoch_losses`` and a
+    ``single_class`` flag, and no dev macro-F1; the encoder's report was as
+    it is now."""
+    as_v6(doc)
     doc["format_version"] = 5
     if "vectorizer" in doc:
         report = doc["training_report"]
@@ -193,13 +216,13 @@ def _tokens_edited(edit):
 
 def _dfs_edited(edit):
     def mutate(vec):
-        vec["document_frequency"] = edit(stored_dfs(vec["document_frequency"]), vec)
+        vec["document_frequency"] = edit(vec["document_frequency"], vec)
     return mutate
 
 
 def _first_df(value):
-    """The first document frequency replaced by value(vec)."""
-    return _dfs_edited(lambda dfs, vec: store(np.append(value(vec), dfs[1:])))
+    """The first document frequency replaced by the text value(vec)."""
+    return _dfs_edited(lambda text, vec: " ".join([value(vec), *text.split(" ")[1:]]))
 
 
 # One hostile vectorizer section each, edited in place; every one is a bundle
@@ -218,16 +241,95 @@ HOSTILE_VOCABULARY = {
         lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "")),
     "no tokens": lambda vec: vec.update(tokens=""),
     "one token too many": _tokens_edited(lambda t: t.append(t[-1] + "z")),
-    "df as <f8": _dfs_edited(lambda dfs, vec: store(dfs, "<f8")),
-    "df as >i8": _dfs_edited(lambda dfs, vec: store(dfs, ">i8")),
-    "df too short": _dfs_edited(lambda dfs, vec: store(dfs[:-1])),
-    "df too long": _dfs_edited(lambda dfs, vec: store(np.append(dfs, 1))),
-    "df 0": _first_df(lambda vec: 0),
-    "df negative": _first_df(lambda vec: -1),
-    "df above n_documents": _first_df(lambda vec: vec["n_documents"] + 1),
+    # Not a string: the version 6 tensor, other tensors, a list, a number.
+    "df as <i8": _dfs_edited(lambda text, vec: store(stored_dfs(text))),
+    "df as <f8": _dfs_edited(lambda text, vec: store(stored_dfs(text), "<f8")),
+    "df as >i8": _dfs_edited(lambda text, vec: store(stored_dfs(text), ">i8")),
+    "df as a list": _dfs_edited(lambda text, vec: stored_dfs(text)),
+    "df as a number": _dfs_edited(lambda text, vec: stored_dfs(text)[0]),
+    "df too short": _dfs_edited(lambda text, vec: text.rsplit(" ", 1)[0]),
+    "df too long": _dfs_edited(lambda text, vec: text + " 1"),
+    "df empty": _dfs_edited(lambda text, vec: ""),
+    "df leading space": _dfs_edited(lambda text, vec: " " + text),
+    "df trailing space": _dfs_edited(lambda text, vec: text + " "),
+    "df double space": _dfs_edited(lambda text, vec: text.replace(" ", "  ", 1)),
+    "df tab": _dfs_edited(lambda text, vec: text.replace(" ", "\t", 1)),
+    "df newline": _dfs_edited(lambda text, vec: text.replace(" ", "\n", 1)),
+    # Not canonical decimals, though int() reads the first five as values in range.
+    "df 01": _first_df(lambda vec: "01"),
+    "df +1": _first_df(lambda vec: "+1"),
+    "df 1_0": _first_df(lambda vec: "1_0"),
+    "df Arabic-Indic one": _first_df(lambda vec: "\u0661"),
+    "df fullwidth one": _first_df(lambda vec: "\uff11"),
+    "df 1.0": _first_df(lambda vec: "1.0"),
+    "df 1e0": _first_df(lambda vec: "1e0"),
+    "df 0": _first_df(lambda vec: "0"),
+    "df negative": _first_df(lambda vec: "-1"),
+    "df above n_documents": _first_df(lambda vec: str(vec["n_documents"] + 1)),
+    "df past int64": _first_df(lambda vec: str(2**64 + 1)),
     "n_documents below the largest df": lambda vec: vec.update(
-        n_documents=int(stored_dfs(vec["document_frequency"]).max()) - 1),
+        n_documents=max(stored_dfs(vec["document_frequency"])) - 1),
     "n_documents 10**400": lambda vec: vec.update(n_documents=10**400),
+}
+
+
+def _merges_edited(edit):
+    def mutate(tok):
+        merges = tok["merges"].split(" ")
+        edit(merges)
+        tok["merges"] = " ".join(merges)
+    return mutate
+
+
+def _bytes_edited(edit):
+    def mutate(tok):
+        pairs = [tok["bytes"][i : i + 2] for i in range(0, len(tok["bytes"]), 2)]
+        edit(pairs)
+        tok["bytes"] = "".join(pairs)
+    return mutate
+
+
+def _operand_of_a_later_merge_first(merges):
+    """Move the first merge that reads a merged piece to the front."""
+    i = next(i for i, pair in enumerate(merges) if len(pair) > 5)
+    merges.insert(0, merges.pop(i))
+
+
+def _swap_last_two(items):
+    items[-2:] = items[:-3:-1]
+
+
+# One hostile tokenizer section each, edited in place; every one is a bundle
+# no writer could have made. The last three are version 6's three edits that
+# loaded and predicted (swapped last pieces, a merged piece replaced by
+# ffff, a dropped merge), in the stored form of this version.
+HOSTILE_TOKENIZER = {
+    "bytes as a list": lambda tok: tok.update(bytes=[tok["bytes"]]),
+    "bytes as a number": lambda tok: tok.update(bytes=61),
+    "unsorted bytes": _bytes_edited(list.reverse),
+    "repeated byte": _bytes_edited(lambda pairs: pairs.insert(0, pairs[0])),
+    "odd-length bytes": lambda tok: tok.update(bytes=tok["bytes"][:-1]),
+    "uppercase bytes": lambda tok: tok.update(bytes=tok["bytes"].upper()),
+    "spaced bytes": lambda tok: tok.update(bytes=tok["bytes"][:2] + " " + tok["bytes"][2:]),
+    "byte ff added": lambda tok: tok.update(bytes=tok["bytes"] + "ff"),
+    "no bytes": lambda tok: tok.update(bytes=""),
+    "merges as version 6 pairs":
+        lambda tok: tok.update(merges=[pair.split(".") for pair in tok["merges"].split()]),
+    "merges as a number": lambda tok: tok.update(merges=0),
+    "pair without .": _merges_edited(lambda m: m.__setitem__(0, m[0].replace(".", ""))),
+    "pair with two .": _merges_edited(lambda m: m.__setitem__(0, m[0] + ".61")),
+    "empty operand": _merges_edited(lambda m: m.__setitem__(0, m[0][m[0].index("."):])),
+    "odd-length operand": _merges_edited(lambda m: m.__setitem__(0, m[0][1:])),
+    "uppercase merges": lambda tok: tok.update(merges=tok["merges"].upper()),
+    "merges double space": lambda tok: tok.update(merges=tok["merges"].replace(" ", "  ", 1)),
+    "merges leading space": lambda tok: tok.update(merges=" " + tok["merges"]),
+    "merges trailing space": lambda tok: tok.update(merges=tok["merges"] + " "),
+    "merges tab": lambda tok: tok.update(merges=tok["merges"].replace(" ", "\t", 1)),
+    "unknown operand": _merges_edited(lambda m: m.__setitem__(0, "ff" + m[0][m[0].index("."):])),
+    "operand of a later merge": _merges_edited(_operand_of_a_later_merge_first),
+    "last two pieces swapped": _bytes_edited(_swap_last_two),
+    "a merged piece replaced by ffff": _merges_edited(lambda m: m.__setitem__(-1, "ff.ff")),
+    "dropped merge": _merges_edited(list.pop),
 }
 
 
@@ -311,7 +413,7 @@ class TestHostileBundles:
         ("lr", ("vectorizer", "tokens"), 0.5),
         ("lr", ("vectorizer", "tokens"), {"a": 1}),
         ("lr", ("vectorizer", "tokens"), lambda text: text.split()),
-        ("lr", ("vectorizer", "document_frequency"), lambda dfs: stored_dfs(dfs).tolist()),
+        ("lr", ("vectorizer", "document_frequency"), lambda text: stored_dfs(text)),
         ("lr", ("provenance",), None),
         ("enc", ("provenance",), []),
         ("lr", ("training_report", "epoch_train_losses"), "x"),
@@ -332,7 +434,7 @@ class TestHostileBundles:
 
     def test_zero_token_bundle_predicts(self, work):
         doc = json.loads((work / "lr0.bundle.json").read_text())
-        assert doc["vectorizer"]["tokens"] == ""
+        assert doc["vectorizer"]["tokens"] == doc["vectorizer"]["document_frequency"] == ""
         assert predict_with(work, doc) == (0, [])
 
     @pytest.mark.parametrize("arm, section, key, value", [
@@ -389,6 +491,20 @@ class TestHostileBundles:
         HOSTILE_VOCABULARY[name](vec)
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE_TOKENIZER))
+    def test_hostile_tokenizer_rejected_as_inconsistent(self, work, name):
+        doc = json.loads((work / "encm.bundle.json").read_text())
+        tok = doc["tokenizer"]
+        assert len(tok["merges"].split()) > 2 and any(c in "abcdef" for c in tok["bytes"])
+        original = dict(tok)
+        HOSTILE_TOKENIZER[name](tok)
+        assert tok != original
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    def test_tokenizer_fixture_predicts(self, work):
+        doc = json.loads((work / "encm.bundle.json").read_text())
+        assert predict_with(work, doc) == (0, [])
+
     @pytest.mark.parametrize("arm", ["lr", "enc"])
     @pytest.mark.parametrize("key", ["provenance", "run_config"])
     def test_missing_provenance_is_inconsistent(self, work, arm, key):
@@ -396,7 +512,7 @@ class TestHostileBundles:
         del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("version", [6.0, "6", True, [6]])
+    @pytest.mark.parametrize("version", [7.0, "7", True, [7]])
     def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
         doc = json.loads((work / "enc.bundle.json").read_text())
         assert predict_with(work, with_value(doc, ("format_version",), version)) == (
@@ -404,7 +520,6 @@ class TestHostileBundles:
         )
 
     @pytest.mark.parametrize("arm, tensor", [
-        ("lr", ("vectorizer", "document_frequency")),
         ("lr", ("linear", "weights")),
         ("enc", ("parameters", 0)),
         ("enc", ("parameters", -1)),
@@ -485,17 +600,27 @@ class TestHostileBundles:
         doc["format_version"] = bd.FORMAT_VERSION
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("arm, relabelled", [("lr", (5, ["BUNDLE_INCONSISTENT"])),
-                                                  ("enc", (0, []))])
-    def test_v5_document_is_a_version_error(self, work, arm, relabelled):
-        # Version 5 stored the LR report as epoch_losses and single_class;
-        # labelled the current version, that layout is inconsistent, while
-        # an encoder bundle of version 5 differs in its version alone.
+    @pytest.mark.parametrize("arm", ["lr", "enc"])
+    def test_v5_document_is_a_version_error(self, work, arm):
+        # Version 5 stored the LR report as epoch_losses and single_class,
+        # and the version 6 payload; labelled the current version, that
+        # layout is inconsistent.
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
         as_v5(doc)
         assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
         doc["format_version"] = bd.FORMAT_VERSION
-        assert predict_with(work, doc) == relabelled
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm", ["lr", "encm"])
+    def test_v6_document_is_a_version_error(self, work, arm):
+        # Version 6 stored the frequencies as an <i8 tensor and the
+        # tokenizer's pieces beside its merges; labelled the current
+        # version, that layout is inconsistent.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v6(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = bd.FORMAT_VERSION
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
     @pytest.mark.parametrize("arm", ["lr", "enc"])
     @pytest.mark.parametrize("name", sorted(HOSTILE_RECORDED_CONFIG))
@@ -506,9 +631,9 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("data", [
         b"[" * 200_000 + b"]" * 200_000,
-        b'{"format_version": 6, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": 7, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
         b'{"format_version": ' + b"9" * 5000 + b"}",
-        b'{"format_version": 6, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"format_version": 7, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
     ], ids=["deep list", "deep object", "long version", "long seed"])
     def test_deep_or_huge_json_is_inconsistent(self, work, data):
         assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])
