@@ -13,16 +13,16 @@ the vocabulary size, and the tokenizer's pieces are derived from its byte
 inventory and merge list with encoder.derive_pieces, as training derives
 them. Each float array is one ``{"dtype": "<f8", "shape", "base64"}``
 object of its little-endian bytes, so load(save(b)) re-serializes to
-identical bytes. The rest is text: the TF-IDF tokens as one space-joined
-string, their document frequencies as one string of space-joined decimals,
-and the tokenizer as ``bytes`` (the single-byte pieces, ascending, in hex)
-and ``merges`` (``left.right`` hex pairs in rank order, space-joined). The
-recorded config holds the run's one seed; the arm configs hold none.
-``training_report`` has one layout for both arms (per-epoch train losses and
-dev macro-F1, the latter empty for an LR run without dev) and no payload
-reads it. Version mismatches are rejected outright, never migrated: a
-version 6 bundle, which stored the frequencies as an ``<i8`` tensor and the
-tokenizer's pieces beside its merges, ends in BundleVersionError.
+identical bytes. The rest is text: the TF-IDF vocabulary as its words and
+its n-grams' word positions (see TfIdfLrPayload), the document frequencies
+as one string of space-joined decimals, and the tokenizer as ``bytes`` (the
+single-byte pieces, ascending, in hex) and ``merges`` (``left.right`` hex
+pairs in rank order, space-joined). The recorded config holds the run's one
+seed; the arm configs hold none. ``training_report`` has one layout for both
+arms (per-epoch train losses and dev macro-F1, the latter empty for an LR
+run without dev) and no payload reads it. Version mismatches are rejected
+outright, never migrated: a version 7 bundle, which spelled every TF-IDF
+token out in one string, ends in BundleVersionError.
 """
 from __future__ import annotations
 
@@ -31,8 +31,9 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, ClassVar, Iterable
+from typing import Any, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .configs import MICRO_ENCODER, PATH_KEYS, TFIDF_LR, RunConfig
 from .errors import BundleInconsistentError, BundleVersionError
 from .linear import LinearModel, predict_probas
 from .metrics import TrainReport
-from .vectorizer import TfIdfModel, transform_rows
+from .vectorizer import NGRAM_SEPARATOR, TfIdfModel, transform_rows
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
@@ -137,6 +138,8 @@ def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
 # positive ASCII decimals without leading zeros, at most 18 digits so that
 # each fits int64, and lowercase-hex merge pairs.
 _DECIMALS = re.compile(r"(?:[1-9][0-9]{0,17}(?: [1-9][0-9]{0,17})*)?")
+# Word positions: decimals as above, and 0 for "no word".
+_POSITIONS = re.compile(r"(?:(?:0|[1-9][0-9]{0,17})(?: (?:0|[1-9][0-9]{0,17}))*)?")
 _HEX_BYTES = re.compile(r"(?:[0-9a-f]{2})*")
 _HEX_PAIRS = re.compile(
     r"(?:(?:[0-9a-f]{2})+\.(?:[0-9a-f]{2})+(?: (?:[0-9a-f]{2})+\.(?:[0-9a-f]{2})+)*)?"
@@ -150,8 +153,79 @@ def _text(value: Any, pattern: re.Pattern, what: str) -> str:
     return value
 
 
+def _ascending(items: list[str]) -> bool:
+    return all(map(str.__lt__, items, items[1:]))
+
+
+def _words(value: Any, what: str) -> list[str]:
+    """The words of a stored word list: one string of words joined by single
+    spaces, strictly ascending, none holding the n-gram separator."""
+    _require(isinstance(value, str), f"{what} must be one string")
+    words = value.split()
+    # Also rejects empty words and any whitespace but single spaces.
+    _require(" ".join(words) == value, f"{what} must be joined by single spaces")
+    _require(NGRAM_SEPARATOR not in value, f"{what} must not hold the n-gram separator")
+    _require(_ascending(words), f"{what} must be strictly ascending")
+    return words
+
+
+def _split(ngrams: list[str]) -> Iterator[list[str]]:
+    """The words of each n-gram, split anew on every call, so that no list
+    of all the split n-grams is ever held."""
+    return map(str.split, ngrams, repeat(NGRAM_SEPARATOR))
+
+
+def _ngrams(value: Any, unigrams: list[str], inner_words: list[str]) -> list[str]:
+    """The joined n-grams that the stored word positions spell, in stored
+    order. Raises BundleInconsistentError unless value is the one list of
+    position strings the writer writes for them."""
+    _require(isinstance(value, list) and all(isinstance(text, str) for text in value),
+             "vectorizer ngrams must be a list of strings")
+    if not value:
+        return []
+    _require(len(value) > 1, "vectorizer ngrams cannot be one word position")
+    columns = [
+        np.fromstring(_text(text, _POSITIONS, "vectorizer ngrams"), np.int64, sep=" ")
+        for text in value
+    ]
+    _require(len({len(column) for column in columns}) == 1,
+             "vectorizer ngrams strings differ in length")
+    positions = np.stack(columns)
+    table = ["", *unigrams, *inner_words]
+    _require(int(positions.max(initial=0)) < len(table),
+             "vectorizer ngrams hold a position past the word table")
+    _require(bool(positions[:2].all()), "every n-gram has at least two words")
+    _require(not ((positions[:-1] == 0) & (positions[1:] != 0)).any(),
+             "an n-gram has a word after its end")
+    _require(bool(positions[-1].any()), "no n-gram has a word in the last position")
+    _require(set(unigrams).isdisjoint(inner_words), "an inner word is also a unigram")
+    uses = np.bincount(positions.ravel(), minlength=len(table))
+    _require(bool(uses[1 + len(unigrams):].all()), "an inner word is used by no n-gram")
+    # Position 0 reads as the empty word: its separators trail, and the
+    # words themselves hold no separator to strip.
+    words = [list(map(table.__getitem__, row)) for row in positions.tolist()]
+    joined = list(map(str.rstrip, map(NGRAM_SEPARATOR.join, zip(*words)),
+                      repeat(NGRAM_SEPARATOR)))
+    _require(_ascending(joined), "vectorizer n-grams must be strictly ascending")
+    return joined
+
+
 @dataclass
 class TfIdfLrPayload:
+    """The TF-IDF vectorizer and the LR weights over its vocabulary.
+
+    The ``vectorizer`` section stores the vocabulary as words and positions:
+    ``unigrams``, the one-word tokens, and ``inner_words``, the words that
+    occur only inside kept n-grams (a max_vocab cut can drop a word and keep
+    an n-gram using it), each strictly ascending and single-space joined; and
+    ``ngrams``, one string per word position, whose entry j is the 1-based
+    position, in unigrams then inner_words, of the k-th word of the j-th
+    n-gram (in ascending joined-string order), or 0 past that n-gram's end.
+    There are as many strings as the longest n-gram has words, none when
+    there is no n-gram. Load spells each n-gram out and merges the two
+    ascending runs into the token list; anything the writer would not have
+    written for that vocabulary is BundleInconsistentError."""
+
     KIND: ClassVar[str] = TFIDF_LR
     SECTIONS: ClassVar[tuple[str, ...]] = ("vectorizer", "linear")
 
@@ -166,10 +240,21 @@ class TfIdfLrPayload:
 
     def to_doc(self) -> dict[str, Any]:
         tfidf = self.tfidf
+        unigrams = [t for t in tfidf.tokens if NGRAM_SEPARATOR not in t]
+        ngrams = [t for t in tfidf.tokens if NGRAM_SEPARATOR in t]
+        inner_words = sorted(set(chain.from_iterable(_split(ngrams))).difference(unigrams))
+        # Each word's 1-based position in the word table, as stored text.
+        position = {w: str(i) for i, w in enumerate(unigrams + inner_words, start=1)}
+        longest = max(map(str.count, ngrams, repeat(NGRAM_SEPARATOR)), default=-1) + 1
         return {
             "vectorizer": {
                 "n_documents": tfidf.n_documents,
-                "tokens": " ".join(tfidf.tokens),
+                "unigrams": " ".join(unigrams),
+                "inner_words": " ".join(inner_words),
+                "ngrams": [
+                    " ".join([position[w[k]] if k < len(w) else "0" for w in _split(ngrams)])
+                    for k in range(longest)
+                ],
                 "document_frequency": " ".join(map(str, tfidf.document_frequency.tolist())),
             },
             "linear": {
@@ -180,12 +265,13 @@ class TfIdfLrPayload:
 
     @classmethod
     def from_doc(cls, doc: dict, config: RunConfig) -> "TfIdfLrPayload":
-        vec = _section(doc, "vectorizer", ("n_documents", "tokens", "document_frequency"))
-        text = vec["tokens"]
-        _require(isinstance(text, str), "vectorizer tokens must be one string")
-        tokens = text.split()
-        # Also rejects empty tokens and any whitespace but single spaces.
-        _require(" ".join(tokens) == text, "vectorizer tokens must be joined by single spaces")
+        vec = _section(doc, "vectorizer", (
+            "n_documents", "unigrams", "inner_words", "ngrams", "document_frequency",
+        ))
+        unigrams = _words(vec["unigrams"], "vectorizer unigrams")
+        inner_words = _words(vec["inner_words"], "vectorizer inner_words")
+        # Two ascending runs: the sort merges them in one linear pass.
+        tokens = sorted(unigrams + _ngrams(vec["ngrams"], unigrams, inner_words))
         dfs = np.fromstring(
             _text(vec["document_frequency"], _DECIMALS, "vectorizer df"), np.int64, sep=" "
         )
@@ -361,8 +447,8 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     the writer does not write or a missing one, or payload pieces that do
     not agree with each other or with the config (wrong array lengths,
     missing tensors, bad shapes, stored tensors that do not decode, text
-    fields not in their stored form, a merge operand that is not yet a
-    piece).
+    fields not in their stored form, n-gram positions that are not the ones
+    the writer writes, a merge operand that is not yet a piece).
     """
     try:
         doc = json.loads(data.decode("utf-8"))

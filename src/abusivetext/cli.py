@@ -228,6 +228,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("no model output path configured (use --out)")
     train_bytes = _read_file(config.train_path)
     train_examples = parse_dataset(train_bytes, FileFormat(config.format), has_labels=True)
+    if not train_examples:
+        raise EmptyData(f"train file {config.train_path} has no rows")
     print(f"train split ({config.train_path}):")
     for line in _stats_lines(train_examples):
         print(f"  {line}")

@@ -20,8 +20,9 @@ from .checks import check_fields
 from .configs import TfIdfConfig
 from .errors import DimensionMismatch, EmptyCorpus
 
-# Joins the words of an n-gram; preprocessing strips this code point from
-# real text, so joined n-grams can never collide with a literal token.
+# Joins the words of an n-gram. tokenize splits words on it as on
+# whitespace, so no word holds it and joined n-grams can never collide with a
+# literal token. Cleaning keeps it when strip_specials is off.
 NGRAM_SEPARATOR = "␟"
 
 
@@ -97,12 +98,13 @@ class SparseVector:
 
 
 def tokenize(text: str, ngram_max: int = 1) -> list[str]:
-    """Split on whitespace and emit word n-grams up to ngram_max.
+    """Split on whitespace and NGRAM_SEPARATOR, and emit word n-grams up to
+    ngram_max.
 
     Unigrams come first, then bigrams, and so on; n-gram words are joined
     with NGRAM_SEPARATOR. Empty text yields an empty list.
     """
-    words = text.split()
+    words = text.replace(NGRAM_SEPARATOR, " ").split()
     tokens = list(words)
     # No n-gram is longer than the text, whatever ngram_max says. zip over
     # the n shifted copies yields each window; the joins run in C.

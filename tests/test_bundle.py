@@ -155,13 +155,60 @@ class TestRoundTrip:
         dfs = lr.tfidf.document_frequency
         assert dfs.dtype == np.int64 and dfs.dtype.isnative and dfs.flags.writeable
 
-    def test_vectorizer_stores_tokens_as_one_string_and_no_idf(self, tfidf_lr_bundle):
+    def test_vectorizer_stores_unigrams_as_one_string_and_no_idf(self, tfidf_lr_bundle):
+        # A unigram model: its tokens are the unigrams, and nothing else is used.
         tfidf = tfidf_lr_bundle.payload.tfidf
         vec = json.loads(bd.serialize_bundle(tfidf_lr_bundle))["vectorizer"]
-        assert sorted(vec) == ["document_frequency", "n_documents", "tokens"]
-        assert vec["tokens"] == " ".join(tfidf.tokens)
+        assert list(vec) == [
+            "n_documents", "unigrams", "inner_words", "ngrams", "document_frequency",
+        ]
+        assert vec["unigrams"] == " ".join(tfidf.tokens)
+        assert vec["inner_words"] == "" and vec["ngrams"] == []
         assert vec["document_frequency"] == " ".join(map(str, tfidf.document_frequency.tolist()))
         assert len(vec["document_frequency"].split(" ")) == tfidf.dimension
+
+    def test_ngrams_are_word_positions(self):
+        # max_vocab 5 keeps the bigrams "a b" and "b c" and the trigram
+        # "a b c" but not the unigram "c" (df 2, last in the tie-break): c is
+        # an inner word, at position 3 after the unigrams a and b.
+        texts = ["a b c", "a b c", "a b"]
+        sep = vectorizer.NGRAM_SEPARATOR
+        bundle = lr_bundle_of(texts, [0, 1, 0], vectorizer.TfIdfConfig(ngram_max=3, max_vocab=5))
+        assert bundle.payload.tfidf.tokens == ["a", f"a{sep}b", f"a{sep}b{sep}c", "b", f"b{sep}c"]
+        raw = bd.serialize_bundle(bundle)
+        vec = json.loads(raw)["vectorizer"]
+        assert vec["unigrams"] == "a b" and vec["inner_words"] == "c"
+        assert vec["ngrams"] == ["1 1 2", "2 2 3", "0 3 0"]
+        assert vec["document_frequency"] == "3 3 2 3 2"
+        loaded = bd.deserialize_bundle(raw)
+        assert loaded.payload.tfidf == bundle.payload.tfidf
+        assert bd.serialize_bundle(loaded) == raw
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from(["a", "ab", "b", "ba", "c", "ca", "d", "e", "f", "g"]),
+                     max_size=7).map(" ".join),
+            min_size=1, max_size=8,
+        ),
+        ngram_max=st.integers(1, 3),
+        min_df=st.integers(1, 2),
+        kept_share=st.one_of(st.none(), st.floats(0, 1)),
+    )
+    def test_any_fitted_vocabulary_round_trips(self, corpus, ngram_max, min_df, kept_share):
+        # Words that prefix each other order differently as strings and as
+        # word tuples. Capped at a share of the uncapped size, max_vocab cuts
+        # among tokens of equal df and can keep an n-gram without its words:
+        # those become inner words.
+        config = vectorizer.TfIdfConfig(min_df=min_df, ngram_max=ngram_max)
+        if kept_share is not None:
+            dimension = vectorizer.fit(corpus, config).dimension
+            config = replace(config, max_vocab=int(kept_share * dimension))
+        bundle = lr_bundle_of(corpus, [i % 2 for i in range(len(corpus))], config)
+        raw = bd.serialize_bundle(bundle)
+        loaded = bd.deserialize_bundle(raw)
+        assert loaded.payload.tfidf == bundle.payload.tfidf
+        assert bd.serialize_bundle(loaded) == raw
 
     def test_tokenizer_stores_its_bytes_and_merges_and_no_pieces(self, encoder_bundle):
         tokenizer = encoder_bundle.payload.tokenizer
@@ -196,7 +243,8 @@ class TestRoundTrip:
         bundle = lr_bundle_of(texts, labels, vectorizer.TfIdfConfig(max_vocab=0))
         raw = bd.serialize_bundle(bundle)
         vec = json.loads(raw)["vectorizer"]
-        assert vec["tokens"] == "" and vec["document_frequency"] == ""
+        assert vec["unigrams"] == vec["inner_words"] == vec["document_frequency"] == ""
+        assert vec["ngrams"] == []
         loaded = bd.deserialize_bundle(raw)
         assert bd.serialize_bundle(loaded) == raw
         assert loaded.payload.tfidf == bundle.payload.tfidf

@@ -543,6 +543,24 @@ class TestExitCodes:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("make_config", [lr_config, encoder_config])
+    def test_empty_train_file_fails_before_any_training(
+        self, tmp_path, synth_files, capsys, make_config
+    ):
+        _, dev = synth_files
+        train, out = tmp_path / "empty-train.tsv", tmp_path / "m.json"
+        train.write_text("id\ttext\tlabel\n")
+        config = make_config(tmp_path, train, dev, out)
+        with mock.patch.object(enc, "train_subword") as train_subword, \
+                mock.patch.object(vectorizer, "fit") as fit:
+            assert run_cli("train", "--config", str(config)) == 1
+        train_subword.assert_not_called()
+        fit.assert_not_called()
+        captured = capsys.readouterr()
+        assert error_lines(captured.err) == [f"ERROR DATA: train file {train} has no rows"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_tiny_vocab_size_fails_before_reading_data(
         self, tmp_path, synth_files, capsys
     ):

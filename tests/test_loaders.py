@@ -18,9 +18,15 @@ from hypothesis import strategies as st
 from abusivetext import bundle as bd
 from abusivetext import cli
 from abusivetext import encoder as enc
+from abusivetext import vectorizer
 
 ERROR_RE = re.compile(r"ERROR ([A-Z_]+): ")
 TEST_ROWS = "id\ttext\na\tgrawk video\nb\tmelith song\nc\tthe the the\n"
+INNER_TEXTS = [
+    "apple berry cherry", "apple berry date", "apple berry cherry fig", "fig grape",
+    "fig grape apple", "kiwi lime", "kiwi lime mango berry", "kiwi lime nut",
+]
+SEP = vectorizer.NGRAM_SEPARATOR
 
 
 def run_cli(*args: str) -> tuple[int, list[str]]:
@@ -73,8 +79,19 @@ def work(tmp_path_factory):
     merged = json.loads((root / "enc.json").read_text())
     merged.update(model_path=str(root / "encm.bundle.json"), encoder_vocab_size=64)
     (root / "encm.json").write_text(json.dumps(merged))
+    # max_vocab 24 keeps trigrams and bigrams whose words "mango" and "nut"
+    # are not kept as unigrams: the LR layout with every field in use.
+    (root / "inner.tsv").write_text("id\ttext\tlabel\n" + "".join(
+        f"r{i}\t{text}\t{('Abusive', 'Non-Abusive')[i % 2]}\n"
+        for i, text in enumerate(INNER_TEXTS)
+    ))
+    (root / "lr3.json").write_text(json.dumps({
+        "train_path": str(root / "inner.tsv"), "model_path": str(root / "lr3.bundle.json"),
+        "model_kind": "tfidf_lr", "seed": 1, "tfidf": {"ngram_max": 3, "max_vocab": 24},
+        "lr": {"epochs": 1},
+    }))
     with contextlib.redirect_stdout(io.StringIO()):
-        for arm in ("lr", "enc", "lr0", "encm"):
+        for arm in ("lr", "enc", "lr0", "encm", "lr3"):
             assert cli.main(["train", "--config", str(root / f"{arm}.json")]) == 0
     return root
 
@@ -134,10 +151,36 @@ def store(values, dtype="<i8") -> dict:
             "base64": base64.b64encode(array.tobytes()).decode()}
 
 
+def decoded_tokens(vec) -> list[str]:
+    """The vocabulary a version 8 vectorizer section stores: the unigrams
+    and each n-gram spelled from its word positions, in ascending order."""
+    table = ["", *vec["unigrams"].split(), *vec["inner_words"].split()]
+    columns = [[table[int(p)] for p in text.split()] for text in vec["ngrams"]]
+    return sorted(vec["unigrams"].split() + [SEP.join(filter(None, w)) for w in zip(*columns)])
+
+
+def v7_vectorizer(vec) -> None:
+    """Rewrite a vectorizer section in the version 7 layout: every token
+    spelled out in one space-joined string."""
+    tokens = " ".join(decoded_tokens(vec))
+    for key in ("unigrams", "inner_words", "ngrams"):
+        del vec[key]
+    vec["tokens"] = tokens
+
+
+def as_v7(doc) -> None:
+    """Rewrite a bundle in the version 7 layout: the LR tokens spelled out;
+    the encoder's sections were as they are now."""
+    doc["format_version"] = 7
+    if "vectorizer" in doc:
+        v7_vectorizer(doc["vectorizer"])
+
+
 def as_v2(doc, work: Path) -> None:
     """Rewrite an LR bundle's vectorizer section in the version 2 layout:
     tokens and document frequencies as lists, and the idf tensor."""
     vec = doc["vectorizer"]
+    v7_vectorizer(vec)
     idf = bd.deserialize_bundle((work / "lr.bundle.json").read_bytes()).payload.tfidf.idf
     vec.update(tokens=vec["tokens"].split(),
                document_frequency=stored_dfs(vec["document_frequency"]),
@@ -168,6 +211,7 @@ def as_v6(doc) -> None:
     """Rewrite a bundle in the version 6 layout: the document frequencies as
     one ``<i8`` tensor, and the tokenizer as its list of hex pieces beside a
     list of hex merge pairs."""
+    as_v7(doc)
     doc["format_version"] = 6
     if "vectorizer" in doc:
         vec = doc["vectorizer"]
@@ -206,11 +250,11 @@ def as_v4(doc) -> None:
     run_config["encoder_train"]["seed"] = run_config["seed"]
 
 
-def _tokens_edited(edit):
+def _unigrams_edited(edit):
     def mutate(vec):
-        tokens = vec["tokens"].split()
-        edit(tokens)
-        vec["tokens"] = " ".join(tokens)
+        unigrams = vec["unigrams"].split()
+        edit(unigrams)
+        vec["unigrams"] = " ".join(unigrams)
     return mutate
 
 
@@ -226,21 +270,22 @@ def _first_df(value):
 
 
 # One hostile vectorizer section each, edited in place; every one is a bundle
-# no writer could have made.
+# no writer could have made. The token cases edit the unigrams.
 HOSTILE_VOCABULARY = {
-    "unsorted tokens": _tokens_edited(list.reverse),
-    "repeated token": _tokens_edited(lambda t: t.__setitem__(1, t[0])),
-    "empty token": lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "  ", 1)),
-    "tab between tokens": lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "\t", 1)),
+    "unsorted tokens": _unigrams_edited(list.reverse),
+    "repeated token": _unigrams_edited(lambda t: t.__setitem__(1, t[0])),
+    "empty token": lambda vec: vec.update(unigrams=vec["unigrams"].replace(" ", "  ", 1)),
+    "tab between tokens": lambda vec: vec.update(unigrams=vec["unigrams"].replace(" ", "\t", 1)),
     "U+2028 between tokens":
-        lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "\u2028", 1)),
-    "newline between tokens": lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "\n", 1)),
-    "leading space": lambda vec: vec.update(tokens=" " + vec["tokens"]),
-    "trailing space": lambda vec: vec.update(tokens=vec["tokens"] + " "),
+        lambda vec: vec.update(unigrams=vec["unigrams"].replace(" ", "\u2028", 1)),
+    "newline between tokens":
+        lambda vec: vec.update(unigrams=vec["unigrams"].replace(" ", "\n", 1)),
+    "leading space": lambda vec: vec.update(unigrams=" " + vec["unigrams"]),
+    "trailing space": lambda vec: vec.update(unigrams=vec["unigrams"] + " "),
     "tokens joined without spaces":
-        lambda vec: vec.update(tokens=vec["tokens"].replace(" ", "")),
-    "no tokens": lambda vec: vec.update(tokens=""),
-    "one token too many": _tokens_edited(lambda t: t.append(t[-1] + "z")),
+        lambda vec: vec.update(unigrams=vec["unigrams"].replace(" ", "")),
+    "no tokens": lambda vec: vec.update(unigrams=""),
+    "one token too many": _unigrams_edited(lambda t: t.append(t[-1] + "z")),
     # Not a string: the version 6 tensor, other tensors, a list, a number.
     "df as <i8": _dfs_edited(lambda text, vec: store(stored_dfs(text))),
     "df as <f8": _dfs_edited(lambda text, vec: store(stored_dfs(text), "<f8")),
@@ -270,6 +315,122 @@ HOSTILE_VOCABULARY = {
     "n_documents below the largest df": lambda vec: vec.update(
         n_documents=max(stored_dfs(vec["document_frequency"])) - 1),
     "n_documents 10**400": lambda vec: vec.update(n_documents=10**400),
+}
+
+
+def _columns_edited(edit):
+    """The n-gram position strings, each as its list of entries, edited in
+    place by edit(columns)."""
+    def mutate(vec):
+        columns = [text.split(" ") for text in vec["ngrams"]]
+        edit(columns)
+        vec["ngrams"] = [" ".join(column) for column in columns]
+    return mutate
+
+
+def _entry(k, j, value):
+    """Entry j of position string k replaced by value."""
+    return _columns_edited(lambda columns: columns[k].__setitem__(j, value))
+
+
+def _renumbered(columns, start):
+    """Every position from start on moved up by one."""
+    columns[:] = [[str(int(p) + (int(p) >= start)) for p in column] for column in columns]
+
+
+def _first_ngram_as_a_unigram(vec):
+    """The first n-gram (apple, berry) stored as the literal unigram
+    "apple␟berry" instead: the same tokens, in a layout no writer makes."""
+    columns = [text.split(" ")[1:] for text in vec["ngrams"]]
+    unigrams = vec["unigrams"].split()
+    literal = SEP.join(unigrams[:2])
+    _renumbered(columns, 2)
+    vec["unigrams"] = " ".join([unigrams[0], literal, *unigrams[1:]])
+    vec["ngrams"] = [" ".join(column) for column in columns]
+
+
+def _unigram_also_an_inner_word(vec):
+    """"lime" (position 8) also listed first among the inner words, and one
+    n-gram using that copy: the same tokens, in a layout no writer makes."""
+    columns = [text.split(" ") for text in vec["ngrams"]]
+    _renumbered(columns, 9)
+    columns[0][columns[0].index("8")] = "9"
+    vec["inner_words"] = "lime " + vec["inner_words"]
+    vec["ngrams"] = [" ".join(column) for column in columns]
+
+
+def _word_after_the_end(columns):
+    """A fourth position holding a word for an n-gram that ended at two."""
+    j = columns[2].index("0")
+    columns.append(["0"] * len(columns[0]))
+    columns[3][j] = "1"
+
+
+def _swap_first_two_ngrams(columns):
+    for column in columns:
+        column[:2] = column[1::-1]
+
+
+# One hostile n-gram layout each, edited in place on the capped trigram
+# bundle, whose vectorizer uses every field; every one is a bundle no writer
+# could have made.
+HOSTILE_NGRAMS = {
+    # Not strings, or not single-space joined.
+    "unigrams as a list": lambda vec: vec.update(unigrams=vec["unigrams"].split()),
+    "inner words as a list": lambda vec: vec.update(inner_words=vec["inner_words"].split()),
+    "inner words as a number": lambda vec: vec.update(inner_words=0),
+    "ngrams as one string": lambda vec: vec.update(ngrams=" ".join(vec["ngrams"])),
+    "ngrams as an object": lambda vec: vec.update(ngrams={"0": vec["ngrams"][0]}),
+    "ngrams string as a list": lambda vec: vec["ngrams"].__setitem__(0, vec["ngrams"][0].split()),
+    "ngrams string as a number": lambda vec: vec["ngrams"].__setitem__(0, 1),
+    "inner words double space": lambda vec: vec.update(
+        inner_words=vec["inner_words"].replace(" ", "  ")),
+    "inner words tab": lambda vec: vec.update(inner_words=vec["inner_words"].replace(" ", "\t")),
+    "inner words leading space": lambda vec: vec.update(inner_words=" " + vec["inner_words"]),
+    "inner words trailing space": lambda vec: vec.update(inner_words=vec["inner_words"] + " "),
+    "ngrams double space": lambda vec: vec["ngrams"].__setitem__(
+        0, vec["ngrams"][0].replace(" ", "  ", 1)),
+    "ngrams leading space": lambda vec: vec["ngrams"].__setitem__(1, " " + vec["ngrams"][1]),
+    "ngrams trailing space": lambda vec: vec["ngrams"].__setitem__(2, vec["ngrams"][2] + " "),
+    "ngrams tab": lambda vec: vec["ngrams"].__setitem__(0, vec["ngrams"][0].replace(" ", "\t", 1)),
+    # Word lists out of order, holding the separator, or overlapping.
+    "unsorted inner words": lambda vec: vec.update(
+        inner_words=" ".join(reversed(vec["inner_words"].split()))),
+    "repeated inner word": lambda vec: vec.update(
+        inner_words=" ".join(vec["inner_words"].split()[:1] * 2)),
+    "unigram holding U+241F": _first_ngram_as_a_unigram,
+    "inner word holding U+241F": lambda vec: vec.update(
+        inner_words=vec["inner_words"].replace("mango", f"mango{SEP}x")),
+    "inner word that is also a unigram": _unigram_also_an_inner_word,
+    "inner word no n-gram uses": lambda vec: vec.update(inner_words=vec["inner_words"] + " zz"),
+    "no inner words": lambda vec: vec.update(inner_words=""),
+    # Position strings of the wrong number or length.
+    "one ngrams string": lambda vec: vec.update(ngrams=vec["ngrams"][:1]),
+    "no ngrams strings": lambda vec: vec.update(ngrams=[]),
+    "two empty ngrams strings": lambda vec: vec.update(ngrams=["", ""]),
+    "strings of unequal length": _columns_edited(lambda columns: columns[2].pop()),
+    "one n-gram too few": _columns_edited(lambda columns: [c.pop() for c in columns]),
+    # Positions that spell no n-gram the writer writes.
+    "position past the table": _entry(0, 0, "11"),
+    "position past int64": _entry(0, 0, str(2**64)),
+    "0 in the first string": _entry(0, 0, "0"),
+    "0 in the second string": _entry(1, 0, "0"),
+    "a word after an n-gram's end": _columns_edited(_word_after_the_end),
+    "last string of only 0s": _columns_edited(
+        lambda columns: columns.append(["0"] * len(columns[0]))),
+    "n-grams not ascending": _columns_edited(_swap_first_two_ngrams),
+    "repeated n-gram": _columns_edited(lambda columns: [c.__setitem__(1, c[0]) for c in columns]),
+    # Not canonical decimals, though int() reads the first five as positions.
+    "position 01": _entry(0, 0, "01"),
+    "position +1": _entry(0, 0, "+1"),
+    "position 1_0": _entry(1, 0, "1_0"),
+    "position Arabic-Indic one": _entry(0, 0, "\u0661"),
+    "position fullwidth one": _entry(0, 0, "\uff11"),
+    "position 1.0": _entry(0, 0, "1.0"),
+    "position 1e0": _entry(0, 0, "1e0"),
+    "position 00": _entry(2, 0, "00"),
+    "position -0": _entry(2, 0, "-0"),
+    "position negative": _entry(0, 0, "-1"),
 }
 
 
@@ -409,10 +570,10 @@ class TestHostileBundles:
         ("lr", ("vectorizer", "n_documents"), 40.5),
         ("lr0", ("vectorizer", "n_documents"), -5),
         ("lr0", ("vectorizer", "n_documents"), 0),
-        ("lr", ("vectorizer", "tokens"), 12345),
-        ("lr", ("vectorizer", "tokens"), 0.5),
-        ("lr", ("vectorizer", "tokens"), {"a": 1}),
-        ("lr", ("vectorizer", "tokens"), lambda text: text.split()),
+        ("lr", ("vectorizer", "unigrams"), 12345),
+        ("lr", ("vectorizer", "unigrams"), 0.5),
+        ("lr", ("vectorizer", "unigrams"), {"a": 1}),
+        ("lr", ("vectorizer", "unigrams"), lambda text: text.split()),
         ("lr", ("vectorizer", "document_frequency"), lambda text: stored_dfs(text)),
         ("lr", ("provenance",), None),
         ("enc", ("provenance",), []),
@@ -422,6 +583,12 @@ class TestHostileBundles:
         ("enc", ("training_report", "epoch_dev_macro_f1"), ["0.5"]),
         ("lr", ("training_report", "epoch_dev_macro_f1", -1), None),
         ("lr", ("training_report", "epoch_dev_macro_f1"), [0.5]),
+        ("lr", ("vectorizer", "inner_words"), None),
+        ("lr", ("vectorizer", "inner_words"), []),
+        ("lr", ("vectorizer", "ngrams"), None),
+        ("lr", ("vectorizer", "ngrams"), "1 2"),
+        ("lr", ("vectorizer", "ngrams", 0), 1),
+        ("lr", ("vectorizer", "ngrams", -1), None),
     ])
     def test_rejected_as_inconsistent(self, work, arm, path, value):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
@@ -434,7 +601,9 @@ class TestHostileBundles:
 
     def test_zero_token_bundle_predicts(self, work):
         doc = json.loads((work / "lr0.bundle.json").read_text())
-        assert doc["vectorizer"]["tokens"] == doc["vectorizer"]["document_frequency"] == ""
+        vec = doc["vectorizer"]
+        assert vec["unigrams"] == vec["inner_words"] == vec["document_frequency"] == ""
+        assert vec["ngrams"] == []
         assert predict_with(work, doc) == (0, [])
 
     @pytest.mark.parametrize("arm, section, key, value", [
@@ -487,9 +656,33 @@ class TestHostileBundles:
     def test_hostile_vocabulary_rejected_as_inconsistent(self, work, name):
         doc = json.loads((work / "lr.bundle.json").read_text())
         vec = doc["vectorizer"]
-        assert len(vec["tokens"].split()) > 2
+        assert len(vec["unigrams"].split()) > 2
         HOSTILE_VOCABULARY[name](vec)
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    def test_ngram_fixture_uses_every_field_and_predicts(self, work):
+        doc = json.loads((work / "lr3.bundle.json").read_text())
+        vec = doc["vectorizer"]
+        assert vec["inner_words"] == "mango nut" and len(vec["unigrams"].split()) == 8
+        assert len(vec["ngrams"]) == 3 and "0" in vec["ngrams"][2].split(" ")
+        assert predict_with(work, doc) == (0, [])
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_NGRAMS))
+    def test_hostile_ngrams_rejected_as_inconsistent(self, work, name):
+        doc = json.loads((work / "lr3.bundle.json").read_text())
+        vec = doc["vectorizer"]
+        original = json.loads(json.dumps(vec))
+        HOSTILE_NGRAMS[name](vec)
+        assert vec != original
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("edit", [_first_ngram_as_a_unigram, _unigram_also_an_inner_word])
+    def test_layouts_no_writer_makes_spell_the_same_tokens(self, work, edit):
+        # So only the rule each breaks tells them from the written layout.
+        vec = json.loads((work / "lr3.bundle.json").read_text())["vectorizer"]
+        tokens = decoded_tokens(vec)
+        edit(vec)
+        assert decoded_tokens(vec) == tokens
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_TOKENIZER))
     def test_hostile_tokenizer_rejected_as_inconsistent(self, work, name):
@@ -512,7 +705,9 @@ class TestHostileBundles:
         del doc[key]
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("version", [7.0, "7", True, [7]])
+    @pytest.mark.parametrize("version", [
+        float(bd.FORMAT_VERSION), str(bd.FORMAT_VERSION), True, [bd.FORMAT_VERSION],
+    ])
     def test_version_that_is_not_the_int_is_a_version_error(self, work, version):
         doc = json.loads((work / "enc.bundle.json").read_text())
         assert predict_with(work, with_value(doc, ("format_version",), version)) == (
@@ -611,6 +806,18 @@ class TestHostileBundles:
         doc["format_version"] = bd.FORMAT_VERSION
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
+    @pytest.mark.parametrize("arm, relabelled", [("lr3", 5), ("encm", 0)])
+    def test_v7_document_is_a_version_error(self, work, arm, relabelled):
+        # Version 7 spelled every LR token out in one string; labelled the
+        # current version, that layout is inconsistent. An encoder bundle
+        # differs from its version 7 twin in format_version alone.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v7(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = bd.FORMAT_VERSION
+        expected = (5, ["BUNDLE_INCONSISTENT"]) if relabelled else (0, [])
+        assert predict_with(work, doc) == expected
+
     @pytest.mark.parametrize("arm", ["lr", "encm"])
     def test_v6_document_is_a_version_error(self, work, arm):
         # Version 6 stored the frequencies as an <i8 tensor and the
@@ -631,9 +838,9 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("data", [
         b"[" * 200_000 + b"]" * 200_000,
-        b'{"format_version": 7, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": 8, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
         b'{"format_version": ' + b"9" * 5000 + b"}",
-        b'{"format_version": 7, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"format_version": 8, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
     ], ids=["deep list", "deep object", "long version", "long seed"])
     def test_deep_or_huge_json_is_inconsistent(self, work, data):
         assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])

@@ -106,6 +106,12 @@ class TestTokenize:
     def test_trigram_shorter_than_n(self):
         assert tokenize("a b", ngram_max=3) == ["a", "b", f"a{NGRAM_SEPARATOR}b"]
 
+    @pytest.mark.parametrize("text", ["x␟y", "␟x y", "x y␟", "x␟␟ y", "␟"])
+    @pytest.mark.parametrize("ngram_max", [1, 2, 3])
+    def test_separator_splits_like_whitespace(self, text, ngram_max):
+        # No word holds the separator, and none is empty.
+        assert tokenize(text, ngram_max) == tokenize(text.replace(NGRAM_SEPARATOR, " "), ngram_max)
+
     @given(
         st.lists(st.sampled_from(["a", "b", "cc", "a", " ", "  ", "\t", "\u3000"]),
                  max_size=14).map("".join),
@@ -131,6 +137,15 @@ class TestFit:
         assert model.idf[0] == pytest.approx(1.0, abs=1e-12)
         assert model.idf[1] == pytest.approx(1.4054651081081644, abs=1e-12)
         assert model.idf[2] == pytest.approx(1.4054651081081644, abs=1e-12)
+
+    def test_literal_separator_is_not_a_bigram(self):
+        # With strip_specials off, cleaning keeps U+241F. Read as a word
+        # character, "x␟y" would be the bigram (x, y) of the second document,
+        # one feature of df 2 beside x and y of df 1.
+        sep = NGRAM_SEPARATOR
+        model = fit([f"x{sep}y", "x y"], TfIdfConfig(ngram_max=2))
+        assert model.tokens == ["x", f"x{sep}y", "y"]
+        assert model.document_frequency.tolist() == [2, 2, 2]
 
     def test_identical_documents_have_unit_idf(self):
         model = fit(["same text here"] * 5)
