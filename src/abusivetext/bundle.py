@@ -5,28 +5,34 @@ prediction can never mix mismatched pieces. That config, file paths left
 out, is the bundle's one settings record: the model kind, the cleaning
 policy and every arm's settings are read from it and stored nowhere else.
 Each model kind is one payload class with its ``KIND``, ``probabilities``
-over cleaned texts and its own document sections (``to_doc``, and
-``from_doc``, which builds the model with the config's settings); PAYLOADS
-maps kind names to those classes. Nothing derivable is stored: TF-IDF idf
-is recomputed from the document frequencies on load, the LR dimension is
-the vocabulary size, and the tokenizer's pieces are derived from its byte
-inventory and merge list with encoder.derive_pieces, as training derives
-them. Each float array is one ``{"dtype": "<f8", "shape", "base64"}``
-object of its little-endian bytes, so load(save(b)) re-serializes to
-identical bytes. The rest is text: the TF-IDF vocabulary as its words and
-its n-grams' word positions (see TfIdfLrPayload), the document frequencies
-as one string of space-joined decimals, and the tokenizer as ``bytes`` (the
-single-byte pieces, ascending, in hex) and ``merges`` (``left.right`` hex
-pairs in rank order, space-joined). The recorded config holds the run's one
-seed; the arm configs hold none. ``training_report`` has one layout for both
-arms (per-epoch train losses and dev macro-F1, the latter empty for an LR
-run without dev) and no payload reads it. Version mismatches are rejected
-outright, never migrated: a version 7 bundle, which spelled every TF-IDF
-token out in one string, ends in BundleVersionError.
+over cleaned texts and its own document sections (``to_doc`` and
+``from_doc``, which both receive the run config; from_doc builds the model
+with the config's settings); PAYLOADS maps kind names to those classes.
+Nothing derivable is stored: TF-IDF idf is recomputed from the document
+frequencies on load, the LR dimension is the vocabulary size, and the
+tokenizer's pieces are derived from its byte inventory and merge list with
+encoder.derive_pieces, as training derives them. Nor is an encoder parameter that training left at its initial value:
+the ``parameters`` section stores, per tensor, a bitmap of the elements
+that differ from ``encoder.init_params`` at the recorded config and seed,
+and only those values, plus one sha256 of all the parameter bytes that
+load checks after rebuilding that init (see MicroEncoderPayload). Each
+float array is one ``{"dtype": "<f8", "shape", "base64"}`` object of its
+little-endian bytes, so load(save(b)) re-serializes to identical bytes.
+The rest is text: the TF-IDF vocabulary as its words and its n-grams' word
+positions (see TfIdfLrPayload), the document frequencies as one string of
+space-joined decimals, and the tokenizer as ``bytes`` (the single-byte
+pieces, ascending, in hex) and ``merges`` (``left.right`` hex pairs in rank
+order, space-joined). The recorded config holds the run's one seed; the
+arm configs hold none. ``training_report`` has one layout for both arms
+(per-epoch train losses and dev macro-F1, the latter empty for an LR run
+without dev) and no payload reads it. Version mismatches are rejected
+outright, never migrated: a version 8 bundle, which stored every encoder
+parameter in full, ends in BundleVersionError.
 """
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 import re
@@ -45,7 +51,7 @@ from .linear import LinearModel, predict_probas
 from .metrics import TrainReport
 from .vectorizer import NGRAM_SEPARATOR, TfIdfModel, transform_rows
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
@@ -105,6 +111,14 @@ def encode_tensor(values: Any) -> dict[str, Any]:
     }
 
 
+def _base64(text: Any, what: str) -> bytes:
+    """The bytes that text holds in strict standard base64."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, binascii.Error, not ASCII
+        raise BundleInconsistentError(f"{what} is not valid base64: {exc}") from exc
+
+
 def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
     """The float64 array a stored tensor holds, writable and native. Raises
     BundleInconsistentError unless the object has exactly the three keys, the
@@ -123,10 +137,7 @@ def decode_tensor(doc: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
         and tuple(stored) == shape,
         f"{what} has shape {stored}, expected {list(shape)}",
     )
-    try:
-        raw = base64.b64decode(doc["base64"], validate=True)
-    except (TypeError, ValueError) as exc:  # not a string, binascii.Error, not ASCII
-        raise BundleInconsistentError(f"{what} is not valid base64: {exc}") from exc
+    raw = _base64(doc["base64"], what)
     size = 8 * math.prod(shape)
     _require(len(raw) == size, f"{what} holds {len(raw)} bytes, expected {size}")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
@@ -238,7 +249,7 @@ class TfIdfLrPayload:
     def built_with(self, config: RunConfig) -> bool:
         return self.tfidf.config == config.tfidf
 
-    def to_doc(self) -> dict[str, Any]:
+    def to_doc(self, config: RunConfig) -> dict[str, Any]:
         tfidf = self.tfidf
         unigrams = [t for t in tfidf.tokens if NGRAM_SEPARATOR not in t]
         ngrams = [t for t in tfidf.tokens if NGRAM_SEPARATOR in t]
@@ -272,6 +283,9 @@ class TfIdfLrPayload:
         inner_words = _words(vec["inner_words"], "vectorizer inner_words")
         # Two ascending runs: the sort merges them in one linear pass.
         tokens = sorted(unigrams + _ngrams(vec["ngrams"], unigrams, inner_words))
+        _require(len(vec["ngrams"]) <= config.tfidf.ngram_max,
+                 f"vectorizer ngrams hold {len(vec['ngrams'])}-word n-grams, "
+                 f"past the run config's ngram_max {config.tfidf.ngram_max}")
         dfs = np.fromstring(
             _text(vec["document_frequency"], _DECIMALS, "vectorizer df"), np.int64, sep=" "
         )
@@ -291,8 +305,53 @@ class TfIdfLrPayload:
         return cls(tfidf, linear)
 
 
+def _parameter_digest(params: dict[str, np.ndarray]) -> str:
+    """The sha256 of every tensor's little-endian bytes, in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(np.asarray(params[name], dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The float64 values as their uint64 bit patterns, so that -0.0 and
+    +0.0 differ."""
+    return np.ascontiguousarray(values, dtype="<f8").view("<u8")
+
+
+def _bitmap(text: Any, size: int, what: str) -> np.ndarray:
+    """The boolean mask of ``size`` elements that a stored bitmap holds: the
+    strict base64 of little-endian packed bits, exactly as many bytes as
+    ``size`` bits need, with every pad bit 0."""
+    raw = _base64(text, what)
+    _require(len(raw) == -(-size // 8),
+             f"{what} holds {len(raw)} bytes, expected {-(-size // 8)} for {size} elements")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    _require(not bits[size:].any(), f"{what} has a pad bit set")
+    return bits[:size].astype(bool)
+
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
 @dataclass
 class MicroEncoderPayload:
+    """The subword tokenizer and the encoder's parameters.
+
+    The ``parameters`` section holds ``tensors``, one entry per tensor in
+    name order, and ``sha256``, the digest of every tensor's ``<f8`` bytes
+    in that order. An entry holds the tensor's ``name``; ``changed``, the
+    base64 of its little-endian ``np.packbits`` bitmap over the flattened
+    elements, one bit per element, set where the element's bits differ
+    from ``encoder.init_params`` at the run config's encoder settings and
+    seed; and ``values``, the stored ``<f8`` tensor of the set elements in
+    order. Parameters a training step never touches (embedding rows of
+    pieces no training row holds, positions past the longest batch, the
+    weights of dead ReLU units) keep their seeded values bit for bit, so
+    none of them is stored. Load rebuilds that init, writes the values over
+    it and checks the digest, which fails if this numpy does not draw the
+    seeded init the writer drew."""
+
     KIND: ClassVar[str] = MICRO_ENCODER
     SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "parameters")
 
@@ -311,19 +370,29 @@ class MicroEncoderPayload:
     def built_with(self, config: RunConfig) -> bool:
         return self.model.config == config.encoder
 
-    def to_doc(self) -> dict[str, Any]:
+    def to_doc(self, config: RunConfig) -> dict[str, Any]:
         tokenizer, params = self.tokenizer, self.model.params
         byte_pieces = sorted(p for p in tokenizer.pieces if len(p) == 1)
         if enc.derive_pieces(byte_pieces, tokenizer.merges) != list(tokenizer.pieces):
             raise ValueError("the tokenizer's pieces are not the ones its bytes and merges derive")
+        init = enc.init_params(config.encoder, tokenizer.vocab_size, config.seed)
+        tensors = []
+        for name in sorted(params):
+            bits = _bits(params[name]).ravel()
+            changed = bits != _bits(init[name]).ravel()
+            tensors.append({
+                "name": name,
+                "changed": base64.b64encode(
+                    np.packbits(changed, bitorder="little").tobytes()
+                ).decode("ascii"),
+                "values": encode_tensor(bits[changed].view("<f8")),
+            })
         return {
             "tokenizer": {
                 "bytes": b"".join(byte_pieces).hex(),
                 "merges": " ".join(f"{a.hex()}.{b.hex()}" for a, b in tokenizer.merges),
             },
-            "parameters": [
-                {"name": name, **encode_tensor(params[name])} for name in sorted(params)
-            ],
+            "parameters": {"tensors": tensors, "sha256": _parameter_digest(params)},
         }
 
     @classmethod
@@ -340,22 +409,40 @@ class MicroEncoderPayload:
         pieces = enc.derive_pieces([bytes([b]) for b in inventory], merges)
         tokenizer = enc.SubwordTokenizer(pieces=pieces, merges=merges)
         settings = config.encoder
-        entries = doc["parameters"]
+        section = _section(doc, "parameters", ("tensors", "sha256"))
+        entries = section["tensors"]
+        _require(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+                 "parameter tensors must be a list of objects")
         # Every layer owns tensors; checked first, a huge n_layers builds no shapes.
         _require(settings.n_layers <= len(entries), "more layers than parameter tensors")
-        expected = enc.parameter_shapes(settings, tokenizer.vocab_size)
-        params: dict[str, np.ndarray] = {}
+        shapes = enc.parameter_shapes(settings, tokenizer.vocab_size)
+        names = [entry.get("name") for entry in entries]
+        _require(names == sorted(shapes),
+                 f"parameter tensors must be named {sorted(shapes)}, in this order")
+        # Every bitmap is checked against its tensor's size before the init
+        # is built, so no config, however large, allocates more than the
+        # stored bitmaps describe.
+        stored = {}
         for entry in entries:
-            _require(isinstance(entry, dict), "parameter entries must be objects")
-            tensor = dict(entry)
-            name = tensor.pop("name", None)
-            _require(
-                isinstance(name, str) and name in expected,
-                f"unexpected parameter tensor {name!r}",
-            )
-            params[name] = decode_tensor(tensor, expected[name], f"parameter {name!r}")
-        missing = set(expected) - set(params)
-        _require(not missing, f"bundle is missing parameter tensors: {sorted(missing)}")
+            name = entry["name"]
+            _require_keys(entry, ("name", "changed", "values"), f"parameter {name!r}")
+            size = math.prod(shapes[name])
+            changed = _bitmap(entry["changed"], size, f"parameter {name!r} changed")
+            values = decode_tensor(entry["values"], (int(changed.sum()),),
+                                   f"parameter {name!r} values")
+            stored[name] = changed, values
+        params = enc.init_params(settings, tokenizer.vocab_size, config.seed)
+        for name, (changed, values) in stored.items():
+            flat = params[name].reshape(-1)
+            _require(bool((_bits(values) != _bits(flat[changed])).all()),
+                     f"parameter {name!r} stores a value equal to its initial value")
+            flat[changed] = values
+        _require(
+            _text(section["sha256"], _SHA256, "parameters sha256") == _parameter_digest(params),
+            "parameters do not match their sha256: either this numpy "
+            f"({np.__version__}) does not draw the seeded initialization the "
+            "bundle was written against, or the bundle is corrupt",
+        )
         return cls(tokenizer, enc.EncoderModel(params, settings, tokenizer.vocab_size))
 
 
@@ -380,10 +467,6 @@ class Provenance:
 
     @classmethod
     def of_run(cls, train: bytes, dev: bytes | None) -> "Provenance":
-        # Imported here, not at the top: only training hashes anything, and
-        # every command that imports the CLI would pay for it.
-        import hashlib
-
         from . import __version__
 
         return cls(
@@ -419,7 +502,7 @@ def _bundle_doc(bundle: ModelBundle) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "run_config": {key: run_config[key] for key in _RUN_CONFIG_KEYS},
-        **bundle.payload.to_doc(),
+        **bundle.payload.to_doc(bundle.config),
         "training_report": asdict(bundle.report),
         "provenance": asdict(bundle.provenance),
     }
@@ -446,9 +529,12 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     that its config classes reject, a section that is not an object, a key
     the writer does not write or a missing one, or payload pieces that do
     not agree with each other or with the config (wrong array lengths,
-    missing tensors, bad shapes, stored tensors that do not decode, text
-    fields not in their stored form, n-gram positions that are not the ones
-    the writer writes, a merge operand that is not yet a piece).
+    missing tensors, bitmaps of the wrong length or with pad bits set, value
+    counts that are not the bits set, stored tensors that do not decode, a
+    stored parameter equal to its initial value, parameters that do not
+    match their digest, text fields not in their stored form, n-gram
+    positions that are not the ones the writer writes or longer than
+    ngram_max, a merge operand that is not yet a piece).
     """
     try:
         doc = json.loads(data.decode("utf-8"))

@@ -97,7 +97,7 @@ def _loss(
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return (
         _total(softplus - labels * z) / rows.n_rows
-        + 0.5 * l2_penalty * float(weights @ weights)
+        + 0.5 * l2_penalty * _total(weights * weights)
     )
 
 

@@ -1,12 +1,13 @@
 """Bundle serialization: byte-stable round-trips and rejection of bad payloads."""
 import base64
+import hashlib
 import json
 import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abusivetext import bundle as bd
@@ -419,10 +420,10 @@ class TestRejection:
 
     def test_nan_parameter_rejected_on_load(self, encoder_bundle):
         def nan_first(d):
-            entry = d["parameters"][0]
-            values = _values(entry)
+            stored = d["parameters"]["tensors"][0]["values"]
+            values = _values(stored)
             values[0] = float("nan")
-            entry.update(_stored(values.reshape(entry["shape"])))
+            stored.update(_stored(values))
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), nan_first)
         with pytest.raises(BundleInconsistentError):
@@ -431,14 +432,14 @@ class TestRejection:
     def test_missing_parameter_tensor(self, encoder_bundle):
         raw = _mutate(
             bd.serialize_bundle(encoder_bundle),
-            lambda d: d["parameters"].pop(),
+            lambda d: d["parameters"]["tensors"].pop(),
         )
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
     def test_wrong_parameter_shape(self, encoder_bundle):
         def bad_shape(d):
-            d["parameters"][0].update(_stored(np.zeros((1, 1))))
+            d["parameters"]["tensors"][0]["values"].update(_stored(np.zeros((1, 1))))
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), bad_shape)
         with pytest.raises(BundleInconsistentError):
@@ -450,7 +451,7 @@ class TestRejection:
             d["tokenizer"]["merges"] = d["tokenizer"]["merges"].rsplit(" ", 1)[0]
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), drop_last_merge)
-        with pytest.raises(BundleInconsistentError, match="parameter 'tok_emb' has shape"):
+        with pytest.raises(BundleInconsistentError, match="parameter 'tok_emb' changed holds"):
             bd.deserialize_bundle(raw)
 
     def test_merge_operand_that_is_not_yet_a_piece(self, encoder_bundle):
@@ -470,7 +471,7 @@ class TestRejection:
                 enc.SubwordTokenizer(edited, tokenizer.merges), encoder_bundle.payload.model
             )
             with pytest.raises(ValueError, match="not the ones its bytes and merges derive"):
-                payload.to_doc()
+                payload.to_doc(encoder_bundle.config)
 
     @pytest.mark.parametrize("section", ["run_config", "vectorizer", "linear",
                                          "training_report", "provenance"])
@@ -499,3 +500,73 @@ class TestRejection:
         broken.payload.linear.weights[0] = np.nan
         with pytest.raises(ValueError):
             bd.serialize_bundle(broken)
+
+
+def _changed_mask(entry: dict, size: int) -> np.ndarray:
+    bits = np.unpackbits(
+        np.frombuffer(base64.b64decode(entry["changed"]), np.uint8), bitorder="little"
+    )
+    return bits[:size].astype(bool)
+
+
+class TestEncoderParameters:
+    def test_only_parameters_that_differ_from_init_are_stored(self, encoder_bundle):
+        config, params = encoder_bundle.config, encoder_bundle.payload.model.params
+        init = enc.init_params(config.encoder, encoder_bundle.payload.tokenizer.vocab_size,
+                               config.seed)
+        section = json.loads(bd.serialize_bundle(encoder_bundle))["parameters"]
+        assert list(section) == ["tensors", "sha256"]
+        assert [entry["name"] for entry in section["tensors"]] == sorted(params)
+        n_stored = 0
+        for entry in section["tensors"]:
+            assert list(entry) == ["name", "changed", "values"]
+            trained, seeded = params[entry["name"]].ravel(), init[entry["name"]].ravel()
+            changed = _changed_mask(entry, trained.size)
+            assert np.array_equal(changed, trained.view("<u8") != seeded.view("<u8"))
+            assert _values(entry["values"]).tobytes() == trained[changed].tobytes()
+            n_stored += int(changed.sum())
+        # The last layer's key bias gets a zero gradient by construction.
+        assert 0 < n_stored < sum(array.size for array in params.values())
+        expected = b"".join(params[name].astype("<f8").tobytes() for name in sorted(params))
+        assert section["sha256"] == hashlib.sha256(expected).hexdigest()
+
+    @settings(max_examples=60, deadline=None)
+    @given(modes=st.lists(st.sampled_from(["init", "all", "some"]), min_size=20, max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    @example(modes=["init", "all", "some"] * 6 + ["init", "all"], seed=0)
+    def test_any_subset_left_at_init_round_trips(self, encoder_bundle, modes, seed):
+        # Each tensor keeps all, none or a random subset of its elements at
+        # init; the head bias is -0.0, whose bits differ from init's +0.0.
+        config = encoder_bundle.config
+        tokenizer = encoder_bundle.payload.tokenizer
+        params = enc.init_params(config.encoder, tokenizer.vocab_size, config.seed)
+        assert len(params) == len(modes)
+        rng = np.random.default_rng(seed)
+        for (name, array), mode in zip(sorted(params.items()), modes):
+            flat = array.reshape(-1)
+            pick = {"init": np.zeros(flat.size, bool), "all": np.ones(flat.size, bool),
+                    "some": rng.random(flat.size) < 0.5}[mode]
+            flat[pick] += rng.uniform(0.5, 1.0, int(pick.sum()))
+        params["head.b"][...] = -0.0
+        bundle = replace(encoder_bundle, payload=bd.MicroEncoderPayload(
+            tokenizer, enc.EncoderModel(params, config.encoder, tokenizer.vocab_size)
+        ))
+        raw = bd.serialize_bundle(bundle)
+        tensors = {e["name"]: e for e in json.loads(raw)["parameters"]["tensors"]}
+        assert _values(tensors["head.b"]["values"]).tobytes() == np.float64(-0.0).tobytes()
+        loaded = bd.deserialize_bundle(raw)
+        for name, array in params.items():
+            assert loaded.payload.model.params[name].tobytes() == array.tobytes()
+            mode = modes[sorted(params).index(name)]
+            n_stored = len(_values(tensors[name]["values"]))
+            if name != "head.b" and mode != "some":
+                assert n_stored == (array.size if mode == "all" else 0)
+        assert bd.serialize_bundle(loaded) == raw
+
+    def test_init_this_numpy_does_not_draw_is_named(self, encoder_bundle, monkeypatch):
+        raw = bd.serialize_bundle(encoder_bundle)
+        drawn = enc.init_params
+        monkeypatch.setattr(enc, "init_params", lambda c, v, seed: drawn(c, v, seed + 1))
+        with pytest.raises(BundleInconsistentError,
+                           match=r"numpy \(.*\) does not draw the seeded initialization"):
+            bd.deserialize_bundle(raw)

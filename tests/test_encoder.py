@@ -10,6 +10,7 @@ so there both sides of the check are exactly 0. In inner layers both sides
 are numerical noise; the floored denominator below treats that correctly
 instead of dividing noise by noise.
 """
+import hashlib
 import random
 from collections import Counter
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from abusivetext import bundle as bd
 from abusivetext import encoder as enc
+from abusivetext.configs import MICRO_ENCODER, RunConfig
 from abusivetext.corpus import Label, VocabProfile, synth_corpus
 from abusivetext.errors import (
     DimensionMismatch,
@@ -455,7 +457,9 @@ class TestDerivedPieces:
         params = enc.init_params(MICRO_CONFIG, HAND_BUILT.vocab_size, seed=0)
         model = enc.EncoderModel(params, MICRO_CONFIG, HAND_BUILT.vocab_size)
         with pytest.raises(ValueError, match="not yet a piece"):
-            bd.MicroEncoderPayload(HAND_BUILT, model).to_doc()
+            bd.MicroEncoderPayload(HAND_BUILT, model).to_doc(
+                RunConfig(model_kind=MICRO_ENCODER, encoder=MICRO_CONFIG)
+            )
 
 
 class TestSeededWordMemo:
@@ -503,6 +507,22 @@ class TestEncoderConfig:
     def test_sizes_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             enc.EncoderConfig(**{field: value})
+
+
+class TestInitParams:
+    def test_seeded_init_is_pinned(self):
+        # An encoder bundle stores only the parameters that differ from this
+        # init, so a numpy whose Generator draws another stream must fail
+        # here, not when a user loads a bundle.
+        params = enc.init_params(TWO_LAYER_CONFIG, 40, seed=11)
+        assert list(params) == list(enc.parameter_shapes(TWO_LAYER_CONFIG, 40))
+        digest = hashlib.sha256()
+        for array in params.values():
+            assert array.dtype == np.float64
+            digest.update(array.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "9c477849c433a6ed4be8713ee7a89e832d84092e0c25114bcd1a16bd86a17e20"
+        )
 
 
 def forward_one_row(params, config, ids, mask):

@@ -473,9 +473,18 @@ def reference_train_lr(data, config, seed, shuffle=True):
             z = reference_score(weights, bias, x)
             total += softplus_one(z) - float(y) * z
         losses.append(
-            total / len(data) + 0.5 * config.l2_penalty * float(weights @ weights)
+            total / len(data) + 0.5 * config.l2_penalty * reference_squares(weights)
         )
     return weights, bias, losses
+
+
+def reference_squares(weights) -> float:
+    """w . w added one square at a time, left to right, from 0.0. A loop,
+    not sum(), which adds floats with compensation on CPython >= 3.12."""
+    total = 0.0
+    for w in weights.tolist():
+        total += w * w
+    return total
 
 
 def tfidf_corpus(seed, n_per_class=30, oov_rows=4):
@@ -554,6 +563,14 @@ class TestKernelsMatchPerEntryReference:
             sigmoid_one(reference_score(model.weights, model.bias, x)) for x in vectors
         ]
         assert predict_probas(model, Rows.pack([], model.dimension)) == []
+
+    def test_l2_term_adds_left_to_right(self):
+        # Many weights over a wide range: a BLAS dot product, which keeps
+        # several partial sums, rounds this differently.
+        weights = np.random.default_rng(7).standard_normal(11_146) * np.logspace(-3, 3, 11_146)
+        zero = SparseVector(entries=(), dimension=weights.size)
+        loss = dataset_loss(weights, 0.0, [(zero, Label(0))], 1.0)
+        assert loss == math.log(2.0) + 0.5 * reference_squares(weights)
 
     def test_scores_add_left_to_right(self):
         # 1e16 + 1.0 rounds back to 1e16, so the sequential sum is 0.0; a

@@ -168,9 +168,22 @@ def v7_vectorizer(vec) -> None:
     vec["tokens"] = tokens
 
 
+def as_v8(doc) -> None:
+    """Rewrite a bundle in the version 8 layout: every encoder parameter
+    tensor stored in full, as a list of named ``<f8`` tensors; the LR
+    sections were as they are now."""
+    if "parameters" in doc:
+        params = bd.deserialize_bundle(json.dumps(doc).encode()).payload.model.params
+        doc["parameters"] = [
+            {"name": name, **bd.encode_tensor(params[name])} for name in sorted(params)
+        ]
+    doc["format_version"] = 8
+
+
 def as_v7(doc) -> None:
-    """Rewrite a bundle in the version 7 layout: the LR tokens spelled out;
-    the encoder's sections were as they are now."""
+    """Rewrite a bundle in the version 7 layout: the version 8 encoder
+    parameters, and the LR tokens spelled out."""
+    as_v8(doc)
     doc["format_version"] = 7
     if "vectorizer" in doc:
         v7_vectorizer(doc["vectorizer"])
@@ -494,6 +507,89 @@ HOSTILE_TOKENIZER = {
 }
 
 
+def _tensor(doc, name) -> dict:
+    return next(e for e in doc["parameters"]["tensors"] if e["name"] == name)
+
+
+def _bitmap_edited(name, edit):
+    """Replace tensor name's bitmap bytes with edit(bytes)."""
+    def mutate(doc):
+        entry = _tensor(doc, name)
+        entry["changed"] = base64.b64encode(edit(base64.b64decode(entry["changed"]))).decode()
+    return mutate
+
+
+def _values_edited(name, edit):
+    """Replace tensor name's stored values with edit(a writable copy)."""
+    def mutate(doc):
+        entry = _tensor(doc, name)
+        values = np.frombuffer(base64.b64decode(entry["values"]["base64"]), "<f8").copy()
+        entry["values"] = store(edit(values), "<f8")
+    return mutate
+
+
+def _first_set_bit_cleared(raw: bytes) -> bytes:
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+    bits[np.flatnonzero(bits)[0]] = 0
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+def _key_bias_stores(value):
+    """The last layer's key bias, which training never moves from its zero
+    init, stores one element: value."""
+    def mutate(doc):
+        entry = _tensor(doc, "layer0.attn.bk")
+        assert set(base64.b64decode(entry["changed"])) == {0}
+        _bitmap_edited("layer0.attn.bk", lambda raw: b"\x01" + raw[1:])(doc)
+        entry["values"] = store([value], "<f8")
+    return mutate
+
+
+def _set(index, value):
+    def edit(values):
+        values[index] = value
+        return values
+    return edit
+
+
+def _tensors_edited(edit):
+    return lambda doc: edit(doc["parameters"]["tensors"])
+
+
+# One hostile edit each to the enc fixture's parameters section, or to what
+# load rebuilds the init from; every one is a bundle no writer could have made.
+HOSTILE_PARAMETERS = {
+    "bitmap one byte short": _bitmap_edited("tok_emb", lambda raw: raw[:-1]),
+    "bitmap one byte long": _bitmap_edited("tok_emb", lambda raw: raw + b"\x00"),
+    "pad bit set": _bitmap_edited("head.b", lambda raw: bytes([raw[0] | 0x80])),
+    "bitmap not base64": lambda doc: _tensor(doc, "tok_emb").update(changed="!AAA"),
+    "bitmap a list": lambda doc: _tensor(doc, "tok_emb").update(changed=[]),
+    "one value more than bits set": _values_edited("tok_emb", lambda v: np.append(v, 0.5)),
+    "one value fewer than bits set": _values_edited("tok_emb", lambda v: v[:-1]),
+    "a bit cleared, its value kept": _bitmap_edited("tok_emb", _first_set_bit_cleared),
+    "stored value equal to its init": _key_bias_stores(0.0),
+    "stored -0.0 where init is +0.0": _key_bias_stores(-0.0),
+    "NaN value": _values_edited("tok_emb", _set(0, np.nan)),
+    "infinite value": _values_edited("tok_emb", _set(-1, np.inf)),
+    "value edited": _values_edited("tok_emb", _set(0, 0.125)),
+    "digest of other bytes": lambda doc: doc["parameters"].update(
+        sha256=doc["parameters"]["sha256"][:-1]
+        + ("0" if doc["parameters"]["sha256"][-1] != "0" else "1")),
+    "digest uppercase": lambda doc: doc["parameters"].update(
+        sha256=doc["parameters"]["sha256"].upper()),
+    "digest short": lambda doc: doc["parameters"].update(
+        sha256=doc["parameters"]["sha256"][:-2]),
+    "seed edited": lambda doc: doc["run_config"].update(seed=doc["run_config"]["seed"] + 1),
+    "tensors swapped": _tensors_edited(lambda t: t.insert(0, t.pop(1))),
+    "tensor repeated": _tensors_edited(lambda t: t.append(t[-1])),
+    "tensor renamed": _tensors_edited(lambda t: t[0].update(name="head.c")),
+    "stray entry key": _tensors_edited(lambda t: t[0].update(shape=[])),
+    "entry not an object": _tensors_edited(lambda t: t.__setitem__(0, "head.b")),
+    "version 8 list": lambda doc: doc.update(parameters=doc["parameters"]["tensors"]),
+    "tensors an object": lambda doc: doc["parameters"].update(tensors={}),
+}
+
+
 def _drop(key):
     return lambda section: section.pop(key)
 
@@ -589,6 +685,9 @@ class TestHostileBundles:
         ("lr", ("vectorizer", "ngrams"), "1 2"),
         ("lr", ("vectorizer", "ngrams", 0), 1),
         ("lr", ("vectorizer", "ngrams", -1), None),
+        # The fixture's longest n-grams have three words.
+        ("lr3", ("run_config", "tfidf", "ngram_max"), 1),
+        ("lr3", ("run_config", "tfidf", "ngram_max"), 2),
     ])
     def test_rejected_as_inconsistent(self, work, arm, path, value):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
@@ -642,6 +741,8 @@ class TestHostileBundles:
         ("enc", ("tokenizer",), "merges"),
         ("enc", ("run_config", "encoder"), "max_length"),
         ("enc", (), "parameters"),
+        ("enc", ("parameters",), "sha256"),
+        ("enc", ("parameters",), "tensors"),
     ])
     def test_missing_key_rejected_as_inconsistent(self, work, arm, section, key):
         # Defaults are not filled in: the writer writes every key.
@@ -698,6 +799,14 @@ class TestHostileBundles:
         doc = json.loads((work / "encm.bundle.json").read_text())
         assert predict_with(work, doc) == (0, [])
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE_PARAMETERS))
+    def test_hostile_parameters_rejected_as_inconsistent(self, work, name):
+        doc = json.loads((work / "enc.bundle.json").read_text())
+        original = json.loads(json.dumps(doc))
+        HOSTILE_PARAMETERS[name](doc)
+        assert doc != original
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
     @pytest.mark.parametrize("arm", ["lr", "enc"])
     @pytest.mark.parametrize("key", ["provenance", "run_config"])
     def test_missing_provenance_is_inconsistent(self, work, arm, key):
@@ -716,8 +825,8 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("arm, tensor", [
         ("lr", ("linear", "weights")),
-        ("enc", ("parameters", 0)),
-        ("enc", ("parameters", -1)),
+        ("enc", ("parameters", "tensors", 0, "values")),
+        ("enc", ("parameters", "tensors", -1, "values")),
     ])
     @pytest.mark.parametrize("hostile", [
         "bad base64", "unpadded base64", "byte length", "big-endian dtype",
@@ -725,8 +834,11 @@ class TestHostileBundles:
     ])
     def test_hostile_tensor_rejected_as_inconsistent(self, work, arm, tensor, hostile):
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
-        stored = doc[tensor[0]][tensor[1]]
+        stored = doc
+        for key in tensor:
+            stored = stored[key]
         raw = base64.b64decode(stored["base64"])
+        assert raw, "each case edits a tensor holding values"
         if hostile == "bad base64":
             stored["base64"] = "!" + stored["base64"][1:]
         elif hostile == "unpadded base64":
@@ -749,6 +861,7 @@ class TestHostileBundles:
     def test_v1_document_is_a_version_error(self, work, arm):
         # Version 1 wrote decimal lists and had no provenance.
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v8(doc)
         doc["format_version"] = 1
         del doc["provenance"]
 
@@ -806,13 +919,24 @@ class TestHostileBundles:
         doc["format_version"] = bd.FORMAT_VERSION
         assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
 
-    @pytest.mark.parametrize("arm, relabelled", [("lr3", 5), ("encm", 0)])
-    def test_v7_document_is_a_version_error(self, work, arm, relabelled):
-        # Version 7 spelled every LR token out in one string; labelled the
-        # current version, that layout is inconsistent. An encoder bundle
-        # differs from its version 7 twin in format_version alone.
+    @pytest.mark.parametrize("arm", ["lr3", "encm"])
+    def test_v7_document_is_a_version_error(self, work, arm):
+        # Version 7 spelled every LR token out in one string, and stored the
+        # encoder parameters in full; labelled the current version, either
+        # layout is inconsistent.
         doc = json.loads((work / f"{arm}.bundle.json").read_text())
         as_v7(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = bd.FORMAT_VERSION
+        assert predict_with(work, doc) == (5, ["BUNDLE_INCONSISTENT"])
+
+    @pytest.mark.parametrize("arm, relabelled", [("lr3", 0), ("encm", 5)])
+    def test_v8_document_is_a_version_error(self, work, arm, relabelled):
+        # Version 8 stored every encoder parameter in full; labelled the
+        # current version, that layout is inconsistent. An LR bundle differs
+        # from its version 8 twin in format_version alone.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v8(doc)
         assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
         doc["format_version"] = bd.FORMAT_VERSION
         expected = (5, ["BUNDLE_INCONSISTENT"]) if relabelled else (0, [])
@@ -838,9 +962,9 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("data", [
         b"[" * 200_000 + b"]" * 200_000,
-        b'{"format_version": 8, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": 9, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
         b'{"format_version": ' + b"9" * 5000 + b"}",
-        b'{"format_version": 8, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"format_version": 9, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
     ], ids=["deep list", "deep object", "long version", "long seed"])
     def test_deep_or_huge_json_is_inconsistent(self, work, data):
         assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])
