@@ -4,10 +4,10 @@ The bundle binds a trained model to the run config that trained it, so
 prediction can never mix mismatched pieces. That config, file paths left
 out, is the bundle's one settings record: the model kind, the cleaning
 policy and every arm's settings are read from it and stored nowhere else.
-Each model kind is one payload class with its ``KIND``, ``probabilities``
-over cleaned texts and its own document sections (``to_doc`` and
-``from_doc``, which both receive the run config; from_doc builds the model
-with the config's settings); PAYLOADS maps kind names to those classes.
+Each model kind is one payload class with its ``KIND`` that trains
+(``train``, on cleaned (text, label) pairs), scores (``probabilities``) and
+stores (``to_doc``, ``from_doc``) its arm with the run config's settings;
+PAYLOADS maps kind names to those classes.
 Nothing derivable is stored: TF-IDF idf is recomputed from the document
 frequencies on load, the LR dimension is the vocabulary size, and the
 tokenizer's pieces are derived from its byte inventory and merge list with
@@ -39,23 +39,25 @@ import re
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Iterator
+from typing import Any, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import encoder as enc
+from . import encoder as enc, vectorizer
 from .checks import check_fields
 from .configs import MICRO_ENCODER, PATH_KEYS, TFIDF_LR, RunConfig
-from .errors import BundleInconsistentError, BundleVersionError
-from .linear import LinearModel, predict_probas
+from .corpus import Label
+from .errors import BundleInconsistentError, BundleVersionError, DevRequiredError
+from .linear import LinearModel, predict_probas, train_lr
 from .metrics import TrainReport
-from .vectorizer import NGRAM_SEPARATOR, TfIdfModel, transform_rows
+from .vectorizer import NGRAM_SEPARATOR, Rows, TfIdfModel, transform_rows
 
 FORMAT_VERSION = 9
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
 _RUN_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in PATH_KEYS)
+Split = Sequence[tuple[str, Label]]  # (cleaned text, label) pairs, as train takes them
 
 # Rows encoded per block when the encoder scores texts, far more than
 # predict_probs runs per forward pass: alternating small encode and forward
@@ -223,7 +225,7 @@ def _ngrams(value: Any, unigrams: list[str], inner_words: list[str]) -> list[str
 
 @dataclass
 class TfIdfLrPayload:
-    """The TF-IDF vectorizer and the LR weights over its vocabulary.
+    """The TF-IDF + LR arm, trained, scored and stored: the vectorizer and LR.
 
     The ``vectorizer`` section stores the vocabulary as words and positions:
     ``unigrams``, the one-word tokens, and ``inner_words``, the words that
@@ -242,6 +244,20 @@ class TfIdfLrPayload:
 
     tfidf: TfIdfModel
     linear: LinearModel
+
+    @classmethod
+    def train(
+        cls, config: RunConfig, train: Split, dev: Split | None
+    ) -> tuple[TfIdfLrPayload, TrainReport]:
+        tfidf = vectorizer.fit([text for text, _ in train], config.tfidf)
+
+        def rows(split: Split) -> tuple[Rows, list[Label]]:
+            return transform_rows(tfidf, [text for text, _ in split]), [label for _, label in split]
+
+        model, report = train_lr(
+            *rows(train), config.lr, config.seed, None if dev is None else rows(dev)
+        )
+        return cls(tfidf, model), report
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
         return predict_probas(self.linear, transform_rows(self.tfidf, cleaned_texts))
@@ -336,7 +352,8 @@ _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 @dataclass
 class MicroEncoderPayload:
-    """The subword tokenizer and the encoder's parameters.
+    """The micro-encoder arm, trained (on a dev split too), scored and stored:
+    the subword tokenizer and the encoder's parameters.
 
     The ``parameters`` section holds ``tensors``, one entry per tensor in
     name order, and ``sha256``, the digest of every tensor's ``<f8`` bytes
@@ -357,6 +374,20 @@ class MicroEncoderPayload:
 
     tokenizer: enc.SubwordTokenizer
     model: enc.EncoderModel
+
+    @classmethod
+    def train(
+        cls, config: RunConfig, train: Split, dev: Split | None
+    ) -> tuple[MicroEncoderPayload, TrainReport]:
+        if dev is None:
+            raise DevRequiredError(
+                "the micro_encoder arm evaluates on dev every epoch; supply --dev"
+            )
+        tokenizer = enc.train_subword([text for text, _ in train], config.encoder_vocab_size)
+        model, report = enc.train_encoder(
+            train, dev, tokenizer, config.encoder, config.encoder_train, config.seed
+        )
+        return cls(tokenizer, model), report
 
     def probabilities(self, cleaned_texts: list[str]) -> list[float]:
         max_length = self.model.config.max_length

@@ -24,10 +24,10 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from . import metrics, textprep
-from .configs import MICRO_ENCODER, TFIDF_LR, RunConfig
+from .configs import MODEL_KINDS, RunConfig
 from .corpus import (
     FileFormat,
     Label,
@@ -51,10 +51,7 @@ from .errors import (
     UnknownLabel,
 )
 
-# The numpy modules (bundle and the arms it imports) are imported only by
-# the commands that train or predict, so the others start without numpy.
-if TYPE_CHECKING:
-    from . import bundle as bundlemod
+# cmd_train and cmd_predict import bundle themselves: the others load no numpy.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -179,45 +176,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# A training split as (cleaned text, label) pairs.
-Pairs = list[tuple[str, Label]]
-
-
-def _train_tfidf_lr(
-    config: RunConfig, train: Pairs, dev: Pairs | None
-) -> tuple[bundlemod.TfIdfLrPayload, metrics.TrainReport]:
-    from . import bundle as bundlemod, linear, vectorizer
-
-    texts, labels = [text for text, _ in train], [label for _, label in train]
-    tfidf = vectorizer.fit(texts, config.tfidf)
-    dev_split = None if dev is None else (
-        vectorizer.transform_rows(tfidf, [text for text, _ in dev]), [label for _, label in dev]
-    )
-    model, report = linear.train_lr(
-        vectorizer.transform_rows(tfidf, texts), labels, config.lr, config.seed, dev_split
-    )
-    return bundlemod.TfIdfLrPayload(tfidf=tfidf, linear=model), report
-
-
-def _train_micro_encoder(
-    config: RunConfig, train: Pairs, dev: Pairs | None
-) -> tuple[bundlemod.MicroEncoderPayload, metrics.TrainReport]:
-    if dev is None:
-        raise DevRequiredError(
-            "the micro_encoder arm evaluates on dev every epoch; supply --dev"
-        )
-    from . import bundle as bundlemod, encoder as enc
-
-    tokenizer = enc.train_subword([text for text, _ in train], config.encoder_vocab_size)
-    model, report = enc.train_encoder(
-        train, dev, tokenizer, config.encoder, config.encoder_train, config.seed
-    )
-    return bundlemod.MicroEncoderPayload(tokenizer=tokenizer, model=model), report
-
-
-_TRAINERS = {TFIDF_LR: _train_tfidf_lr, MICRO_ENCODER: _train_micro_encoder}
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
 
@@ -234,7 +192,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for line in _stats_lines(train_examples):
         print(f"  {line}")
 
-    def cleaned(examples: tuple[LabeledExample, ...]) -> Pairs:
+    def cleaned(examples: tuple[LabeledExample, ...]) -> list[tuple[str, Label]]:
         texts = textprep.preprocess_all([ex.text for ex in examples], config.preprocessing)
         return [(text, ex.label) for text, ex in zip(texts, examples)]
 
@@ -244,7 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         dev = cleaned(parse_dataset(dev_bytes, FileFormat(config.format), has_labels=True))
         if not dev:
             raise EmptyData(f"dev file {config.dev_path} has no rows")
-    payload, report = _TRAINERS[config.model_kind](config, cleaned(train_examples), dev)
+    payload, report = bundlemod.PAYLOADS[config.model_kind].train(
+        config, cleaned(train_examples), dev
+    )
     dev_f1 = report.epoch_dev_macro_f1
     for epoch, loss in enumerate(report.epoch_train_losses, start=1):
         column = f" dev_macro_f1 {dev_f1[epoch - 1]:.4f}" if dev_f1 else ""
@@ -352,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--train", help="training data path")
     p_train.add_argument("--dev", help="dev data path (required for micro_encoder)")
     p_train.add_argument("--out", help="bundle output path")
-    p_train.add_argument("--model-kind", choices=list(_TRAINERS))
+    p_train.add_argument("--model-kind", choices=list(MODEL_KINDS))
     p_train.add_argument("--language")
     p_train.add_argument("--format", choices=["tsv", "csv"])
     p_train.add_argument("--seed", type=int)

@@ -20,6 +20,7 @@ from .textprep import CleanPolicy
 # Model kind names: bundle payload KINDs and the --model-kind choices.
 TFIDF_LR = "tfidf_lr"
 MICRO_ENCODER = "micro_encoder"
+MODEL_KINDS = (TFIDF_LR, MICRO_ENCODER)
 
 # The run config's file paths: a bundle records the config without them.
 PATH_KEYS = ("train_path", "dev_path", "model_path")
@@ -140,7 +141,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.model_kind not in (TFIDF_LR, MICRO_ENCODER):
+        if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
         if self.format not in {f.value for f in FileFormat}:
             raise ValueError(f"unknown format {self.format!r}")

@@ -29,9 +29,9 @@ import numpy as np
 
 from .configs import EncoderConfig, TrainConfigEnc
 from .corpus import Label
-from .errors import DimensionMismatch, EmptyCorpus, EmptyData, TrainingDiverged
-from .linear import sigmoid
-from .metrics import TrainReport, decided_macro_f1
+from .errors import DimensionMismatch, EmptyCorpus, EmptyData
+from .linear import descend, sigmoid
+from .metrics import TrainReport
 
 CLS_ID = 0
 PAD_ID = 1
@@ -763,9 +763,9 @@ def train_encoder(
     train_config: TrainConfigEnc = TrainConfigEnc(),
     seed: int = 0,
 ) -> tuple[EncoderModel, TrainReport]:
-    """Minimize cross-entropy with plain mini-batch gradient descent for a
-    fixed number of epochs, recording dev macro-F1 after each one. No early
-    stopping and no model selection: the final-epoch model is returned.
+    """Minimize cross-entropy with linear.descend's mini-batch gradient descent
+    for a fixed number of epochs, recording dev macro-F1 after each one. No
+    early stopping and no model selection: the final-epoch model is returned.
     ``seed`` drives the initialization, the shuffling and the dropout."""
     if len(train) == 0:
         raise EmptyData("encoder training data is empty")
@@ -776,7 +776,6 @@ def train_encoder(
     train_ids, train_mask = encode_batch(tokenizer, [t for t, _ in train], max_length)
     train_labels = np.array([float(y) for _, y in train])
     dev_ids, dev_mask = encode_batch(tokenizer, [t for t, _ in dev], max_length)
-    dev_gold = [label for _, label in dev]
 
     rng = np.random.default_rng(seed)
     # Parameters and gradients are views into one flat vector each, so a step
@@ -787,30 +786,18 @@ def train_encoder(
     params = _views(theta, shapes)
     flat_grads = np.empty_like(theta)
     grads = _views(flat_grads, shapes)
-    report = TrainReport()
     model = EncoderModel(params, enc_config, tokenizer.vocab_size)
 
-    for epoch in range(1, train_config.epochs + 1):
-        order = rng.permutation(len(train))
-        for start in range(0, len(order), train_config.batch_size):
-            pick = order[start : start + train_config.batch_size]
-            ids, mask = trim_padding(train_ids[pick], train_mask[pick])
-            probs, cache = forward_batch(
-                params, enc_config, ids, mask, dropout_rng=rng
-            )
-            flat_grads.fill(0.0)
-            backward_batch(
-                params, enc_config, cache, probs, train_labels[pick], grads
-            )
-            theta -= train_config.learning_rate * flat_grads
-        epoch_probs = predict_probs(model, train_ids, train_mask)
-        loss = batch_loss(epoch_probs, train_labels)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(
-                f"encoder training diverged at epoch {epoch}: train loss {loss}"
-            )
-        report.epoch_train_losses.append(loss)
-        report.epoch_dev_macro_f1.append(
-            decided_macro_f1(dev_gold, predict_probs(model, dev_ids, dev_mask))
-        )
+    def gradient(pick: np.ndarray) -> np.ndarray:
+        ids, mask = trim_padding(train_ids[pick], train_mask[pick])
+        probs, cache = forward_batch(params, enc_config, ids, mask, dropout_rng=rng)
+        flat_grads.fill(0.0)
+        backward_batch(params, enc_config, cache, probs, train_labels[pick], grads)
+        return flat_grads
+
+    report = descend(
+        theta, train_config, "encoder", lambda: rng.permutation(len(train)), gradient,
+        lambda: batch_loss(predict_probs(model, train_ids, train_mask), train_labels),
+        ([label for _, label in dev], lambda: predict_probs(model, dev_ids, dev_mask)),
+    )
     return model, report

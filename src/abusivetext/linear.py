@@ -1,21 +1,21 @@
-"""Binary logistic regression over the CSR rows of TF-IDF vectors, and the
-one array sigmoid both model arms use (kept out of metrics, which loads no
-numpy). Trained from scratch with mini-batch gradient descent: zero init,
-constant step size, seeded per-epoch shuffling, L2 penalty on the weights
-(bias unpenalized). Everything runs in 64-bit arithmetic so the analytic
-gradients can be checked against finite differences at tight tolerances.
+"""Binary logistic regression over the CSR rows of TF-IDF vectors, and what
+both model arms share (kept out of metrics, which loads no numpy): the array
+sigmoid and ``descend``, the one mini-batch gradient descent loop. LR trains
+``[w, b]``, one flat vector, from zeros: constant step size, seeded per-epoch
+shuffling, L2 penalty on w only. All 64-bit, so the analytic gradients can be
+checked against finite differences at tight tolerances.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .checks import check_fields
-from .configs import TrainConfigLR
+from .configs import TrainConfigEnc, TrainConfigLR
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyData, LengthMismatch, TrainingDiverged
 from .metrics import PROB_CEIL, PROB_FLOOR, TrainReport, decided_macro_f1
@@ -58,16 +58,11 @@ class LinearModel:
 
 def _add_up(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """out[k] += v for each (k, v) in input order, into float zeros of length
-    size; each slot's terms are added one by one, left to right."""
+    size; each slot's terms are added one by one, left to right from 0.0,
+    an order that sum() and np.sum do not promise."""
     out = np.bincount(keys, weights=values, minlength=size)
     # bincount gives integer zeros when there are no entries at all.
     return out.astype(np.float64, copy=False)
-
-
-def _total(values: np.ndarray) -> float:
-    """The values added one by one, left to right, from 0.0; sum() and
-    np.sum do not promise that order."""
-    return float(_add_up(np.zeros(len(values), dtype=np.intp), values, 1)[0])
 
 
 def _scores(rows: Rows, weights: np.ndarray, bias: float) -> np.ndarray:
@@ -77,28 +72,30 @@ def _scores(rows: Rows, weights: np.ndarray, bias: float) -> np.ndarray:
     return bias + _add_up(rows.row_of_entry, products, rows.n_rows)
 
 
-def _gradient(
-    weights: np.ndarray, bias: float, rows: Rows, labels: np.ndarray, l2_penalty: float
-) -> tuple[np.ndarray, float]:
-    errs = sigmoid(_scores(rows, weights, bias)) - labels
-    grad_w = _add_up(rows.indices, errs[rows.row_of_entry] * rows.data, weights.size)
-    grad_w /= rows.n_rows
-    grad_b = _total(errs) / rows.n_rows
+def _gradient(theta: np.ndarray, rows: Rows, labels: np.ndarray, l2_penalty: float) -> np.ndarray:
+    """[grad_w, grad_b] at theta = [w, b]; the bias bin, which the first
+    bincount leaves at 0.0, is the errors added left to right."""
+    weights = theta[:-1]
+    errs = sigmoid(_scores(rows, weights, theta[-1])) - labels
+    grad = _add_up(rows.indices, errs[rows.row_of_entry] * rows.data, theta.size)
+    grad[-1] = _add_up(np.zeros(rows.n_rows, dtype=np.intp), errs, 1)[0]
+    grad /= rows.n_rows
     if l2_penalty:
-        grad_w += l2_penalty * weights
-    return grad_w, grad_b
+        grad[:-1] += l2_penalty * weights
+    return grad
 
 
-def _loss(
-    weights: np.ndarray, bias: float, rows: Rows, labels: np.ndarray, l2_penalty: float
-) -> float:
-    z = _scores(rows, weights, bias)
+def _loss(theta: np.ndarray, rows: Rows, labels: np.ndarray, l2_penalty: float) -> float:
+    weights = theta[:-1]
+    z = _scores(rows, weights, theta[-1])
     # softplus(z) = log(1 + e^z), in a form that never overflows.
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    return (
-        _total(softplus - labels * z) / rows.n_rows
-        + 0.5 * l2_penalty * _total(weights * weights)
+    # One bincount: bin 0 adds the row losses, bin 1 the squared weights.
+    data, squares = _add_up(
+        np.repeat([0, 1], [rows.n_rows, weights.size]),
+        np.concatenate([softplus - labels * z, weights * weights]), 2,
     )
+    return float(data / rows.n_rows + 0.5 * l2_penalty * squares)
 
 
 def _split(
@@ -133,7 +130,8 @@ def batch_gradient(
     (1/|B|) sum (sigmoid(w.x + b) - y) x  plus l2_penalty * w; the bias
     gradient omits the penalty term.
     """
-    return _gradient(weights, bias, *_split(batch, weights.size), l2_penalty)
+    grad = _gradient(np.append(weights, bias), *_split(batch, weights.size), l2_penalty)
+    return grad[:-1], float(grad[-1])
 
 
 def dataset_loss(
@@ -144,7 +142,34 @@ def dataset_loss(
 ) -> float:
     """Mean binary cross-entropy plus the L2 penalty, evaluated stably via
     softplus so saturated probabilities do not produce infinities."""
-    return _loss(weights, bias, *_split(data, weights.size), l2_penalty)
+    return _loss(np.append(weights, bias), *_split(data, weights.size), l2_penalty)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def descend(
+    theta: np.ndarray, config: TrainConfigLR | TrainConfigEnc, arm: str,
+    shuffled: Callable[[], Sequence[int]], gradient: Callable[[Sequence[int]], np.ndarray],
+    train_loss: Callable[[], float],
+    dev: tuple[Sequence[Label], Callable[[], Sequence[float]]] | None = None,
+) -> TrainReport:
+    """Mini-batch gradient descent on the flat vector theta, in place: each
+    epoch steps theta -= learning_rate * gradient(batch) over shuffled()'s
+    batches, then records train_loss() and, given dev (gold, a function of
+    the dev probabilities), the dev macro-F1. A non-finite loss raises
+    TrainingDiverged, the one report of divergence: numpy's overflow and
+    invalid-value warnings are off."""
+    report = TrainReport()
+    for epoch in range(1, config.epochs + 1):
+        order = shuffled()
+        for start in range(0, len(order), config.batch_size):
+            theta -= config.learning_rate * gradient(order[start : start + config.batch_size])
+        loss = train_loss()
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"{arm} training diverged at epoch {epoch}: train loss {loss}")
+        report.epoch_train_losses.append(loss)
+        if dev is not None:
+            report.epoch_dev_macro_f1.append(decided_macro_f1(dev[0], dev[1]()))
+    return report
 
 
 def train_lr(
@@ -154,7 +179,7 @@ def train_lr(
     seed: int = 0,
     dev: tuple[Rows, Sequence[Label]] | None = None,
 ) -> tuple[LinearModel, TrainReport]:
-    """Mini-batch gradient descent from zero initialization.
+    """Mini-batch gradient descent (descend) from zero initialization.
 
     Every epoch shuffles the rows with one Random(seed), so shuffling is
     driven solely by seed, and identical data + config + seed yield a
@@ -168,28 +193,22 @@ def train_lr(
     if len(labels) != rows.n_rows:
         raise LengthMismatch(f"{rows.n_rows} rows but {len(labels)} labels")
 
-    weights = np.zeros(rows.dimension, dtype=np.float64)
-    bias = 0.0
-    report = TrainReport()
+    theta = np.zeros(rows.dimension + 1, dtype=np.float64)
     targets = np.array(labels, dtype=np.float64)
     order = list(range(rows.n_rows))
     rng = Random(seed)
-    for epoch in range(1, config.epochs + 1):
+
+    def shuffled() -> list[int]:
         rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            pick = order[start : start + config.batch_size]
-            grad_w, grad_b = _gradient(
-                weights, bias, rows.take(pick), targets[pick], config.l2_penalty
-            )
-            weights -= config.learning_rate * grad_w
-            bias -= config.learning_rate * grad_b
-        loss = _loss(weights, bias, rows, targets, config.l2_penalty)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(
-                f"lr training diverged at epoch {epoch}: train loss {loss}"
-            )
-        report.epoch_train_losses.append(loss)
-        if dev is not None:
-            dev_probs = predict_probas(LinearModel(weights=weights, bias=bias), dev[0])
-            report.epoch_dev_macro_f1.append(decided_macro_f1(dev[1], dev_probs))
-    return LinearModel(weights=weights, bias=bias), report
+        return order
+
+    def model() -> LinearModel:
+        return LinearModel(weights=theta[:-1], bias=float(theta[-1]))
+
+    report = descend(
+        theta, config, "lr", shuffled,
+        lambda pick: _gradient(theta, rows.take(pick), targets[pick], config.l2_penalty),
+        lambda: _loss(theta, rows, targets, config.l2_penalty),
+        None if dev is None else (dev[1], lambda: predict_probas(model(), dev[0])),
+    )
+    return model(), report

@@ -627,6 +627,24 @@ class TestExitCodes:
         assert "epoch 1: train_loss" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("make_config, section, arm", [
+        (lr_config, "lr", "lr"), (encoder_config, "encoder_train", "encoder"),
+    ])
+    def test_divergence_writes_only_its_error_line(
+        self, tmp_path, synth_files, capsys, make_config, section, arm
+    ):
+        # No np.errstate here: numpy's overflow warnings would reach stderr,
+        # and under pytest's warnings-as-errors end the run in ERROR INTERNAL.
+        train, dev = synth_files
+        path = make_config(tmp_path, train, dev, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc[section]["learning_rate"] = 1e308
+        path.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR DATA: {arm} training diverged at epoch 1: train loss nan\n"
+        )
+
     @pytest.mark.parametrize("section, key, token", [
         ("lr", "learning_rate", "NaN"),
         ("lr", "l2_penalty", "Infinity"),
@@ -876,6 +894,10 @@ class TestRunConfig:
             spelled = [path.name for path in sorted(src.glob("*.py"))
                        for _ in literal.finditer(path.read_text(encoding="utf-8"))]
             assert spelled == ["configs.py"], (name, spelled)
+
+    def test_each_model_kind_is_one_payload_that_trains(self):
+        assert set(bd.PAYLOADS) == set(configs.MODEL_KINDS)
+        assert all(callable(getattr(cls, "train", None)) for cls in bd.PAYLOADS.values())
 
     def test_no_module_reads_the_environment(self):
         # A setting read from the environment is an input no bundle records,
