@@ -11,13 +11,15 @@ PAYLOADS maps kind names to those classes.
 Nothing derivable is stored: TF-IDF idf is recomputed from the document
 frequencies on load, the LR dimension is the vocabulary size, and the
 tokenizer's pieces are derived from its byte inventory and merge list with
-encoder.derive_pieces, as training derives them. Nor is an encoder parameter that training left at its initial value:
-the ``parameters`` section stores, per tensor, a bitmap of the elements
-that differ from ``encoder.init_params`` at the recorded config and seed,
-and only those values, plus one sha256 of all the parameter bytes that
-load checks after rebuilding that init (see MicroEncoderPayload). Each
-float array is one ``{"dtype": "<f8", "shape", "base64"}`` object of its
-little-endian bytes, so load(save(b)) re-serializes to identical bytes.
+encoder.derive_pieces, as training derives them. Nor is an encoder
+parameter that training left at its initial value: the ``parameters``
+section stores one bitmap over the flat parameter vector training descends
+on, marking the elements that differ from ``encoder.init_params`` at the
+recorded config and seed, only those values, and one sha256 of the whole
+vector that load checks after rebuilding that init (see
+MicroEncoderPayload). Each float array is one ``{"dtype": "<f8", "shape",
+"base64"}`` object of its little-endian bytes, so load(save(b))
+re-serializes to identical bytes.
 The rest is text: the TF-IDF vocabulary as its words and its n-grams' word
 positions (see TfIdfLrPayload), the document frequencies as one string of
 space-joined decimals, and the tokenizer as ``bytes`` (the single-byte
@@ -26,8 +28,7 @@ order, space-joined). The recorded config holds the run's one seed; the
 arm configs hold none. ``training_report`` has one layout for both arms
 (per-epoch train losses and dev macro-F1, the latter empty for an LR run
 without dev) and no payload reads it. Version mismatches are rejected
-outright, never migrated: a version 8 bundle, which stored every encoder
-parameter in full, ends in BundleVersionError.
+outright, never migrated: they end in BundleVersionError.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from .linear import LinearModel, predict_probas, train_lr
 from .metrics import TrainReport
 from .vectorizer import NGRAM_SEPARATOR, Rows, TfIdfModel, transform_rows
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 # Top-level keys of every bundle; each payload adds its own SECTIONS.
 _BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
@@ -321,30 +322,15 @@ class TfIdfLrPayload:
         return cls(tfidf, linear)
 
 
-def _parameter_digest(params: dict[str, np.ndarray]) -> str:
-    """The sha256 of every tensor's little-endian bytes, in name order."""
-    digest = hashlib.sha256()
-    for name in sorted(params):
-        digest.update(np.asarray(params[name], dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
 def _bits(values: np.ndarray) -> np.ndarray:
     """The float64 values as their uint64 bit patterns, so that -0.0 and
     +0.0 differ."""
     return np.ascontiguousarray(values, dtype="<f8").view("<u8")
 
 
-def _bitmap(text: Any, size: int, what: str) -> np.ndarray:
-    """The boolean mask of ``size`` elements that a stored bitmap holds: the
-    strict base64 of little-endian packed bits, exactly as many bytes as
-    ``size`` bits need, with every pad bit 0."""
-    raw = _base64(text, what)
-    _require(len(raw) == -(-size // 8),
-             f"{what} holds {len(raw)} bytes, expected {-(-size // 8)} for {size} elements")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    _require(not bits[size:].any(), f"{what} has a pad bit set")
-    return bits[:size].astype(bool)
+def _digest(theta: np.ndarray) -> str:
+    """The sha256 of the flat parameter vector's ``<f8`` bytes."""
+    return hashlib.sha256(_bits(theta).tobytes()).hexdigest()
 
 
 _SHA256 = re.compile(r"[0-9a-f]{64}")
@@ -355,19 +341,19 @@ class MicroEncoderPayload:
     """The micro-encoder arm, trained (on a dev split too), scored and stored:
     the subword tokenizer and the encoder's parameters.
 
-    The ``parameters`` section holds ``tensors``, one entry per tensor in
-    name order, and ``sha256``, the digest of every tensor's ``<f8`` bytes
-    in that order. An entry holds the tensor's ``name``; ``changed``, the
-    base64 of its little-endian ``np.packbits`` bitmap over the flattened
-    elements, one bit per element, set where the element's bits differ
-    from ``encoder.init_params`` at the run config's encoder settings and
-    seed; and ``values``, the stored ``<f8`` tensor of the set elements in
-    order. Parameters a training step never touches (embedding rows of
-    pieces no training row holds, positions past the longest batch, the
-    weights of dead ReLU units) keep their seeded values bit for bit, so
-    none of them is stored. Load rebuilds that init, writes the values over
-    it and checks the digest, which fails if this numpy does not draw the
-    seeded init the writer drew."""
+    The ``parameters`` section stores the flat vector that training descends
+    on, every tensor laid end to end in ``encoder.parameter_shapes`` order:
+    ``changed``, the base64 of its little-endian ``np.packbits`` bitmap, one
+    bit per element, set where the element's bits differ from
+    ``encoder.init_params`` at the run config's encoder settings and seed;
+    ``values``, the stored ``<f8`` tensor of the set elements in order; and
+    ``sha256``, the digest of the whole vector's ``<f8`` bytes. Parameters a
+    training step never touches (embedding rows of pieces no training row
+    holds, positions past the longest batch, the weights of dead ReLU units)
+    keep their seeded values bit for bit, so none of them is stored. Load
+    rebuilds that init, writes the values over it and checks the digest,
+    which fails if this numpy does not draw the seeded init the writer
+    drew."""
 
     KIND: ClassVar[str] = MICRO_ENCODER
     SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "parameters")
@@ -406,24 +392,23 @@ class MicroEncoderPayload:
         byte_pieces = sorted(p for p in tokenizer.pieces if len(p) == 1)
         if enc.derive_pieces(byte_pieces, tokenizer.merges) != list(tokenizer.pieces):
             raise ValueError("the tokenizer's pieces are not the ones its bytes and merges derive")
-        init = enc.init_params(config.encoder, tokenizer.vocab_size, config.seed)
-        tensors = []
-        for name in sorted(params):
-            bits = _bits(params[name]).ravel()
-            changed = bits != _bits(init[name]).ravel()
-            tensors.append({
-                "name": name,
-                "changed": base64.b64encode(
-                    np.packbits(changed, bitorder="little").tobytes()
-                ).decode("ascii"),
-                "values": encode_tensor(bits[changed].view("<f8")),
-            })
+        shapes = enc.parameter_shapes(config.encoder, tokenizer.vocab_size)
+        theta = enc._flatten(params, shapes)
+        init = enc._flatten(enc.init_params(config.encoder, tokenizer.vocab_size, config.seed),
+                            shapes)
+        changed = _bits(theta) != _bits(init)
         return {
             "tokenizer": {
                 "bytes": b"".join(byte_pieces).hex(),
                 "merges": " ".join(f"{a.hex()}.{b.hex()}" for a, b in tokenizer.merges),
             },
-            "parameters": {"tensors": tensors, "sha256": _parameter_digest(params)},
+            "parameters": {
+                "changed": base64.b64encode(
+                    np.packbits(changed, bitorder="little").tobytes()
+                ).decode("ascii"),
+                "values": encode_tensor(theta[changed]),
+                "sha256": _digest(theta),
+            },
         }
 
     @classmethod
@@ -440,40 +425,33 @@ class MicroEncoderPayload:
         pieces = enc.derive_pieces([bytes([b]) for b in inventory], merges)
         tokenizer = enc.SubwordTokenizer(pieces=pieces, merges=merges)
         settings = config.encoder
-        section = _section(doc, "parameters", ("tensors", "sha256"))
-        entries = section["tensors"]
-        _require(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-                 "parameter tensors must be a list of objects")
-        # Every layer owns tensors; checked first, a huge n_layers builds no shapes.
-        _require(settings.n_layers <= len(entries), "more layers than parameter tensors")
+        section = _section(doc, "parameters", ("changed", "values", "sha256"))
+        raw = _base64(section["changed"], "parameters changed")
+        # Every layer owns at least 16 elements; checked first, a huge
+        # n_layers builds no shapes.
+        _require(16 * settings.n_layers <= 8 * len(raw), "more layers than the bitmap has bits")
         shapes = enc.parameter_shapes(settings, tokenizer.vocab_size)
-        names = [entry.get("name") for entry in entries]
-        _require(names == sorted(shapes),
-                 f"parameter tensors must be named {sorted(shapes)}, in this order")
-        # Every bitmap is checked against its tensor's size before the init
-        # is built, so no config, however large, allocates more than the
-        # stored bitmaps describe.
-        stored = {}
-        for entry in entries:
-            name = entry["name"]
-            _require_keys(entry, ("name", "changed", "values"), f"parameter {name!r}")
-            size = math.prod(shapes[name])
-            changed = _bitmap(entry["changed"], size, f"parameter {name!r} changed")
-            values = decode_tensor(entry["values"], (int(changed.sum()),),
-                                   f"parameter {name!r} values")
-            stored[name] = changed, values
-        params = enc.init_params(settings, tokenizer.vocab_size, config.seed)
-        for name, (changed, values) in stored.items():
-            flat = params[name].reshape(-1)
-            _require(bool((_bits(values) != _bits(flat[changed])).all()),
-                     f"parameter {name!r} stores a value equal to its initial value")
-            flat[changed] = values
+        size = sum(map(math.prod, shapes.values()))
+        # Checked before the init is built, so no config, however large,
+        # allocates more than the stored bitmap describes.
+        _require(len(raw) == -(-size // 8),
+                 f"parameters changed holds {len(raw)} bytes, expected {-(-size // 8)} "
+                 f"for {size} elements")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        _require(not bits[size:].any(), "parameters changed has a pad bit set")
+        changed = bits[:size].astype(bool)
+        values = decode_tensor(section["values"], (int(changed.sum()),), "parameters values")
+        theta = enc._flatten(enc.init_params(settings, tokenizer.vocab_size, config.seed), shapes)
+        _require(bool((_bits(values) != _bits(theta[changed])).all()),
+                 "parameters store a value equal to its initial value")
+        theta[changed] = values
         _require(
-            _text(section["sha256"], _SHA256, "parameters sha256") == _parameter_digest(params),
+            _text(section["sha256"], _SHA256, "parameters sha256") == _digest(theta),
             "parameters do not match their sha256: either this numpy "
             f"({np.__version__}) does not draw the seeded initialization the "
             "bundle was written against, or the bundle is corrupt",
         )
+        params = enc._views(theta, shapes)
         return cls(tokenizer, enc.EncoderModel(params, settings, tokenizer.vocab_size))
 
 
@@ -559,9 +537,9 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     too long included), a run_config that is not one the writer writes or
     that its config classes reject, a section that is not an object, a key
     the writer does not write or a missing one, or payload pieces that do
-    not agree with each other or with the config (wrong array lengths,
-    missing tensors, bitmaps of the wrong length or with pad bits set, value
-    counts that are not the bits set, stored tensors that do not decode, a
+    not agree with each other or with the config (wrong array lengths, a
+    bitmap of the wrong length or with pad bits set, a value count that is
+    not the bits set, stored tensors that do not decode, a
     stored parameter equal to its initial value, parameters that do not
     match their digest, text fields not in their stored form, n-gram
     positions that are not the ones the writer writes or longer than

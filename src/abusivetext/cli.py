@@ -117,8 +117,7 @@ def _stats_lines(examples: Sequence[LabeledExample]) -> list[str]:
     ]
 
 
-def _report_doc(cm: metrics.ConfusionMatrix) -> dict[str, Any]:
-    report = metrics.class_report(cm)
+def _report_doc(cm: metrics.ConfusionMatrix, report: metrics.ClassReport) -> dict[str, Any]:
     return {
         "per_class": {
             label.to_text(): asdict(report.per_class[label])
@@ -130,8 +129,7 @@ def _report_doc(cm: metrics.ConfusionMatrix) -> dict[str, Any]:
     }
 
 
-def _print_report_table(cm: metrics.ConfusionMatrix) -> None:
-    report = metrics.class_report(cm)
+def _print_report_table(cm: metrics.ConfusionMatrix, report: metrics.ClassReport) -> None:
     print(f"{'class':<14}{'precision':>10}{'recall':>10}{'f1':>10}")
     for label in (Label.ABUSIVE, Label.NON_ABUSIVE):
         prf = report.per_class[label]
@@ -265,9 +263,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = [ex.label for ex in gold_examples]
     pred = [predictions[i] for i in gold_ids]
     cm = metrics.confusion(gold, pred)
-    _print_report_table(cm)
+    report = metrics.class_report(cm)
+    _print_report_table(cm, report)
     if args.json_out:
-        doc = _report_doc(cm)
+        doc = _report_doc(cm, report)
         text = json.dumps(doc, ensure_ascii=False, indent=2, allow_nan=False)
         Path(args.json_out).write_bytes((text + "\n").encode("utf-8"))
         print(f"json report written to {args.json_out}")

@@ -30,7 +30,7 @@ import numpy as np
 from .configs import EncoderConfig, TrainConfigEnc
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyCorpus, EmptyData
-from .linear import descend, sigmoid
+from .linear import _add_up, descend, sigmoid
 from .metrics import TrainReport
 
 CLS_ID = 0
@@ -704,13 +704,11 @@ def backward_batch(
 
 def embedding_gradient(ids: np.ndarray, dx: np.ndarray, vocab_size: int) -> np.ndarray:
     """The (vocab_size, d) sum of dx's rows by token id: np.add.at(zeros, ids,
-    dx) as one np.bincount over ids * d + column. Both add each bin's terms
-    in input order from 0.0, so the sums are bit-equal."""
+    dx) as one linear._add_up over ids * d + column. Both add each bin's
+    terms in input order from 0.0, so the sums are bit-equal."""
     d = dx.shape[-1]
     bins = (ids[..., None] * d + np.arange(d)).ravel()
-    # bincount of no entries gives int64 zeros, whatever the weights' dtype.
-    sums = np.bincount(bins, dx.ravel(), vocab_size * d).astype(np.float64, copy=False)
-    return sums.reshape(vocab_size, d)
+    return _add_up(bins, dx.ravel(), vocab_size * d).reshape(vocab_size, d)
 
 
 def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -744,8 +742,15 @@ def predict_probs(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> np.
 # Training
 # ---------------------------------------------------------------------------
 
+def _flatten(params: dict[str, np.ndarray], shapes: dict[str, tuple]) -> np.ndarray:
+    """Every tensor of ``params`` laid end to end in ``shapes``' order, as one
+    new vector: the layout _views splits."""
+    return np.concatenate([params[name].ravel() for name in shapes])
+
+
 def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """A view of ``flat`` for every named shape, laid end to end in order."""
+    """A view of ``flat`` for every named shape, laid end to end in order:
+    the inverse of _flatten."""
     views: dict[str, np.ndarray] = {}
     start = 0
     for name, shape in shapes.items():
@@ -781,8 +786,7 @@ def train_encoder(
     # Parameters and gradients are views into one flat vector each, so a step
     # zero-fills and updates every tensor with one array operation.
     shapes = parameter_shapes(enc_config, tokenizer.vocab_size)
-    init = init_params(enc_config, tokenizer.vocab_size, seed)
-    theta = np.concatenate([init[name].ravel() for name in shapes])
+    theta = _flatten(init_params(enc_config, tokenizer.vocab_size, seed), shapes)
     params = _views(theta, shapes)
     flat_grads = np.empty_like(theta)
     grads = _views(flat_grads, shapes)

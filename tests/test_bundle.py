@@ -420,7 +420,7 @@ class TestRejection:
 
     def test_nan_parameter_rejected_on_load(self, encoder_bundle):
         def nan_first(d):
-            stored = d["parameters"]["tensors"][0]["values"]
+            stored = d["parameters"]["values"]
             values = _values(stored)
             values[0] = float("nan")
             stored.update(_stored(values))
@@ -429,17 +429,17 @@ class TestRejection:
         with pytest.raises(BundleInconsistentError):
             bd.deserialize_bundle(raw)
 
-    def test_missing_parameter_tensor(self, encoder_bundle):
-        raw = _mutate(
-            bd.serialize_bundle(encoder_bundle),
-            lambda d: d["parameters"]["tensors"].pop(),
-        )
-        with pytest.raises(BundleInconsistentError):
+    def test_missing_parameter_value(self, encoder_bundle):
+        def one_fewer(d):
+            d["parameters"]["values"] = _stored(_values(d["parameters"]["values"])[:-1])
+
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), one_fewer)
+        with pytest.raises(BundleInconsistentError, match="parameters values has shape"):
             bd.deserialize_bundle(raw)
 
     def test_wrong_parameter_shape(self, encoder_bundle):
         def bad_shape(d):
-            d["parameters"]["tensors"][0]["values"].update(_stored(np.zeros((1, 1))))
+            d["parameters"]["values"].update(_stored(np.zeros((1, 1))))
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), bad_shape)
         with pytest.raises(BundleInconsistentError):
@@ -451,7 +451,7 @@ class TestRejection:
             d["tokenizer"]["merges"] = d["tokenizer"]["merges"].rsplit(" ", 1)[0]
 
         raw = _mutate(bd.serialize_bundle(encoder_bundle), drop_last_merge)
-        with pytest.raises(BundleInconsistentError, match="parameter 'tok_emb' changed holds"):
+        with pytest.raises(BundleInconsistentError, match="parameters changed holds"):
             bd.deserialize_bundle(raw)
 
     def test_merge_operand_that_is_not_yet_a_piece(self, encoder_bundle):
@@ -502,33 +502,63 @@ class TestRejection:
             bd.serialize_bundle(broken)
 
 
-def _changed_mask(entry: dict, size: int) -> np.ndarray:
+def _changed_mask(section: dict, size: int) -> np.ndarray:
     bits = np.unpackbits(
-        np.frombuffer(base64.b64decode(entry["changed"]), np.uint8), bitorder="little"
+        np.frombuffer(base64.b64decode(section["changed"]), np.uint8), bitorder="little"
     )
+    assert len(bits) == 8 * -(-size // 8) and not bits[size:].any()
     return bits[:size].astype(bool)
+
+
+def _with_params(encoder_bundle, params: dict) -> bd.ModelBundle:
+    config, tokenizer = encoder_bundle.config, encoder_bundle.payload.tokenizer
+    return replace(encoder_bundle, payload=bd.MicroEncoderPayload(
+        tokenizer, enc.EncoderModel(params, config.encoder, tokenizer.vocab_size)
+    ))
+
+
+def _seeded_params(encoder_bundle) -> dict:
+    config = encoder_bundle.config
+    return enc.init_params(config.encoder, encoder_bundle.payload.tokenizer.vocab_size,
+                           config.seed)
 
 
 class TestEncoderParameters:
     def test_only_parameters_that_differ_from_init_are_stored(self, encoder_bundle):
         config, params = encoder_bundle.config, encoder_bundle.payload.model.params
-        init = enc.init_params(config.encoder, encoder_bundle.payload.tokenizer.vocab_size,
-                               config.seed)
+        init = _seeded_params(encoder_bundle)
         section = json.loads(bd.serialize_bundle(encoder_bundle))["parameters"]
-        assert list(section) == ["tensors", "sha256"]
-        assert [entry["name"] for entry in section["tensors"]] == sorted(params)
-        n_stored = 0
-        for entry in section["tensors"]:
-            assert list(entry) == ["name", "changed", "values"]
-            trained, seeded = params[entry["name"]].ravel(), init[entry["name"]].ravel()
-            changed = _changed_mask(entry, trained.size)
-            assert np.array_equal(changed, trained.view("<u8") != seeded.view("<u8"))
-            assert _values(entry["values"]).tobytes() == trained[changed].tobytes()
-            n_stored += int(changed.sum())
+        assert list(section) == ["changed", "values", "sha256"]
+        names = enc.parameter_shapes(config.encoder, encoder_bundle.payload.tokenizer.vocab_size)
+        trained = np.concatenate([params[name].ravel() for name in names])
+        seeded = np.concatenate([init[name].ravel() for name in names])
+        changed = _changed_mask(section, trained.size)
+        assert np.array_equal(changed, trained.view("<u8") != seeded.view("<u8"))
+        assert _values(section["values"]).tobytes() == trained[changed].tobytes()
         # The last layer's key bias gets a zero gradient by construction.
-        assert 0 < n_stored < sum(array.size for array in params.values())
-        expected = b"".join(params[name].astype("<f8").tobytes() for name in sorted(params))
-        assert section["sha256"] == hashlib.sha256(expected).hexdigest()
+        assert 0 < changed.sum() < trained.size
+        assert section["sha256"] == hashlib.sha256(trained.astype("<f8").tobytes()).hexdigest()
+
+    def test_bit_i_marks_element_i_of_the_flat_vector(self, encoder_bundle):
+        # The k-th tensor in parameter_shapes order changes its element k
+        # (modulo its size) alone; that element sits at the tensor's start,
+        # the sizes of the tensors before it added up, plus k.
+        config = encoder_bundle.config
+        shapes = enc.parameter_shapes(config.encoder, encoder_bundle.payload.tokenizer.vocab_size)
+        params = _seeded_params(encoder_bundle)
+        assert list(params) == list(shapes) and list(shapes) != sorted(shapes)
+        bits, values, start = [], [], 0
+        for k, (name, shape) in enumerate(shapes.items()):
+            size = math.prod(shape)
+            flat = params[name].reshape(-1)
+            flat[k % size] += 0.5
+            bits.append(start + k % size)
+            values.append(flat[k % size])
+            start += size
+        section = json.loads(bd.serialize_bundle(_with_params(encoder_bundle, params)))
+        section = section["parameters"]
+        assert np.flatnonzero(_changed_mask(section, start)).tolist() == bits
+        assert _values(section["values"]).tolist() == values
 
     @settings(max_examples=60, deadline=None)
     @given(modes=st.lists(st.sampled_from(["init", "all", "some"]), min_size=20, max_size=20),
@@ -537,30 +567,51 @@ class TestEncoderParameters:
     def test_any_subset_left_at_init_round_trips(self, encoder_bundle, modes, seed):
         # Each tensor keeps all, none or a random subset of its elements at
         # init; the head bias is -0.0, whose bits differ from init's +0.0.
-        config = encoder_bundle.config
-        tokenizer = encoder_bundle.payload.tokenizer
-        params = enc.init_params(config.encoder, tokenizer.vocab_size, config.seed)
+        params = _seeded_params(encoder_bundle)
         assert len(params) == len(modes)
         rng = np.random.default_rng(seed)
-        for (name, array), mode in zip(sorted(params.items()), modes):
+        for array, mode in zip(params.values(), modes):
             flat = array.reshape(-1)
             pick = {"init": np.zeros(flat.size, bool), "all": np.ones(flat.size, bool),
                     "some": rng.random(flat.size) < 0.5}[mode]
             flat[pick] += rng.uniform(0.5, 1.0, int(pick.sum()))
         params["head.b"][...] = -0.0
-        bundle = replace(encoder_bundle, payload=bd.MicroEncoderPayload(
-            tokenizer, enc.EncoderModel(params, config.encoder, tokenizer.vocab_size)
-        ))
-        raw = bd.serialize_bundle(bundle)
-        tensors = {e["name"]: e for e in json.loads(raw)["parameters"]["tensors"]}
-        assert _values(tensors["head.b"]["values"]).tobytes() == np.float64(-0.0).tobytes()
+        raw = bd.serialize_bundle(_with_params(encoder_bundle, params))
+        section = json.loads(raw)["parameters"]
+        # The head bias is the flat vector's last element.
+        assert _values(section["values"])[-1:].tobytes() == np.float64(-0.0).tobytes()
+        changed = _changed_mask(section, sum(array.size for array in params.values()))
+        loaded = bd.deserialize_bundle(raw)
+        start = 0
+        for (name, array), mode in zip(params.items(), modes):
+            assert loaded.payload.model.params[name].tobytes() == array.tobytes()
+            n_stored = int(changed[start : start + array.size].sum())
+            start += array.size
+            if name != "head.b" and mode != "some":
+                assert n_stored == (array.size if mode == "all" else 0)
+        assert bd.serialize_bundle(loaded) == raw
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_changes_across_a_tensor_boundary_round_trip(self, encoder_bundle, data):
+        # A run of changed elements that starts in one tensor and ends in a
+        # later one sets exactly its bits, whatever tensors it crosses.
+        params = _seeded_params(encoder_bundle)
+        ends = np.cumsum([array.size for array in params.values()]).tolist()
+        boundary = data.draw(st.sampled_from(ends[:-1]), label="boundary")
+        start = data.draw(st.integers(max(boundary - 20, 0), boundary - 1), label="start")
+        stop = data.draw(st.integers(boundary + 1, min(boundary + 20, ends[-1])), label="stop")
+        for array, end in zip(params.values(), ends):
+            flat = array.reshape(-1)
+            begin = end - flat.size
+            flat[max(start - begin, 0) : max(stop - begin, 0)] += 0.5
+        raw = bd.serialize_bundle(_with_params(encoder_bundle, params))
+        section = json.loads(raw)["parameters"]
+        changed = _changed_mask(section, ends[-1])
+        assert np.flatnonzero(changed).tolist() == list(range(start, stop))
         loaded = bd.deserialize_bundle(raw)
         for name, array in params.items():
             assert loaded.payload.model.params[name].tobytes() == array.tobytes()
-            mode = modes[sorted(params).index(name)]
-            n_stored = len(_values(tensors[name]["values"]))
-            if name != "head.b" and mode != "some":
-                assert n_stored == (array.size if mode == "all" else 0)
         assert bd.serialize_bundle(loaded) == raw
 
     def test_init_this_numpy_does_not_draw_is_named(self, encoder_bundle, monkeypatch):

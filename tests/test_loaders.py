@@ -3,6 +3,7 @@ files and predictions files. Whatever the bytes, a command ends in a documented 
 code with exactly one ``ERROR <CODE>:`` line, never in INTERNAL or a hang."""
 import base64
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -168,14 +169,49 @@ def v7_vectorizer(vec) -> None:
     vec["tokens"] = tokens
 
 
-def as_v8(doc) -> None:
-    """Rewrite a bundle in the version 8 layout: every encoder parameter
-    tensor stored in full, as a list of named ``<f8`` tensors; the LR
-    sections were as they are now."""
+def encoder_parameters(doc) -> tuple[dict, dict]:
+    """The trained and the seeded parameter tensors, by name, of an encoder
+    bundle in the current layout."""
+    payload = bd.deserialize_bundle(json.dumps(doc).encode()).payload
+    settings = payload.model.config
+    return payload.model.params, enc.init_params(
+        settings, payload.tokenizer.vocab_size, doc["run_config"]["seed"])
+
+
+def packed(mask) -> str:
+    return base64.b64encode(np.packbits(mask, bitorder="little").tobytes()).decode()
+
+
+def as_v9(doc) -> None:
+    """Rewrite a bundle in the version 9 layout: the encoder parameters as a
+    list of per-tensor entries in name order, each with its name, its
+    bitmap of the elements that differ from init and their values, and one
+    sha256 of every tensor's bytes in name order; the LR sections were as
+    they are now."""
     if "parameters" in doc:
-        params = bd.deserialize_bundle(json.dumps(doc).encode()).payload.model.params
+        params, init = encoder_parameters(doc)
+        tensors = []
+        for name in sorted(params):
+            trained = params[name].ravel()
+            changed = trained.view("<u8") != init[name].ravel().view("<u8")
+            tensors.append({"name": name, "changed": packed(changed),
+                            "values": bd.encode_tensor(trained[changed])})
+        digest = hashlib.sha256(b"".join(params[name].astype("<f8").tobytes()
+                                         for name in sorted(params)))
+        doc["parameters"] = {"tensors": tensors, "sha256": digest.hexdigest()}
+    doc["format_version"] = 9
+
+
+def as_v8(doc) -> None:
+    """Rewrite a bundle in the version 8 layout: the version 9 bundle with
+    every encoder parameter tensor stored in full, as a list of named
+    ``<f8`` tensors."""
+    params = encoder_parameters(doc)[0] if "parameters" in doc else {}
+    as_v9(doc)
+    if params:
         doc["parameters"] = [
-            {"name": name, **bd.encode_tensor(params[name])} for name in sorted(params)
+            {"name": entry["name"], **bd.encode_tensor(params[entry["name"]])}
+            for entry in doc["parameters"]["tensors"]
         ]
     doc["format_version"] = 8
 
@@ -507,24 +543,20 @@ HOSTILE_TOKENIZER = {
 }
 
 
-def _tensor(doc, name) -> dict:
-    return next(e for e in doc["parameters"]["tensors"] if e["name"] == name)
-
-
-def _bitmap_edited(name, edit):
-    """Replace tensor name's bitmap bytes with edit(bytes)."""
+def _bitmap_edited(edit):
+    """Replace the changed bitmap's bytes with edit(bytes)."""
     def mutate(doc):
-        entry = _tensor(doc, name)
-        entry["changed"] = base64.b64encode(edit(base64.b64decode(entry["changed"]))).decode()
+        section = doc["parameters"]
+        section["changed"] = base64.b64encode(edit(base64.b64decode(section["changed"]))).decode()
     return mutate
 
 
-def _values_edited(name, edit):
-    """Replace tensor name's stored values with edit(a writable copy)."""
+def _values_edited(edit):
+    """Replace the stored values with edit(a writable copy)."""
     def mutate(doc):
-        entry = _tensor(doc, name)
-        values = np.frombuffer(base64.b64decode(entry["values"]["base64"]), "<f8").copy()
-        entry["values"] = store(edit(values), "<f8")
+        section = doc["parameters"]
+        values = np.frombuffer(base64.b64decode(section["values"]["base64"]), "<f8").copy()
+        section["values"] = store(edit(values), "<f8")
     return mutate
 
 
@@ -534,14 +566,27 @@ def _first_set_bit_cleared(raw: bytes) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
+def _pad_bit_set(raw: bytes) -> bytes:
+    # The fixture's 4 * vocab_size + 173 elements are odd in number, so the
+    # last byte's top bit lies past the last element.
+    assert not raw[-1] & 0x80
+    return raw[:-1] + bytes([raw[-1] | 0x80])
+
+
 def _key_bias_stores(value):
     """The last layer's key bias, which training never moves from its zero
-    init, stores one element: value."""
+    init, stores its first element: value."""
     def mutate(doc):
-        entry = _tensor(doc, "layer0.attn.bk")
-        assert set(base64.b64decode(entry["changed"])) == {0}
-        _bitmap_edited("layer0.attn.bk", lambda raw: b"\x01" + raw[1:])(doc)
-        entry["values"] = store([value], "<f8")
+        params = encoder_parameters(doc)[0]
+        names = list(params)
+        at = sum(params[name].size for name in names[:names.index("layer0.attn.bk")])
+        section = doc["parameters"]
+        bits = np.unpackbits(np.frombuffer(base64.b64decode(section["changed"]), np.uint8),
+                             bitorder="little")
+        assert not bits[at : at + 4].any()
+        bits[at] = 1
+        section["changed"] = packed(bits)
+        _values_edited(lambda v: np.insert(v, int(bits[:at].sum()), value))(doc)
     return mutate
 
 
@@ -552,26 +597,43 @@ def _set(index, value):
     return edit
 
 
-def _tensors_edited(edit):
-    return lambda doc: edit(doc["parameters"]["tensors"])
+def _rewritten(doc, rewrite) -> dict:
+    """The parameters section of a copy of doc that rewrite rewrote."""
+    older = json.loads(json.dumps(doc))
+    rewrite(older)
+    return older["parameters"]
+
+
+def _in_name_order(doc) -> dict:
+    """The parameters section a writer laying the flat vector out in tensor
+    name order would write: the version 9 entries end to end."""
+    v9 = _rewritten(doc, as_v9)
+    tensors = v9["tensors"]
+    sizes = {name: array.size for name, array in encoder_parameters(doc)[0].items()}
+    bits = [np.unpackbits(np.frombuffer(base64.b64decode(entry["changed"]), np.uint8),
+                          bitorder="little")[: sizes[entry["name"]]] for entry in tensors]
+    values = [np.frombuffer(base64.b64decode(entry["values"]["base64"]), "<f8")
+              for entry in tensors]
+    return {"changed": packed(np.concatenate(bits)),
+            "values": store(np.concatenate(values), "<f8"), "sha256": v9["sha256"]}
 
 
 # One hostile edit each to the enc fixture's parameters section, or to what
 # load rebuilds the init from; every one is a bundle no writer could have made.
 HOSTILE_PARAMETERS = {
-    "bitmap one byte short": _bitmap_edited("tok_emb", lambda raw: raw[:-1]),
-    "bitmap one byte long": _bitmap_edited("tok_emb", lambda raw: raw + b"\x00"),
-    "pad bit set": _bitmap_edited("head.b", lambda raw: bytes([raw[0] | 0x80])),
-    "bitmap not base64": lambda doc: _tensor(doc, "tok_emb").update(changed="!AAA"),
-    "bitmap a list": lambda doc: _tensor(doc, "tok_emb").update(changed=[]),
-    "one value more than bits set": _values_edited("tok_emb", lambda v: np.append(v, 0.5)),
-    "one value fewer than bits set": _values_edited("tok_emb", lambda v: v[:-1]),
-    "a bit cleared, its value kept": _bitmap_edited("tok_emb", _first_set_bit_cleared),
+    "bitmap one byte short": _bitmap_edited(lambda raw: raw[:-1]),
+    "bitmap one byte long": _bitmap_edited(lambda raw: raw + b"\x00"),
+    "pad bit set": _bitmap_edited(_pad_bit_set),
+    "bitmap not base64": lambda doc: doc["parameters"].update(changed="!AAA"),
+    "bitmap a list": lambda doc: doc["parameters"].update(changed=[]),
+    "one value more than bits set": _values_edited(lambda v: np.append(v, 0.5)),
+    "one value fewer than bits set": _values_edited(lambda v: v[:-1]),
+    "a bit cleared, its value kept": _bitmap_edited(_first_set_bit_cleared),
     "stored value equal to its init": _key_bias_stores(0.0),
     "stored -0.0 where init is +0.0": _key_bias_stores(-0.0),
-    "NaN value": _values_edited("tok_emb", _set(0, np.nan)),
-    "infinite value": _values_edited("tok_emb", _set(-1, np.inf)),
-    "value edited": _values_edited("tok_emb", _set(0, 0.125)),
+    "NaN value": _values_edited(_set(0, np.nan)),
+    "infinite value": _values_edited(_set(-1, np.inf)),
+    "value edited": _values_edited(_set(0, 0.125)),
     "digest of other bytes": lambda doc: doc["parameters"].update(
         sha256=doc["parameters"]["sha256"][:-1]
         + ("0" if doc["parameters"]["sha256"][-1] != "0" else "1")),
@@ -580,13 +642,13 @@ HOSTILE_PARAMETERS = {
     "digest short": lambda doc: doc["parameters"].update(
         sha256=doc["parameters"]["sha256"][:-2]),
     "seed edited": lambda doc: doc["run_config"].update(seed=doc["run_config"]["seed"] + 1),
-    "tensors swapped": _tensors_edited(lambda t: t.insert(0, t.pop(1))),
-    "tensor repeated": _tensors_edited(lambda t: t.append(t[-1])),
-    "tensor renamed": _tensors_edited(lambda t: t[0].update(name="head.c")),
-    "stray entry key": _tensors_edited(lambda t: t[0].update(shape=[])),
-    "entry not an object": _tensors_edited(lambda t: t.__setitem__(0, "head.b")),
-    "version 8 list": lambda doc: doc.update(parameters=doc["parameters"]["tensors"]),
-    "tensors an object": lambda doc: doc["parameters"].update(tensors={}),
+    "stray key": lambda doc: doc["parameters"].update(names=[]),
+    "laid out in name order": lambda doc: doc.update(parameters=_in_name_order(doc)),
+    "digest in name order": lambda doc: doc["parameters"].update(
+        sha256=_rewritten(doc, as_v9)["sha256"]),
+    "version 9 tensors": lambda doc: doc.update(
+        parameters={"tensors": _rewritten(doc, as_v9)["tensors"]}),
+    "version 8 list": lambda doc: doc.update(parameters=_rewritten(doc, as_v8)),
 }
 
 
@@ -742,7 +804,8 @@ class TestHostileBundles:
         ("enc", ("run_config", "encoder"), "max_length"),
         ("enc", (), "parameters"),
         ("enc", ("parameters",), "sha256"),
-        ("enc", ("parameters",), "tensors"),
+        ("enc", ("parameters",), "changed"),
+        ("enc", ("parameters",), "values"),
     ])
     def test_missing_key_rejected_as_inconsistent(self, work, arm, section, key):
         # Defaults are not filled in: the writer writes every key.
@@ -825,8 +888,7 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("arm, tensor", [
         ("lr", ("linear", "weights")),
-        ("enc", ("parameters", "tensors", 0, "values")),
-        ("enc", ("parameters", "tensors", -1, "values")),
+        ("enc", ("parameters", "values")),
     ])
     @pytest.mark.parametrize("hostile", [
         "bad base64", "unpadded base64", "byte length", "big-endian dtype",
@@ -942,6 +1004,18 @@ class TestHostileBundles:
         expected = (5, ["BUNDLE_INCONSISTENT"]) if relabelled else (0, [])
         assert predict_with(work, doc) == expected
 
+    @pytest.mark.parametrize("arm, relabelled", [("lr3", 0), ("encm", 5)])
+    def test_v9_document_is_a_version_error(self, work, arm, relabelled):
+        # Version 9 stored the encoder parameters as one entry per tensor;
+        # labelled the current version, that layout is inconsistent. An LR
+        # bundle differs from its version 9 twin in format_version alone.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        as_v9(doc)
+        assert predict_with(work, doc) == (4, ["BUNDLE_VERSION"])
+        doc["format_version"] = bd.FORMAT_VERSION
+        expected = (5, ["BUNDLE_INCONSISTENT"]) if relabelled else (0, [])
+        assert predict_with(work, doc) == expected
+
     @pytest.mark.parametrize("arm", ["lr", "encm"])
     def test_v6_document_is_a_version_error(self, work, arm):
         # Version 6 stored the frequencies as an <i8 tensor and the
@@ -962,9 +1036,9 @@ class TestHostileBundles:
 
     @pytest.mark.parametrize("data", [
         b"[" * 200_000 + b"]" * 200_000,
-        b'{"format_version": 9, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
+        b'{"format_version": 10, "run_config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001,
         b'{"format_version": ' + b"9" * 5000 + b"}",
-        b'{"format_version": 9, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"format_version": 10, "run_config": {"seed": ' + b"1" * 5000 + b"}}",
     ], ids=["deep list", "deep object", "long version", "long seed"])
     def test_deep_or_huge_json_is_inconsistent(self, work, data):
         assert predict_raw(work, data) == (5, ["BUNDLE_INCONSISTENT"])
