@@ -2,14 +2,11 @@
 
     python3 tools/dump_outputs.py --seeds 1-4 --out DIR
 
-For each workload in bench/workloads.py and each seed, it writes the inputs
-with ``write_inputs`` into DIR/<workload>/seed<n>/ and runs train, predict
-and evaluate for each arm through ``cli.main`` there, BLAS at one thread.
-Each command leaves its bundle, predictions file or JSON report beside the
-inputs, and its stdout, stderr and exit code in <arm>.<command>.out, .err and
-.code. ``diff -r`` of two trees, made from two checkouts, shows every output
-that changed.
-"""
+For each workload in bench/workloads.py and seed, it writes the inputs into
+DIR/<workload>/seed<n>/ and runs each arm's train, predict and evaluate there
+through ``cli.main``, BLAS at one thread, keeping each command's stdout,
+stderr and exit code as <arm>.<command>.out, .err and .code. ``diff -r`` of
+two trees made from two checkouts lists every output that changed."""
 import argparse
 import contextlib
 import io
