@@ -590,6 +590,26 @@ def _key_bias_stores(value):
     return mutate
 
 
+def _every_element_stored(doc):
+    """Every bit set and every trained element stored, as a writer that
+    skipped the comparison with init would; the key bias still equals its
+    init."""
+    params = encoder_parameters(doc)[0]
+    section = doc["parameters"]
+    section["changed"] = packed(np.ones(sum(p.size for p in params.values()), bool))
+    section["values"] = store(np.concatenate([p.ravel() for p in params.values()]), "<f8")
+
+
+def _no_element_stored(doc):
+    """No bit set and no value stored: the init alone, under the trained
+    digest."""
+    section = doc["parameters"]
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(section["changed"]), np.uint8),
+                         bitorder="little")
+    section["changed"] = packed(np.zeros(bits.size, bool))
+    section["values"] = store(np.zeros(0), "<f8")
+
+
 def _set(index, value):
     def edit(values):
         values[index] = value
@@ -642,6 +662,13 @@ HOSTILE_PARAMETERS = {
     "digest short": lambda doc: doc["parameters"].update(
         sha256=doc["parameters"]["sha256"][:-2]),
     "seed edited": lambda doc: doc["run_config"].update(seed=doc["run_config"]["seed"] + 1),
+    "a layer added": lambda doc: doc["run_config"]["encoder"].update(
+        n_layers=doc["run_config"]["encoder"]["n_layers"] + 1),
+    "every element stored": _every_element_stored,
+    "no element stored": _no_element_stored,
+    "values a list": lambda doc: doc["parameters"].update(values=[]),
+    "digest not a string": lambda doc: doc["parameters"].update(sha256=0),
+    "parameters null": lambda doc: doc.update(parameters=None),
     "stray key": lambda doc: doc["parameters"].update(names=[]),
     "laid out in name order": lambda doc: doc.update(parameters=_in_name_order(doc)),
     "digest in name order": lambda doc: doc["parameters"].update(
