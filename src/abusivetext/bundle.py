@@ -427,16 +427,13 @@ class MicroEncoderPayload:
         settings = config.encoder
         section = _section(doc, "parameters", ("changed", "values", "sha256"))
         raw = _base64(section["changed"], "parameters changed")
-        # Every layer owns at least 16 elements; checked first, a huge
-        # n_layers builds no shapes.
-        _require(16 * settings.n_layers <= 8 * len(raw), "more layers than the bitmap has bits")
-        shapes = enc.parameter_shapes(settings, tokenizer.vocab_size)
-        size = sum(map(math.prod, shapes.values()))
-        # Checked before the init is built, so no config, however large,
-        # allocates more than the stored bitmap describes.
+        size = enc.parameter_count(settings, tokenizer.vocab_size)
+        # Checked before any shape table or init is built, so no config,
+        # however large, allocates more than the stored bitmap describes.
         _require(len(raw) == -(-size // 8),
                  f"parameters changed holds {len(raw)} bytes, expected {-(-size // 8)} "
                  f"for {size} elements")
+        shapes = enc.parameter_shapes(settings, tokenizer.vocab_size)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         _require(not bits[size:].any(), "parameters changed has a pad bit set")
         changed = bits[:size].astype(bool)

@@ -44,25 +44,34 @@ class TfIdfConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfigLR:
-    """Training hyperparameters. None of these come from any published
-    recipe; they are toolkit defaults chosen for reproducible desk-scale runs."""
+class TrainConfig:
+    """The mini-batch descent settings both arms train with. None of these
+    come from any published recipe; they are toolkit defaults chosen for
+    reproducible desk-scale runs."""
 
     learning_rate: float = 0.1
     epochs: int = 50
     batch_size: int = 32
-    l2_penalty: float = 1e-4
 
     def __post_init__(self):
         check_fields(self)
         # lr = 0 is allowed: "no update" runs are useful as a baseline check.
-        for name in ("learning_rate", "l2_penalty"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfigLR(TrainConfig):
+    l2_penalty: float = 1e-4
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.l2_penalty < 0:
+            raise ValueError("l2_penalty must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfigEnc:
+class TrainConfigEnc(TrainConfig):
     """Fine-tuning-style regime: fixed epoch count, per-epoch dev evaluation,
     no early stopping. The 1e-5 default step size is far too small for
     from-scratch training; raise it explicitly for desk-scale runs."""
@@ -98,15 +107,6 @@ class TrainConfigEnc:
     learning_rate: float = 1e-5
     epochs: int = 5
     batch_size: int = 32
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

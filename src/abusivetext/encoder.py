@@ -327,64 +327,54 @@ class EncoderModel:
         )
 
 
+def _tensors(config: EncoderConfig, vocab_size: int, n_layers: int):
+    """(name, shape, initializer) of every parameter tensor for ``n_layers``
+    layers, in flat-vector order. The initializer is np.zeros, np.ones or the
+    limit of a seeded uniform draw: 1/sqrt(d) scale for embeddings, Glorot
+    limits for matrices."""
+    d, f = config.d_model, config.d_ff
+    yield "tok_emb", (vocab_size, d), math.sqrt(3.0 / d)
+    yield "pos_emb", (config.max_length, d), math.sqrt(3.0 / d)
+    for i in range(n_layers):
+        p = f"layer{i}."
+        for x in "qkvo":
+            yield p + f"attn.w{x}", (d, d), math.sqrt(6.0 / (d + d))
+            yield p + f"attn.b{x}", (d,), np.zeros
+        yield p + "ln1.gamma", (d,), np.ones
+        yield p + "ln1.beta", (d,), np.zeros
+        yield p + "ffn.w1", (d, f), math.sqrt(6.0 / (d + f))
+        yield p + "ffn.b1", (f,), np.zeros
+        yield p + "ffn.w2", (f, d), math.sqrt(6.0 / (f + d))
+        yield p + "ffn.b2", (d,), np.zeros
+        yield p + "ln2.gamma", (d,), np.ones
+        yield p + "ln2.beta", (d,), np.zeros
+    yield "head.w", (d,), math.sqrt(6.0 / (d + 1))
+    yield "head.b", (), np.zeros
+
+
 def parameter_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple]:
     """Declared shape of every parameter tensor, in serialization order."""
-    d, f = config.d_model, config.d_ff
-    shapes: dict[str, tuple] = {
-        "tok_emb": (vocab_size, d),
-        "pos_emb": (config.max_length, d),
-    }
-    for i in range(config.n_layers):
-        prefix = f"layer{i}."
-        shapes[prefix + "attn.wq"] = (d, d)
-        shapes[prefix + "attn.bq"] = (d,)
-        shapes[prefix + "attn.wk"] = (d, d)
-        shapes[prefix + "attn.bk"] = (d,)
-        shapes[prefix + "attn.wv"] = (d, d)
-        shapes[prefix + "attn.bv"] = (d,)
-        shapes[prefix + "attn.wo"] = (d, d)
-        shapes[prefix + "attn.bo"] = (d,)
-        shapes[prefix + "ln1.gamma"] = (d,)
-        shapes[prefix + "ln1.beta"] = (d,)
-        shapes[prefix + "ffn.w1"] = (d, f)
-        shapes[prefix + "ffn.b1"] = (f,)
-        shapes[prefix + "ffn.w2"] = (f, d)
-        shapes[prefix + "ffn.b2"] = (d,)
-        shapes[prefix + "ln2.gamma"] = (d,)
-        shapes[prefix + "ln2.beta"] = (d,)
-    shapes["head.w"] = (d,)
-    shapes["head.b"] = ()
-    return shapes
+    return {name: shape for name, shape, _ in _tensors(config, vocab_size, config.n_layers)}
+
+
+def parameter_count(config: EncoderConfig, vocab_size: int) -> int:
+    """Length of the flat parameter vector, read off the tensor table at zero
+    and one layer, so its cost does not grow with ``n_layers``."""
+    bare, one = (sum(math.prod(shape) for _, shape, _ in _tensors(config, vocab_size, n))
+                 for n in (0, 1))
+    return bare + config.n_layers * (one - bare)
 
 
 def init_params(
     config: EncoderConfig, vocab_size: int, seed: int
 ) -> dict[str, np.ndarray]:
-    """Scaled-uniform initialization: Glorot limits for matrices, 1/sqrt(d)
-    scale for embeddings, zeros for biases, identity layer norms."""
+    """Every tensor of the table from its initializer, drawn in table order
+    from one generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
-
-    def uniform(shape: tuple, limit: float) -> np.ndarray:
-        return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-    params: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config, vocab_size).items():
-        if name in ("tok_emb", "pos_emb"):
-            params[name] = uniform(shape, math.sqrt(3.0 / config.d_model))
-        elif name.endswith(("gamma",)):
-            params[name] = np.ones(shape, dtype=np.float64)
-        elif name.endswith(("beta",)) or name.endswith(
-            (".bq", ".bk", ".bv", ".bo", ".b1", ".b2")
-        ):
-            params[name] = np.zeros(shape, dtype=np.float64)
-        elif name == "head.w":
-            params[name] = uniform(shape, math.sqrt(6.0 / (config.d_model + 1)))
-        elif name == "head.b":
-            params[name] = np.zeros(shape, dtype=np.float64)
-        else:
-            fan_in, fan_out = shape
-            params[name] = uniform(shape, math.sqrt(6.0 / (fan_in + fan_out)))
-    return params
+    return {
+        name: rng.uniform(-init, init, size=shape) if isinstance(init, float) else init(shape)
+        for name, shape, init in _tensors(config, vocab_size, config.n_layers)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .checks import check_fields
-from .configs import TrainConfigEnc, TrainConfigLR
+from .configs import TrainConfig, TrainConfigLR
 from .corpus import Label
 from .errors import DimensionMismatch, EmptyData, LengthMismatch, TrainingDiverged
 from .metrics import PROB_CEIL, PROB_FLOOR, TrainReport, decided_macro_f1
@@ -147,7 +147,7 @@ def dataset_loss(
 
 @np.errstate(over="ignore", invalid="ignore")
 def descend(
-    theta: np.ndarray, config: TrainConfigLR | TrainConfigEnc, arm: str,
+    theta: np.ndarray, config: TrainConfig, arm: str,
     shuffled: Callable[[], Sequence[int]], gradient: Callable[[Sequence[int]], np.ndarray],
     train_loss: Callable[[], float],
     dev: tuple[Sequence[Label], Callable[[], Sequence[float]]] | None = None,

@@ -1031,6 +1031,26 @@ class TestAcrossBlasKernels:
         ]
 
 
+class TestDumpOutputs:
+    def test_one_seed_writes_every_output_and_exits_zero(self, tmp_path):
+        """tools/dump_outputs.py, which refactors diff two checkouts with,
+        still runs every workload's pipeline to its outputs."""
+        proc = subprocess.run(
+            [sys.executable, str(README.parent / "tools" / "dump_outputs.py"),
+             "--seeds", "1", "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        arms = {"encoder_synth": ["enc"], "wide_codemixed": ["lr", "enc"]}
+        codes = sorted(tmp_path.glob("*/seed1/*.code"))
+        assert len(codes) == 3 * sum(map(len, arms.values()))
+        assert all(code.read_text() == "0\n" for code in codes)
+        for workload, names in arms.items():
+            for arm in names:
+                for output in ("bundle.json", "preds.tsv", "report.json"):
+                    assert (tmp_path / workload / "seed1" / f"{arm}.{output}").is_file()
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         train = tmp_path / "t.tsv"

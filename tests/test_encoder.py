@@ -11,6 +11,8 @@ are numerical noise; the floored denominator below treats that correctly
 instead of dividing noise by noise.
 """
 import hashlib
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -523,6 +525,15 @@ class TestInitParams:
         assert digest.hexdigest() == (
             "9c477849c433a6ed4be8713ee7a89e832d84092e0c25114bcd1a16bd86a17e20"
         )
+
+    def test_parameter_count_is_the_summed_shapes(self):
+        for (d_model, n_heads), d_ff, max_length, n_layers, vocab_size in itertools.product(
+            [(1, 1), (4, 2), (6, 3), (8, 4)], [1, 5, 16], [1, 8], [1, 2, 3, 4], [4, 37, 512]
+        ):
+            config = enc.EncoderConfig(d_model=d_model, n_heads=n_heads, n_layers=n_layers,
+                                       d_ff=d_ff, max_length=max_length)
+            shapes = enc.parameter_shapes(config, vocab_size).values()
+            assert enc.parameter_count(config, vocab_size) == sum(map(math.prod, shapes))
 
 
 def forward_one_row(params, config, ids, mask):

@@ -664,6 +664,11 @@ HOSTILE_PARAMETERS = {
     "seed edited": lambda doc: doc["run_config"].update(seed=doc["run_config"]["seed"] + 1),
     "a layer added": lambda doc: doc["run_config"]["encoder"].update(
         n_layers=doc["run_config"]["encoder"]["n_layers"] + 1),
+    # 8,000 bits, 16 per layer: a bound of 16 elements a layer let this
+    # build a 500-layer shape table before the length check.
+    "500 layers on a 1,000-byte bitmap": lambda doc: (
+        doc["run_config"]["encoder"].update(n_layers=500),
+        doc["parameters"].update(changed=packed(np.zeros(8000, bool)))),
     "every element stored": _every_element_stored,
     "no element stored": _no_element_stored,
     "values a list": lambda doc: doc["parameters"].update(values=[]),
