@@ -13,12 +13,12 @@ frequencies on load, the LR dimension is the vocabulary size, and the
 tokenizer's pieces are derived from its byte inventory and merge list with
 encoder.derive_pieces, as training derives them. Nor is an encoder
 parameter that training left at its initial value: the ``parameters``
-section stores one bitmap over the flat parameter vector training descends
-on, marking the elements that differ from ``encoder.init_params`` at the
-recorded config and seed, only those values, and one sha256 of the whole
-vector that load checks after rebuilding that init (see
-MicroEncoderPayload). Each float array is one ``{"dtype": "<f8", "shape",
-"base64"}`` object of its little-endian bytes, so load(save(b))
+section stores one bitmap over the model's flat parameter vector, the one
+training descends on, marking the elements that differ from
+``encoder.init_theta`` at the recorded config and seed, only those values,
+and one sha256 of the whole vector that load checks after rebuilding that
+init (see MicroEncoderPayload). Each float array is one ``{"dtype": "<f8",
+"shape", "base64"}`` object of its little-endian bytes, so load(save(b))
 re-serializes to identical bytes.
 The rest is text: the TF-IDF vocabulary as its words and its n-grams' word
 positions (see TfIdfLrPayload), the document frequencies as one string of
@@ -339,13 +339,13 @@ _SHA256 = re.compile(r"[0-9a-f]{64}")
 @dataclass
 class MicroEncoderPayload:
     """The micro-encoder arm, trained (on a dev split too), scored and stored:
-    the subword tokenizer and the encoder's parameters.
+    the subword tokenizer and the encoder model.
 
-    The ``parameters`` section stores the flat vector that training descends
-    on, every tensor laid end to end in ``encoder.parameter_shapes`` order:
+    The ``parameters`` section stores the model's flat vector ``theta``, the
+    one training descends on, its tensors end to end in the table's order:
     ``changed``, the base64 of its little-endian ``np.packbits`` bitmap, one
     bit per element, set where the element's bits differ from
-    ``encoder.init_params`` at the run config's encoder settings and seed;
+    ``encoder.init_theta`` at the run config's encoder settings and seed;
     ``values``, the stored ``<f8`` tensor of the set elements in order; and
     ``sha256``, the digest of the whole vector's ``<f8`` bytes. Parameters a
     training step never touches (embedding rows of pieces no training row
@@ -388,14 +388,11 @@ class MicroEncoderPayload:
         return self.model.config == config.encoder
 
     def to_doc(self, config: RunConfig) -> dict[str, Any]:
-        tokenizer, params = self.tokenizer, self.model.params
+        tokenizer, theta = self.tokenizer, self.model.theta
         byte_pieces = sorted(p for p in tokenizer.pieces if len(p) == 1)
         if enc.derive_pieces(byte_pieces, tokenizer.merges) != list(tokenizer.pieces):
             raise ValueError("the tokenizer's pieces are not the ones its bytes and merges derive")
-        shapes = enc.parameter_shapes(config.encoder, tokenizer.vocab_size)
-        theta = enc._flatten(params, shapes)
-        init = enc._flatten(enc.init_params(config.encoder, tokenizer.vocab_size, config.seed),
-                            shapes)
+        init = enc.init_theta(config.encoder, tokenizer.vocab_size, config.seed)
         changed = _bits(theta) != _bits(init)
         return {
             "tokenizer": {
@@ -428,17 +425,16 @@ class MicroEncoderPayload:
         section = _section(doc, "parameters", ("changed", "values", "sha256"))
         raw = _base64(section["changed"], "parameters changed")
         size = enc.parameter_count(settings, tokenizer.vocab_size)
-        # Checked before any shape table or init is built, so no config,
+        # Checked before the init or the model is built, so no config,
         # however large, allocates more than the stored bitmap describes.
         _require(len(raw) == -(-size // 8),
                  f"parameters changed holds {len(raw)} bytes, expected {-(-size // 8)} "
                  f"for {size} elements")
-        shapes = enc.parameter_shapes(settings, tokenizer.vocab_size)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         _require(not bits[size:].any(), "parameters changed has a pad bit set")
         changed = bits[:size].astype(bool)
         values = decode_tensor(section["values"], (int(changed.sum()),), "parameters values")
-        theta = enc._flatten(enc.init_params(settings, tokenizer.vocab_size, config.seed), shapes)
+        theta = enc.init_theta(settings, tokenizer.vocab_size, config.seed)
         _require(bool((_bits(values) != _bits(theta[changed])).all()),
                  "parameters store a value equal to its initial value")
         theta[changed] = values
@@ -448,8 +444,7 @@ class MicroEncoderPayload:
             f"({np.__version__}) does not draw the seeded initialization the "
             "bundle was written against, or the bundle is corrupt",
         )
-        params = enc._views(theta, shapes)
-        return cls(tokenizer, enc.EncoderModel(params, settings, tokenizer.vocab_size))
+        return cls(tokenizer, enc.EncoderModel(theta, settings, tokenizer.vocab_size))
 
 
 PAYLOADS: dict[str, type[TfIdfLrPayload | MicroEncoderPayload]] = {

@@ -305,14 +305,15 @@ def encode_batch(
 # ---------------------------------------------------------------------------
 
 class EncoderModel:
-    """Parameter tensors plus the architecture they instantiate."""
+    """The flat parameter vector ``theta`` plus the architecture it
+    instantiates. ``params`` holds a view of ``theta`` for every tensor of
+    the table, so a write through either shows in the other."""
 
-    def __init__(
-        self, params: dict[str, np.ndarray], config: EncoderConfig, vocab_size: int
-    ):
-        self.params = params
+    def __init__(self, theta: np.ndarray, config: EncoderConfig, vocab_size: int):
+        self.theta = theta
         self.config = config
         self.vocab_size = vocab_size
+        self.params = _views(theta, parameter_shapes(config, vocab_size))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EncoderModel):
@@ -320,40 +321,38 @@ class EncoderModel:
         return (
             self.config == other.config
             and self.vocab_size == other.vocab_size
-            and self.params.keys() == other.params.keys()
-            and all(
-                np.array_equal(self.params[k], other.params[k]) for k in self.params
-            )
+            and np.array_equal(self.theta, other.theta)
         )
 
 
 def _tensors(config: EncoderConfig, vocab_size: int, n_layers: int):
-    """(name, shape, initializer) of every parameter tensor for ``n_layers``
-    layers, in flat-vector order. The initializer is np.zeros, np.ones or the
-    limit of a seeded uniform draw: 1/sqrt(d) scale for embeddings, Glorot
-    limits for matrices."""
+    """(name, shape, init) of every parameter tensor for ``n_layers`` layers,
+    in flat-vector order. ``init`` is 0.0, 1.0 or the (numerator, fan) of a
+    seeded uniform draw's limit sqrt(numerator / fan): 1/sqrt(d) scale for
+    embeddings, Glorot limits for matrices. Only init_theta divides, so
+    shapes and counts read off the table are integer arithmetic alone."""
     d, f = config.d_model, config.d_ff
-    yield "tok_emb", (vocab_size, d), math.sqrt(3.0 / d)
-    yield "pos_emb", (config.max_length, d), math.sqrt(3.0 / d)
+    yield "tok_emb", (vocab_size, d), (3.0, d)
+    yield "pos_emb", (config.max_length, d), (3.0, d)
     for i in range(n_layers):
         p = f"layer{i}."
         for x in "qkvo":
-            yield p + f"attn.w{x}", (d, d), math.sqrt(6.0 / (d + d))
-            yield p + f"attn.b{x}", (d,), np.zeros
-        yield p + "ln1.gamma", (d,), np.ones
-        yield p + "ln1.beta", (d,), np.zeros
-        yield p + "ffn.w1", (d, f), math.sqrt(6.0 / (d + f))
-        yield p + "ffn.b1", (f,), np.zeros
-        yield p + "ffn.w2", (f, d), math.sqrt(6.0 / (f + d))
-        yield p + "ffn.b2", (d,), np.zeros
-        yield p + "ln2.gamma", (d,), np.ones
-        yield p + "ln2.beta", (d,), np.zeros
-    yield "head.w", (d,), math.sqrt(6.0 / (d + 1))
-    yield "head.b", (), np.zeros
+            yield p + f"attn.w{x}", (d, d), (6.0, d + d)
+            yield p + f"attn.b{x}", (d,), 0.0
+        yield p + "ln1.gamma", (d,), 1.0
+        yield p + "ln1.beta", (d,), 0.0
+        yield p + "ffn.w1", (d, f), (6.0, d + f)
+        yield p + "ffn.b1", (f,), 0.0
+        yield p + "ffn.w2", (f, d), (6.0, f + d)
+        yield p + "ffn.b2", (d,), 0.0
+        yield p + "ln2.gamma", (d,), 1.0
+        yield p + "ln2.beta", (d,), 0.0
+    yield "head.w", (d,), (6.0, d + 1)
+    yield "head.b", (), 0.0
 
 
 def parameter_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple]:
-    """Declared shape of every parameter tensor, in serialization order."""
+    """Declared shape of every parameter tensor, in flat-vector order."""
     return {name: shape for name, shape, _ in _tensors(config, vocab_size, config.n_layers)}
 
 
@@ -365,16 +364,36 @@ def parameter_count(config: EncoderConfig, vocab_size: int) -> int:
     return bare + config.n_layers * (one - bare)
 
 
-def init_params(
-    config: EncoderConfig, vocab_size: int, seed: int
-) -> dict[str, np.ndarray]:
-    """Every tensor of the table from its initializer, drawn in table order
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """A view of ``flat`` for every named shape, laid end to end in order."""
+    views: dict[str, np.ndarray] = {}
+    start = 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
+def init_theta(config: EncoderConfig, vocab_size: int, seed: int) -> np.ndarray:
+    """The flat parameter vector at initialization: each tensor of the table
+    written into its stretch, uniform ones drawn (in C order) in table order
     from one generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
-    return {
-        name: rng.uniform(-init, init, size=shape) if isinstance(init, float) else init(shape)
-        for name, shape, init in _tensors(config, vocab_size, config.n_layers)
-    }
+    theta = np.empty(parameter_count(config, vocab_size))
+    end = 0
+    for _, shape, init in _tensors(config, vocab_size, config.n_layers):
+        start, end = end, end + math.prod(shape)
+        if isinstance(init, tuple):
+            limit = math.sqrt(init[0] / init[1])
+            init = rng.uniform(-limit, limit, size=end - start)
+        theta[start:end] = init
+    return theta
+
+
+def init_params(config: EncoderConfig, vocab_size: int, seed: int) -> dict[str, np.ndarray]:
+    """init_theta as a view of every tensor, by name."""
+    return _views(init_theta(config, vocab_size, seed), parameter_shapes(config, vocab_size))
 
 
 # ---------------------------------------------------------------------------
@@ -732,24 +751,6 @@ def predict_probs(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> np.
 # Training
 # ---------------------------------------------------------------------------
 
-def _flatten(params: dict[str, np.ndarray], shapes: dict[str, tuple]) -> np.ndarray:
-    """Every tensor of ``params`` laid end to end in ``shapes``' order, as one
-    new vector: the layout _views splits."""
-    return np.concatenate([params[name].ravel() for name in shapes])
-
-
-def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """A view of ``flat`` for every named shape, laid end to end in order:
-    the inverse of _flatten."""
-    views: dict[str, np.ndarray] = {}
-    start = 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        views[name] = flat[start : start + size].reshape(shape)
-        start += size
-    return views
-
-
 def train_encoder(
     train: Sequence[tuple[str, Label]],
     dev: Sequence[tuple[str, Label]],
@@ -773,14 +774,13 @@ def train_encoder(
     dev_ids, dev_mask = encode_batch(tokenizer, [t for t, _ in dev], max_length)
 
     rng = np.random.default_rng(seed)
-    # Parameters and gradients are views into one flat vector each, so a step
-    # zero-fills and updates every tensor with one array operation.
-    shapes = parameter_shapes(enc_config, tokenizer.vocab_size)
-    theta = _flatten(init_params(enc_config, tokenizer.vocab_size, seed), shapes)
-    params = _views(theta, shapes)
-    flat_grads = np.empty_like(theta)
-    grads = _views(flat_grads, shapes)
-    model = EncoderModel(params, enc_config, tokenizer.vocab_size)
+    vocab_size = tokenizer.vocab_size
+    model = EncoderModel(init_theta(enc_config, vocab_size, seed), enc_config, vocab_size)
+    # The gradients are views into one flat vector too, so a step zero-fills
+    # and updates every tensor with one array operation.
+    params = model.params
+    flat_grads = np.empty_like(model.theta)
+    grads = _views(flat_grads, parameter_shapes(enc_config, vocab_size))
 
     def gradient(pick: np.ndarray) -> np.ndarray:
         ids, mask = trim_padding(train_ids[pick], train_mask[pick])
@@ -790,7 +790,7 @@ def train_encoder(
         return flat_grads
 
     report = descend(
-        theta, train_config, "encoder", lambda: rng.permutation(len(train)), gradient,
+        model.theta, train_config, "encoder", lambda: rng.permutation(len(train)), gradient,
         lambda: batch_loss(predict_probs(model, train_ids, train_mask), train_labels),
         ([label for _, label in dev], lambda: predict_probs(model, dev_ids, dev_mask)),
     )

@@ -225,9 +225,9 @@ class TestRoundTrip:
         tokenizer = enc.train_subword(["", "  "], vocab_size=8)
         assert tokenizer.pieces == () and tokenizer.merges == ()
         config = encoder_bundle.config
-        params = enc.init_params(config.encoder, tokenizer.vocab_size, seed=1)
+        theta = enc.init_theta(config.encoder, tokenizer.vocab_size, seed=1)
         bundle = replace(encoder_bundle, payload=bd.MicroEncoderPayload(
-            tokenizer, enc.EncoderModel(params, config.encoder, tokenizer.vocab_size)
+            tokenizer, enc.EncoderModel(theta, config.encoder, tokenizer.vocab_size)
         ))
         raw = bd.serialize_bundle(bundle)
         assert json.loads(raw)["tokenizer"] == {"bytes": "", "merges": ""}
@@ -454,6 +454,17 @@ class TestRejection:
         with pytest.raises(BundleInconsistentError, match="parameters changed holds"):
             bd.deserialize_bundle(raw)
 
+    @pytest.mark.parametrize("d_model", [10**30, 10**400], ids=["10**30", "10**400"])
+    def test_d_model_past_float_range_names_the_bitmap(self, encoder_bundle, d_model):
+        # The size check reads the tensor table with integer arithmetic
+        # alone, so a width no float holds fails it like any other.
+        def huge(d):
+            d["run_config"]["encoder"].update(d_model=d_model, n_heads=1)
+
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), huge)
+        with pytest.raises(BundleInconsistentError, match="parameters changed holds"):
+            bd.deserialize_bundle(raw)
+
     def test_merge_operand_that_is_not_yet_a_piece(self, encoder_bundle):
         def byte_ff(d):
             d["tokenizer"]["merges"] += " ff.ff"
@@ -511,9 +522,11 @@ def _changed_mask(section: dict, size: int) -> np.ndarray:
 
 
 def _with_params(encoder_bundle, params: dict) -> bd.ModelBundle:
+    # The tensors laid end to end in the order init_params names them.
     config, tokenizer = encoder_bundle.config, encoder_bundle.payload.tokenizer
+    theta = np.concatenate([array.ravel() for array in params.values()])
     return replace(encoder_bundle, payload=bd.MicroEncoderPayload(
-        tokenizer, enc.EncoderModel(params, config.encoder, tokenizer.vocab_size)
+        tokenizer, enc.EncoderModel(theta, config.encoder, tokenizer.vocab_size)
     ))
 
 
@@ -616,8 +629,8 @@ class TestEncoderParameters:
 
     def test_init_this_numpy_does_not_draw_is_named(self, encoder_bundle, monkeypatch):
         raw = bd.serialize_bundle(encoder_bundle)
-        drawn = enc.init_params
-        monkeypatch.setattr(enc, "init_params", lambda c, v, seed: drawn(c, v, seed + 1))
+        drawn = enc.init_theta
+        monkeypatch.setattr(enc, "init_theta", lambda c, v, seed: drawn(c, v, seed + 1))
         with pytest.raises(BundleInconsistentError,
                            match=r"numpy \(.*\) does not draw the seeded initialization"):
             bd.deserialize_bundle(raw)

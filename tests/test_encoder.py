@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,8 +457,8 @@ class TestDerivedPieces:
     def test_bundle_refuses_the_hand_built_tokenizer(self):
         # Its first merge reads "ab" before any merge made it, and it has no
         # piece for "ba": no byte inventory and merge list derive its pieces.
-        params = enc.init_params(MICRO_CONFIG, HAND_BUILT.vocab_size, seed=0)
-        model = enc.EncoderModel(params, MICRO_CONFIG, HAND_BUILT.vocab_size)
+        theta = enc.init_theta(MICRO_CONFIG, HAND_BUILT.vocab_size, seed=0)
+        model = enc.EncoderModel(theta, MICRO_CONFIG, HAND_BUILT.vocab_size)
         with pytest.raises(ValueError, match="not yet a piece"):
             bd.MicroEncoderPayload(HAND_BUILT, model).to_doc(
                 RunConfig(model_kind=MICRO_ENCODER, encoder=MICRO_CONFIG)
@@ -534,6 +535,46 @@ class TestInitParams:
                                        d_ff=d_ff, max_length=max_length)
             shapes = enc.parameter_shapes(config, vocab_size).values()
             assert enc.parameter_count(config, vocab_size) == sum(map(math.prod, shapes))
+
+
+class TestFlatModel:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_params_are_views_of_theta(self, n_layers):
+        config = replace(TWO_LAYER_CONFIG, n_layers=n_layers)
+        model = enc.EncoderModel(enc.init_theta(config, 40, seed=n_layers), config, 40)
+        assert list(model.params) == list(enc.parameter_shapes(config, 40))
+        start = 0
+        for name, view in model.params.items():
+            assert view.shape == enc.parameter_shapes(config, 40)[name]
+            view.reshape(-1)[-1] = 7.5
+            assert model.theta[start + view.size - 1] == 7.5
+            model.theta[start] = -3.25
+            assert view.reshape(-1)[0] == -3.25
+            start += view.size
+        assert start == model.theta.size == enc.parameter_count(config, 40)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_init_params_splits_init_theta(self, n_layers):
+        config = replace(TWO_LAYER_CONFIG, n_layers=n_layers)
+        theta = enc.init_theta(config, 40, seed=n_layers)
+        params = enc.init_params(config, 40, seed=n_layers)
+        shapes = enc.parameter_shapes(config, 40)
+        assert list(params) == list(shapes)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        pieces = np.split(theta, np.cumsum(sizes)[:-1])
+        for (name, shape), piece in zip(shapes.items(), pieces):
+            assert params[name].tobytes() == piece.reshape(shape).tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_one_element_apart_is_unequal(self, n_layers):
+        config = replace(TWO_LAYER_CONFIG, n_layers=n_layers)
+        theta = enc.init_theta(config, 40, seed=n_layers)
+        model = enc.EncoderModel(theta, config, 40)
+        assert model == enc.EncoderModel(theta.copy(), config, 40)
+        for index in (0, theta.size // 2, theta.size - 1):
+            moved = theta.copy()
+            moved[index] += 1.0
+            assert model != enc.EncoderModel(moved, config, 40)
 
 
 def forward_one_row(params, config, ids, mask):
@@ -1085,8 +1126,9 @@ class TestClsOnlyLastLayer:
 class TestBlockedPrediction:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
     def test_blocks_match_one_forward_call(self, toy_tokenizer, n):
-        params = enc.init_params(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=8)
-        model = enc.EncoderModel(params, WIDE_CONFIG, toy_tokenizer.vocab_size)
+        theta = enc.init_theta(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=8)
+        model = enc.EncoderModel(theta, WIDE_CONFIG, toy_tokenizer.vocab_size)
+        params = model.params
         ids, mask, _ = mixed_length_batch(
             toy_tokenizer.vocab_size, n, WIDE_CONFIG.max_length, seed=n
         )
@@ -1096,8 +1138,8 @@ class TestBlockedPrediction:
         np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
 
     def test_no_rows_gives_no_probabilities(self, toy_tokenizer):
-        params = enc.init_params(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=8)
-        model = enc.EncoderModel(params, WIDE_CONFIG, toy_tokenizer.vocab_size)
+        theta = enc.init_theta(WIDE_CONFIG, toy_tokenizer.vocab_size, seed=8)
+        model = enc.EncoderModel(theta, WIDE_CONFIG, toy_tokenizer.vocab_size)
         width = WIDE_CONFIG.max_length
         probs = enc.predict_probs(
             model, np.zeros((0, width), dtype=np.int64), np.zeros((0, width))
@@ -1120,9 +1162,10 @@ def reference_train_encoder(train, dev, tokenizer, enc_config, train_config, see
     dev_gold = [label for _, label in dev]
 
     rng = np.random.default_rng(seed)
-    params = enc.init_params(enc_config, tokenizer.vocab_size, seed)
+    theta = enc.init_theta(enc_config, tokenizer.vocab_size, seed)
     report = TrainReport()
-    model = enc.EncoderModel(params, enc_config, tokenizer.vocab_size)
+    model = enc.EncoderModel(theta, enc_config, tokenizer.vocab_size)
+    params = model.params
     for _ in range(train_config.epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(order), train_config.batch_size):
