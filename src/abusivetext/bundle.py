@@ -18,8 +18,7 @@ training descends on, marking the elements that differ from
 ``encoder.init_theta`` at the recorded config and seed, only those values,
 and one sha256 of the whole vector that load checks after rebuilding that
 init (see MicroEncoderPayload). Each float array is one ``{"dtype": "<f8",
-"shape", "base64"}`` object of its little-endian bytes, so load(save(b))
-re-serializes to identical bytes.
+"shape", "base64"}`` object of its little-endian bytes.
 The rest is text: the TF-IDF vocabulary as its words and its n-grams' word
 positions (see TfIdfLrPayload), the document frequencies as one string of
 space-joined decimals, and the tokenizer as ``bytes`` (the single-byte
@@ -29,6 +28,10 @@ arm configs hold none. ``training_report`` has one layout for both arms
 (per-epoch train losses and dev macro-F1, the latter empty for an LR run
 without dev) and no payload reads it. Version mismatches are rejected
 outright, never migrated: they end in BundleVersionError.
+Load accepts exactly what save writes: it decodes the document, builds the
+bundle, and requires the writer's own encoding of that bundle to be the
+document it read (see deserialize_bundle). So a loaded bundle re-serializes
+to its own bytes, and no rule per field restates the writer's layout.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import re
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Iterator, Sequence
+from typing import Any, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -54,8 +57,6 @@ from .metrics import TrainReport
 from .vectorizer import NGRAM_SEPARATOR, Rows, TfIdfModel, transform_rows
 
 FORMAT_VERSION = 10
-# Top-level keys of every bundle; each payload adds its own SECTIONS.
-_BUNDLE_KEYS = ("format_version", "run_config", "training_report", "provenance")
 # The keys of the recorded run config.
 _RUN_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in PATH_KEYS)
 Split = Sequence[tuple[str, Label]]  # (cleaned text, label) pairs, as train takes them
@@ -71,34 +72,10 @@ def _require(condition: bool, message: str) -> None:
         raise BundleInconsistentError(message)
 
 
-def _require_keys(obj: dict, keys: Iterable[str], what: str) -> None:
-    """obj holds exactly the keys the writer writes: a key load would not
-    read is rejected, not dropped by the next save."""
-    expected = set(keys)
-    extra, missing = sorted(obj.keys() - expected), sorted(expected - obj.keys())
-    _require(not extra and not missing, f"{what} has unexpected keys {extra}, missing {missing}")
-
-
-def _section(doc: dict, key: str, keys: Iterable[str], where: str = "bundle") -> dict:
+def _section(doc: dict, key: str) -> dict:
     value = doc.get(key)
-    _require(isinstance(value, dict), f"{where} section {key!r} must be an object")
-    _require_keys(value, keys, f"{where} section {key!r}")
+    _require(isinstance(value, dict), f"bundle section {key!r} must be an object")
     return value
-
-
-def _record(cls: type, doc: dict, key: str) -> Any:
-    """The dataclass ``cls`` built from section doc[key], which asdict wrote."""
-    return cls(**_section(doc, key, [f.name for f in fields(cls)]))
-
-
-def _run_config(doc: dict) -> RunConfig:
-    """The recorded run config. It and each nested config hold exactly the
-    keys the writer writes, so no setting is a default filled in on load;
-    the config classes check the values."""
-    raw = _section(doc, "run_config", _RUN_CONFIG_KEYS)
-    for key, cls in RunConfig._NESTED.items():
-        _section(raw, key, [f.name for f in fields(cls)], where="run_config")
-    return RunConfig.from_dict(raw)
 
 
 def encode_tensor(values: Any) -> dict[str, Any]:
@@ -167,20 +144,10 @@ def _text(value: Any, pattern: re.Pattern, what: str) -> str:
     return value
 
 
-def _ascending(items: list[str]) -> bool:
-    return all(map(str.__lt__, items, items[1:]))
-
-
 def _words(value: Any, what: str) -> list[str]:
-    """The words of a stored word list: one string of words joined by single
-    spaces, strictly ascending, none holding the n-gram separator."""
+    """The words of a stored word list: one string of space-joined words."""
     _require(isinstance(value, str), f"{what} must be one string")
-    words = value.split()
-    # Also rejects empty words and any whitespace but single spaces.
-    _require(" ".join(words) == value, f"{what} must be joined by single spaces")
-    _require(NGRAM_SEPARATOR not in value, f"{what} must not hold the n-gram separator")
-    _require(_ascending(words), f"{what} must be strictly ascending")
-    return words
+    return value.split()
 
 
 def _split(ngrams: list[str]) -> Iterator[list[str]]:
@@ -191,37 +158,23 @@ def _split(ngrams: list[str]) -> Iterator[list[str]]:
 
 def _ngrams(value: Any, unigrams: list[str], inner_words: list[str]) -> list[str]:
     """The joined n-grams that the stored word positions spell, in stored
-    order. Raises BundleInconsistentError unless value is the one list of
-    position strings the writer writes for them."""
+    order. Raises BundleInconsistentError for a value that is not a list of
+    position strings, or that names a position past the word table;
+    np.stack raises ValueError for strings of unequal length."""
     _require(isinstance(value, list) and all(isinstance(text, str) for text in value),
              "vectorizer ngrams must be a list of strings")
     if not value:
         return []
-    _require(len(value) > 1, "vectorizer ngrams cannot be one word position")
-    columns = [
+    positions = np.stack([
         np.fromstring(_text(text, _POSITIONS, "vectorizer ngrams"), np.int64, sep=" ")
         for text in value
-    ]
-    _require(len({len(column) for column in columns}) == 1,
-             "vectorizer ngrams strings differ in length")
-    positions = np.stack(columns)
+    ])
     table = ["", *unigrams, *inner_words]
     _require(int(positions.max(initial=0)) < len(table),
              "vectorizer ngrams hold a position past the word table")
-    _require(bool(positions[:2].all()), "every n-gram has at least two words")
-    _require(not ((positions[:-1] == 0) & (positions[1:] != 0)).any(),
-             "an n-gram has a word after its end")
-    _require(bool(positions[-1].any()), "no n-gram has a word in the last position")
-    _require(set(unigrams).isdisjoint(inner_words), "an inner word is also a unigram")
-    uses = np.bincount(positions.ravel(), minlength=len(table))
-    _require(bool(uses[1 + len(unigrams):].all()), "an inner word is used by no n-gram")
-    # Position 0 reads as the empty word: its separators trail, and the
-    # words themselves hold no separator to strip.
+    # Position 0 reads as the empty word, whose separators trail.
     words = [list(map(table.__getitem__, row)) for row in positions.tolist()]
-    joined = list(map(str.rstrip, map(NGRAM_SEPARATOR.join, zip(*words)),
-                      repeat(NGRAM_SEPARATOR)))
-    _require(_ascending(joined), "vectorizer n-grams must be strictly ascending")
-    return joined
+    return list(map(str.rstrip, map(NGRAM_SEPARATOR.join, zip(*words)), repeat(NGRAM_SEPARATOR)))
 
 
 @dataclass
@@ -236,12 +189,13 @@ class TfIdfLrPayload:
     position, in unigrams then inner_words, of the k-th word of the j-th
     n-gram (in ascending joined-string order), or 0 past that n-gram's end.
     There are as many strings as the longest n-gram has words, none when
-    there is no n-gram. Load spells each n-gram out and merges the two
-    ascending runs into the token list; anything the writer would not have
-    written for that vocabulary is BundleInconsistentError."""
+    there is no n-gram. Load spells each n-gram out and sorts unigrams and
+    n-grams into the token list. It checks only what decoding needs (text
+    forms, the position bound, the df count, ngram_max); deserialize_bundle's
+    re-encode refuses any other layout the writer would not have written for
+    that vocabulary."""
 
     KIND: ClassVar[str] = TFIDF_LR
-    SECTIONS: ClassVar[tuple[str, ...]] = ("vectorizer", "linear")
 
     tfidf: TfIdfModel
     linear: LinearModel
@@ -293,9 +247,7 @@ class TfIdfLrPayload:
 
     @classmethod
     def from_doc(cls, doc: dict, config: RunConfig) -> "TfIdfLrPayload":
-        vec = _section(doc, "vectorizer", (
-            "n_documents", "unigrams", "inner_words", "ngrams", "document_frequency",
-        ))
+        vec = _section(doc, "vectorizer")
         unigrams = _words(vec["unigrams"], "vectorizer unigrams")
         inner_words = _words(vec["inner_words"], "vectorizer inner_words")
         # Two ascending runs: the sort merges them in one linear pass.
@@ -314,7 +266,7 @@ class TfIdfLrPayload:
             n_documents=vec["n_documents"],
             config=config.tfidf,
         )
-        lin = _section(doc, "linear", ("weights", "bias"))
+        lin = _section(doc, "linear")
         linear = LinearModel(
             weights=decode_tensor(lin["weights"], (tfidf.dimension,), "linear weights"),
             bias=lin["bias"],
@@ -333,9 +285,6 @@ def _digest(theta: np.ndarray) -> str:
     return hashlib.sha256(_bits(theta).tobytes()).hexdigest()
 
 
-_SHA256 = re.compile(r"[0-9a-f]{64}")
-
-
 @dataclass
 class MicroEncoderPayload:
     """The micro-encoder arm, trained (on a dev split too), scored and stored:
@@ -351,12 +300,14 @@ class MicroEncoderPayload:
     training step never touches (embedding rows of pieces no training row
     holds, positions past the longest batch, the weights of dead ReLU units)
     keep their seeded values bit for bit, so none of them is stored. Load
-    rebuilds that init, writes the values over it and checks the digest,
-    which fails if this numpy does not draw the seeded init the writer
-    drew."""
+    checks the bitmap's length against the recorded config before any init
+    is built, rebuilds that init, writes the values over it and checks the
+    digest, which fails if this numpy does not draw the seeded init the
+    writer drew. A bitmap the writer would not write for the loaded vector
+    (a pad bit set, a value marked changed that equals its init) is left to
+    deserialize_bundle's re-encode."""
 
     KIND: ClassVar[str] = MICRO_ENCODER
-    SECTIONS: ClassVar[tuple[str, ...]] = ("tokenizer", "parameters")
 
     tokenizer: enc.SubwordTokenizer
     model: enc.EncoderModel
@@ -410,10 +361,8 @@ class MicroEncoderPayload:
 
     @classmethod
     def from_doc(cls, doc: dict, config: RunConfig) -> "MicroEncoderPayload":
-        tok = _section(doc, "tokenizer", ("bytes", "merges"))
+        tok = _section(doc, "tokenizer")
         inventory = bytes.fromhex(_text(tok["bytes"], _HEX_BYTES, "tokenizer bytes"))
-        _require(all(a < b for a, b in zip(inventory, inventory[1:])),
-                 "tokenizer bytes must be strictly ascending")
         merges = [
             tuple(map(bytes.fromhex, pair.split(".")))
             for pair in _text(tok["merges"], _HEX_PAIRS, "tokenizer merges").split()
@@ -422,7 +371,7 @@ class MicroEncoderPayload:
         pieces = enc.derive_pieces([bytes([b]) for b in inventory], merges)
         tokenizer = enc.SubwordTokenizer(pieces=pieces, merges=merges)
         settings = config.encoder
-        section = _section(doc, "parameters", ("changed", "values", "sha256"))
+        section = _section(doc, "parameters")
         raw = _base64(section["changed"], "parameters changed")
         size = enc.parameter_count(settings, tokenizer.vocab_size)
         # Checked before the init or the model is built, so no config,
@@ -430,16 +379,14 @@ class MicroEncoderPayload:
         _require(len(raw) == -(-size // 8),
                  f"parameters changed holds {len(raw)} bytes, expected {-(-size // 8)} "
                  f"for {size} elements")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        _require(not bits[size:].any(), "parameters changed has a pad bit set")
-        changed = bits[:size].astype(bool)
+        changed = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little"
+        ).astype(bool)
         values = decode_tensor(section["values"], (int(changed.sum()),), "parameters values")
         theta = enc.init_theta(settings, tokenizer.vocab_size, config.seed)
-        _require(bool((_bits(values) != _bits(theta[changed])).all()),
-                 "parameters store a value equal to its initial value")
         theta[changed] = values
         _require(
-            _text(section["sha256"], _SHA256, "parameters sha256") == _digest(theta),
+            section["sha256"] == _digest(theta),
             "parameters do not match their sha256: either this numpy "
             f"({np.__version__}) does not draw the seeded initialization the "
             "bundle was written against, or the bundle is corrupt",
@@ -521,21 +468,23 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
 
 
 def deserialize_bundle(data: bytes) -> ModelBundle:
-    """Parse and validate a bundle document.
+    """Parse, build and check a bundle document.
 
     Raises BundleVersionError for any format_version other than the current
     one, and BundleInconsistentError for anything else the document gets
-    wrong: bytes that are not JSON (nesting too deep and integer literals
-    too long included), a run_config that is not one the writer writes or
-    that its config classes reject, a section that is not an object, a key
-    the writer does not write or a missing one, or payload pieces that do
-    not agree with each other or with the config (wrong array lengths, a
-    bitmap of the wrong length or with pad bits set, a value count that is
-    not the bits set, stored tensors that do not decode, a
-    stored parameter equal to its initial value, parameters that do not
-    match their digest, text fields not in their stored form, n-gram
-    positions that are not the ones the writer writes or longer than
-    ngram_max, a merge operand that is not yet a piece).
+    wrong. Decoding refuses bytes that are not JSON (nesting too deep and
+    integer literals too long included), a section that is not an object, a
+    missing key, values that the config, model and payload classes reject,
+    text fields not in their stored form, tensors that do not decode, and
+    payload pieces that do not fit each other or the config (a df count or
+    bitmap length that does not fit, a position past the word table,
+    n-grams longer than ngram_max, a merge operand that is not yet a piece,
+    parameters that do not match their digest). Then the writer's own code
+    encodes the loaded bundle again: a document other than the one read (a
+    stray key, a default filled in, any layout the writer never writes) is
+    BundleInconsistentError, and so is any error that encoding raises. The
+    documents are compared, not their bytes, so the same document with its
+    keys reordered or indented otherwise loads.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -553,15 +502,22 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
             f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
         )
     try:
-        config = _run_config(doc)
-        payload_class = PAYLOADS[config.model_kind]
-        _require_keys(doc, _BUNDLE_KEYS + payload_class.SECTIONS, "bundle")
-        return ModelBundle(
+        config = RunConfig.from_dict(_section(doc, "run_config"))
+        bundle = ModelBundle(
             config=config,
-            payload=payload_class.from_doc(doc, config),
-            report=_record(TrainReport, doc, "training_report"),
-            provenance=_record(Provenance, doc, "provenance"),
+            payload=PAYLOADS[config.model_kind].from_doc(doc, config),
+            report=TrainReport(**_section(doc, "training_report")),
+            provenance=Provenance(**_section(doc, "provenance")),
         )
+        # The one layout check: the writer, given the loaded bundle, writes
+        # back the document that was read.
+        written = _bundle_doc(bundle)
+        if written != doc:
+            differ = sorted(k for k in written.keys() | doc.keys() if written.get(k) != doc.get(k))
+            raise BundleInconsistentError(
+                f"bundle sections {differ} are not what save writes for the model they load"
+            )
+        return bundle
     except BundleInconsistentError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -378,9 +378,18 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
 def init_theta(config: EncoderConfig, vocab_size: int, seed: int) -> np.ndarray:
     """The flat parameter vector at initialization: each tensor of the table
     written into its stretch, uniform ones drawn (in C order) in table order
-    from one generator seeded with ``seed``."""
+    from one generator seeded with ``seed``. Raises ValueError naming the
+    sizes when no array can hold the vector."""
     rng = np.random.default_rng(seed)
-    theta = np.empty(parameter_count(config, vocab_size))
+    try:
+        theta = np.empty(parameter_count(config, vocab_size))
+    # The count is left out of the message: past 4,300 digits str() raises.
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(
+            f"no array holds the encoder's parameters at d_model {config.d_model}, "
+            f"d_ff {config.d_ff}, n_layers {config.n_layers} and max_length "
+            f"{config.max_length}: {exc}"
+        ) from exc
     end = 0
     for _, shape, init in _tensors(config, vocab_size, config.n_layers):
         start, end = end, end + math.prod(shape)

@@ -536,6 +536,16 @@ class TestInitParams:
             shapes = enc.parameter_shapes(config, vocab_size).values()
             assert enc.parameter_count(config, vocab_size) == sum(map(math.prod, shapes))
 
+    @pytest.mark.parametrize("d_model", [10**12, 10**30, 10**400],
+                             ids=["10**12", "10**30", "10**400"])
+    def test_width_no_array_holds_is_named(self, d_model):
+        # numpy alone says "Maximum allowed dimension exceeded", which names
+        # no setting; the count itself is not printed (10**800 and more).
+        config = enc.EncoderConfig(d_model=d_model, n_heads=1, n_layers=1, d_ff=4,
+                                   max_length=8)
+        with pytest.raises(ValueError, match=rf"^no array holds .* d_model {d_model}, "):
+            enc.init_theta(config, 40, seed=0)
+
 
 class TestFlatModel:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])

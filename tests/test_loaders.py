@@ -20,6 +20,7 @@ from abusivetext import bundle as bd
 from abusivetext import cli
 from abusivetext import encoder as enc
 from abusivetext import vectorizer
+from abusivetext.errors import BundleInconsistentError
 
 ERROR_RE = re.compile(r"ERROR ([A-Z_]+): ")
 TEST_ROWS = "id\ttext\na\tgrawk video\nb\tmelith song\nc\tthe the the\n"
@@ -132,6 +133,22 @@ HOSTILE = st.one_of(
     st.sampled_from([10**12, 10**30, 10**400]),
 )
 BUNDLE_CODES = {"BUNDLE_VERSION": 4, "BUNDLE_INCONSISTENT": 5}
+# Characters that the stored text forms use or come close to: separators,
+# digits, hex, the merge dot, a sign and the n-gram separator.
+EDIT_CHARS = st.sampled_from([" ", "\t", "0", "1", "a", "f", ".", "+", SEP])
+
+
+def string_paths(node, prefix=()):
+    """The path to every string value in a JSON document."""
+    if isinstance(node, str):
+        return [prefix]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [path for key, value in items for path in string_paths(value, prefix + (key,))]
 
 
 def guarded_shapes(config, vocab_size, shapes=enc.parameter_shapes):
@@ -739,6 +756,39 @@ class TestHostileBundles:
         path = data.draw(st.sampled_from(paths_of(doc)), label="path")
         code, errors = predict_with(work, with_value(doc, path, data.draw(HOSTILE)))
         assert_outcome(code, errors, BUNDLE_CODES)
+
+    @pytest.mark.parametrize("arm", ["lr", "lr3", "enc"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_character_edit_loads_as_itself_or_is_inconsistent(self, work, arm, data):
+        # Load accepts exactly what save writes: an edited document either
+        # fails to load, or loads a bundle that save writes back as it.
+        doc = json.loads((work / f"{arm}.bundle.json").read_text())
+        path = data.draw(st.sampled_from(string_paths(doc)), label="path")
+        text = doc
+        for key in path:
+            text = text[key]
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"] if text else ["insert"]),
+                       label="op")
+        at = data.draw(st.integers(0, len(text) - (op != "insert")), label="at")
+        char = "" if op == "delete" else data.draw(EDIT_CHARS, label="char")
+        doc = with_value(doc, path, text[:at] + char + text[at + (op != "insert"):])
+        try:
+            loaded = bd.deserialize_bundle(json.dumps(doc).encode())
+        except BundleInconsistentError:
+            return
+        assert json.loads(bd.serialize_bundle(loaded)) == doc
+
+    @pytest.mark.parametrize("arm", ["lr3", "encm"])
+    def test_same_document_in_other_bytes_predicts_the_same(self, work, tmp_path, arm):
+        # Load compares documents, not bytes: keys sorted and no indent.
+        written, redumped = work / f"{arm}.bundle.json", tmp_path / "m.json"
+        redumped.write_text(json.dumps(json.loads(written.read_text()), sort_keys=True))
+        assert redumped.read_bytes() != written.read_bytes()
+        for name, model in (("redumped", redumped), ("written", written)):
+            assert run_cli("predict", "--model", str(model), "--input",
+                           str(work / "input.tsv"), "--out", str(tmp_path / name)) == (0, [])
+        assert (tmp_path / "redumped").read_bytes() == (tmp_path / "written").read_bytes()
 
     @pytest.mark.parametrize("arm, path, value", [
         ("enc", ("tokenizer",), None),
