@@ -19,9 +19,11 @@ training descends on, marking the elements that differ from
 and one sha256 of the whole vector that load checks after rebuilding that
 init (see MicroEncoderPayload). Each float array is one ``{"dtype": "<f8",
 "shape", "base64"}`` object of its little-endian bytes.
-The rest is text: the TF-IDF vocabulary as its words and its n-grams' word
-positions (see TfIdfLrPayload), the document frequencies as one string of
-space-joined decimals, and the tokenizer as ``bytes`` (the single-byte
+The rest is text: the TF-IDF vocabulary in the one word-id form that
+vectorizer.TfIdfModel holds and checks, its words space-joined and its
+n-gram word positions and document frequencies as space-joined decimals (see
+TfIdfLrPayload), so that save formats integers and load parses them, neither
+splitting an n-gram; and the tokenizer as ``bytes`` (the single-byte
 pieces, ascending, in hex) and ``merges`` (``left.right`` hex pairs in rank
 order, space-joined). The recorded config holds the run's one seed; the
 arm configs hold none. ``training_report`` has one layout for both arms
@@ -40,10 +42,9 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, ClassVar, Iterator, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .corpus import Label
 from .errors import BundleInconsistentError, BundleVersionError, DevRequiredError
 from .linear import LinearModel, predict_probas, train_lr
 from .metrics import TrainReport
-from .vectorizer import NGRAM_SEPARATOR, Rows, TfIdfModel, transform_rows
+from .vectorizer import Rows, TfIdfModel, transform_rows
 
 FORMAT_VERSION = 10
 # The keys of the recorded run config.
@@ -132,6 +133,7 @@ _DECIMALS = re.compile(r"(?:[1-9][0-9]{0,17}(?: [1-9][0-9]{0,17})*)?")
 # Word positions: decimals as above, and 0 for "no word".
 _POSITIONS = re.compile(r"(?:(?:0|[1-9][0-9]{0,17})(?: (?:0|[1-9][0-9]{0,17}))*)?")
 _HEX_BYTES = re.compile(r"(?:[0-9a-f]{2})*")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 _HEX_PAIRS = re.compile(
     r"(?:(?:[0-9a-f]{2})+\.(?:[0-9a-f]{2})+(?: (?:[0-9a-f]{2})+\.(?:[0-9a-f]{2})+)*)?"
 )
@@ -150,50 +152,36 @@ def _words(value: Any, what: str) -> list[str]:
     return value.split()
 
 
-def _split(ngrams: list[str]) -> Iterator[list[str]]:
-    """The words of each n-gram, split anew on every call, so that no list
-    of all the split n-grams is ever held."""
-    return map(str.split, ngrams, repeat(NGRAM_SEPARATOR))
-
-
-def _ngrams(value: Any, unigrams: list[str], inner_words: list[str]) -> list[str]:
-    """The joined n-grams that the stored word positions spell, in stored
-    order. Raises BundleInconsistentError for a value that is not a list of
-    position strings, or that names a position past the word table;
-    np.stack raises ValueError for strings of unequal length."""
+def _positions(value: Any) -> np.ndarray:
+    """The stored n-gram position strings as one int64 array, a row per
+    string. Raises BundleInconsistentError for a value that is not a list of
+    position strings; np.stack raises ValueError for strings of unequal
+    length. TfIdfModel checks what the positions spell."""
     _require(isinstance(value, list) and all(isinstance(text, str) for text in value),
              "vectorizer ngrams must be a list of strings")
     if not value:
-        return []
-    positions = np.stack([
+        return np.zeros((0, 0), dtype=np.int64)
+    return np.stack([
         np.fromstring(_text(text, _POSITIONS, "vectorizer ngrams"), np.int64, sep=" ")
         for text in value
     ])
-    table = ["", *unigrams, *inner_words]
-    _require(int(positions.max(initial=0)) < len(table),
-             "vectorizer ngrams hold a position past the word table")
-    # Position 0 reads as the empty word, whose separators trail.
-    words = [list(map(table.__getitem__, row)) for row in positions.tolist()]
-    return list(map(str.rstrip, map(NGRAM_SEPARATOR.join, zip(*words)), repeat(NGRAM_SEPARATOR)))
 
 
 @dataclass
 class TfIdfLrPayload:
     """The TF-IDF + LR arm, trained, scored and stored: the vectorizer and LR.
 
-    The ``vectorizer`` section stores the vocabulary as words and positions:
-    ``unigrams``, the one-word tokens, and ``inner_words``, the words that
-    occur only inside kept n-grams (a max_vocab cut can drop a word and keep
-    an n-gram using it), each strictly ascending and single-space joined; and
-    ``ngrams``, one string per word position, whose entry j is the 1-based
-    position, in unigrams then inner_words, of the k-th word of the j-th
-    n-gram (in ascending joined-string order), or 0 past that n-gram's end.
-    There are as many strings as the longest n-gram has words, none when
-    there is no n-gram. Load spells each n-gram out and sorts unigrams and
-    n-grams into the token list. It checks only what decoding needs (text
-    forms, the position bound, the df count, ngram_max); deserialize_bundle's
-    re-encode refuses any other layout the writer would not have written for
-    that vocabulary."""
+    The ``vectorizer`` section stores the vocabulary in TfIdfModel's form:
+    ``unigrams`` and ``inner_words``, each single-space joined, and
+    ``ngrams``, one string per row of the n-gram positions, whose entry j is
+    the 1-based position, in unigrams then inner_words, of that row's word
+    of the j-th n-gram, or 0 past that n-gram's end. There are as many
+    strings as the longest n-gram has words, none when there is no n-gram.
+    Saving formats the model's integers, and loading passes the parsed ones
+    to TfIdfModel, whose constructor refuses any form but the one fit
+    derives. Load itself checks only what decoding needs (text forms and
+    the df count); deserialize_bundle's re-encode refuses any other layout
+    the writer would not have written for that vocabulary."""
 
     KIND: ClassVar[str] = TFIDF_LR
 
@@ -222,21 +210,12 @@ class TfIdfLrPayload:
 
     def to_doc(self, config: RunConfig) -> dict[str, Any]:
         tfidf = self.tfidf
-        unigrams = [t for t in tfidf.tokens if NGRAM_SEPARATOR not in t]
-        ngrams = [t for t in tfidf.tokens if NGRAM_SEPARATOR in t]
-        inner_words = sorted(set(chain.from_iterable(_split(ngrams))).difference(unigrams))
-        # Each word's 1-based position in the word table, as stored text.
-        position = {w: str(i) for i, w in enumerate(unigrams + inner_words, start=1)}
-        longest = max(map(str.count, ngrams, repeat(NGRAM_SEPARATOR)), default=-1) + 1
         return {
             "vectorizer": {
                 "n_documents": tfidf.n_documents,
-                "unigrams": " ".join(unigrams),
-                "inner_words": " ".join(inner_words),
-                "ngrams": [
-                    " ".join([position[w[k]] if k < len(w) else "0" for w in _split(ngrams)])
-                    for k in range(longest)
-                ],
+                "unigrams": " ".join(tfidf.unigrams),
+                "inner_words": " ".join(tfidf.inner_words),
+                "ngrams": [" ".join(map(str, row)) for row in tfidf.ngram_positions.tolist()],
                 "document_frequency": " ".join(map(str, tfidf.document_frequency.tolist())),
             },
             "linear": {
@@ -249,19 +228,17 @@ class TfIdfLrPayload:
     def from_doc(cls, doc: dict, config: RunConfig) -> "TfIdfLrPayload":
         vec = _section(doc, "vectorizer")
         unigrams = _words(vec["unigrams"], "vectorizer unigrams")
-        inner_words = _words(vec["inner_words"], "vectorizer inner_words")
-        # Two ascending runs: the sort merges them in one linear pass.
-        tokens = sorted(unigrams + _ngrams(vec["ngrams"], unigrams, inner_words))
-        _require(len(vec["ngrams"]) <= config.tfidf.ngram_max,
-                 f"vectorizer ngrams hold {len(vec['ngrams'])}-word n-grams, "
-                 f"past the run config's ngram_max {config.tfidf.ngram_max}")
+        positions = _positions(vec["ngrams"])
         dfs = np.fromstring(
             _text(vec["document_frequency"], _DECIMALS, "vectorizer df"), np.int64, sep=" "
         )
-        _require(len(dfs) == len(tokens),
-                 f"vectorizer df holds {len(dfs)} values for {len(tokens)} tokens")
+        n_tokens = len(unigrams) + positions.shape[1]
+        _require(len(dfs) == n_tokens,
+                 f"vectorizer df holds {len(dfs)} values for {n_tokens} tokens")
         tfidf = TfIdfModel(
-            tokens=tokens,
+            unigrams=unigrams,
+            inner_words=_words(vec["inner_words"], "vectorizer inner_words"),
+            ngram_positions=positions,
             document_frequency=dfs,
             n_documents=vec["n_documents"],
             config=config.tfidf,
@@ -301,9 +278,12 @@ class MicroEncoderPayload:
     holds, positions past the longest batch, the weights of dead ReLU units)
     keep their seeded values bit for bit, so none of them is stored. Load
     checks the bitmap's length against the recorded config before any init
-    is built, rebuilds that init, writes the values over it and checks the
-    digest, which fails if this numpy does not draw the seeded init the
-    writer drew. A bitmap the writer would not write for the loaded vector
+    is built, rebuilds that init, writes the values over a copy of it and
+    checks the digest, first for its stored form, 64 lowercase hex digits,
+    then for its value, which fails if this numpy does not draw the seeded
+    init the writer drew. The payload keeps that draw, so the re-encode
+    compares the loaded vector's bits with it instead of drawing again. A
+    bitmap the writer would not write for the loaded vector
     (a pad bit set, a value marked changed that equals its init) is left to
     deserialize_bundle's re-encode."""
 
@@ -311,6 +291,9 @@ class MicroEncoderPayload:
 
     tokenizer: enc.SubwordTokenizer
     model: enc.EncoderModel
+    # The init from_doc drew, keyed by init_theta's arguments, so that the
+    # load's re-encode does not draw it again; not part of equality.
+    drawn_init: tuple[tuple, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def train(
@@ -343,7 +326,12 @@ class MicroEncoderPayload:
         byte_pieces = sorted(p for p in tokenizer.pieces if len(p) == 1)
         if enc.derive_pieces(byte_pieces, tokenizer.merges) != list(tokenizer.pieces):
             raise ValueError("the tokenizer's pieces are not the ones its bytes and merges derive")
-        init = enc.init_theta(config.encoder, tokenizer.vocab_size, config.seed)
+        args = (config.encoder, tokenizer.vocab_size, config.seed)
+        if self.drawn_init is not None and self.drawn_init[0] == args:
+            init = self.drawn_init[1]
+        else:
+            init = enc.init_theta(*args)
+        # Computed afresh from theta, never copied from what was read.
         changed = _bits(theta) != _bits(init)
         return {
             "tokenizer": {
@@ -383,15 +371,18 @@ class MicroEncoderPayload:
             np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little"
         ).astype(bool)
         values = decode_tensor(section["values"], (int(changed.sum()),), "parameters values")
-        theta = enc.init_theta(settings, tokenizer.vocab_size, config.seed)
+        args = (settings, tokenizer.vocab_size, config.seed)
+        init = enc.init_theta(*args)
+        theta = init.copy()
         theta[changed] = values
         _require(
-            section["sha256"] == _digest(theta),
+            _text(section["sha256"], _SHA256, "parameters sha256") == _digest(theta),
             "parameters do not match their sha256: either this numpy "
             f"({np.__version__}) does not draw the seeded initialization the "
             "bundle was written against, or the bundle is corrupt",
         )
-        return cls(tokenizer, enc.EncoderModel(theta, settings, tokenizer.vocab_size))
+        return cls(tokenizer, enc.EncoderModel(theta, settings, tokenizer.vocab_size),
+                   (args, init))
 
 
 PAYLOADS: dict[str, type[TfIdfLrPayload | MicroEncoderPayload]] = {
@@ -474,12 +465,14 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     one, and BundleInconsistentError for anything else the document gets
     wrong. Decoding refuses bytes that are not JSON (nesting too deep and
     integer literals too long included), a section that is not an object, a
-    missing key, values that the config, model and payload classes reject,
-    text fields not in their stored form, tensors that do not decode, and
-    payload pieces that do not fit each other or the config (a df count or
-    bitmap length that does not fit, a position past the word table,
-    n-grams longer than ngram_max, a merge operand that is not yet a piece,
-    parameters that do not match their digest). Then the writer's own code
+    missing key, values that the config, model and payload classes reject
+    (TfIdfModel refuses every vocabulary form but the one fit derives: word
+    order and overlap, positions past the word table or after a 0, n-grams
+    longer than ngram_max or out of order), text fields not in their stored
+    form, tensors that do not decode, and payload pieces that do not fit
+    each other or the config (a df count or bitmap length that does not
+    fit, a merge operand that is not yet a piece, parameters that do not
+    match their digest). Then the writer's own code
     encodes the loaded bundle again: a document other than the one read (a
     stray key, a default filled in, any layout the writer never writes) is
     BundleInconsistentError, and so is any error that encoding raises. The

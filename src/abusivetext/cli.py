@@ -16,6 +16,8 @@ Exit codes:
     1  any other error
 
 Failures print one machine-parsable line to stderr: ``ERROR <CODE>: <message>``.
+The message escapes every C0 and C1 control character, DEL, U+2028 and
+U+2029 as ``\\xNN`` or ``\\uNNNN``, so no value it echoes can break that line.
 """
 from __future__ import annotations
 
@@ -359,6 +361,13 @@ def _classify_error(exc: Exception) -> tuple[str, int]:
     return "INTERNAL", EXIT_ERROR
 
 
+# C0 and C1 controls, DEL, and the two Unicode line and paragraph separators.
+_ONE_LINE = str.maketrans({
+    c: f"\\x{c:02x}" if c < 0x100 else f"\\u{c:04x}"
+    for c in [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]
+})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -366,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single mapping point to exit codes
         code, exit_code = _classify_error(exc)
-        print(f"ERROR {code}: {exc}", file=sys.stderr)
+        print(f"ERROR {code}: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return exit_code
 
 

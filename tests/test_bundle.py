@@ -254,22 +254,13 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("token", ["", " ", "a b", " a", "a\tb", "a\u2028b"])
     def test_token_that_fit_cannot_make_never_loads(self, tfidf_lr_bundle, token):
-        # Saved, the joined string has the wrong number of tokens or is not
-        # single-space joined, so load refuses it rather than reading others.
-        payload = tfidf_lr_bundle.payload
-        tfidf = vectorizer.TfIdfModel(
-            tokens=sorted([token, "zz"]), document_frequency=np.array([1, 1]),
-            n_documents=1, config=payload.tfidf.config,
-        )
-        linear_model = linear.LinearModel(weights=np.zeros(2), bias=0.0)
-        bundle = bd.ModelBundle(
-            config=tfidf_lr_bundle.config,
-            payload=bd.TfIdfLrPayload(tfidf, linear_model),
-            report=tfidf_lr_bundle.report,
-            provenance=tfidf_lr_bundle.provenance,
-        )
-        with pytest.raises(BundleInconsistentError):
-            bd.deserialize_bundle(bd.serialize_bundle(bundle))
+        # Saved, the joined string would have the wrong number of tokens or
+        # not be single-space joined; no model holds it, so no bundle can.
+        # The hostile vocabulary cases edit such words into a saved bundle.
+        with pytest.raises(ValueError, match="non-empty and hold no whitespace"):
+            vectorizer.TfIdfModel.from_tokens(
+                sorted([token, "zz"]), np.array([1, 1]), 1, tfidf_lr_bundle.payload.tfidf.config
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -627,6 +618,49 @@ class TestEncoderParameters:
         for name, array in params.items():
             assert loaded.payload.model.params[name].tobytes() == array.tobytes()
         assert bd.serialize_bundle(loaded) == raw
+
+    def test_one_load_draws_the_init_once(self, encoder_bundle, monkeypatch):
+        # from_doc draws it to write the stored values over; the re-encode's
+        # bitmap is computed against that draw.
+        raw = bd.serialize_bundle(encoder_bundle)
+        drawn, calls = enc.init_theta, []
+        monkeypatch.setattr(enc, "init_theta", lambda *args: calls.append(args) or drawn(*args))
+        loaded = bd.deserialize_bundle(raw)
+        assert len(calls) == 1
+        assert bd.serialize_bundle(loaded) == raw
+        # A payload built anew, with no draw kept, still draws its own, and
+        # so does one saved under another seed: the kept draw is not its init.
+        fresh = bd.MicroEncoderPayload(loaded.payload.tokenizer, loaded.payload.model)
+        assert bd.serialize_bundle(replace(loaded, payload=fresh)) == raw
+        reseeded = replace(loaded.config, seed=loaded.config.seed + 1)
+        assert (bd.serialize_bundle(replace(loaded, config=reseeded))
+                == bd.serialize_bundle(replace(loaded, config=reseeded, payload=fresh)))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("digest", [
+        "uppercased", "cut short", 0, int("1" * 64), None, ["digest"], " digest", "digest\n",
+    ])
+    def test_digest_not_in_its_stored_text_form_is_named(self, encoder_bundle, digest):
+        def edit(d):
+            stored = d["parameters"]["sha256"]
+            edits = {"uppercased": stored.upper(), "cut short": stored[:-1],
+                     " digest": " " + stored[1:], "digest\n": stored[:-1] + "\n"}
+            d["parameters"]["sha256"] = edits[digest] if isinstance(digest, str) else digest
+
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), edit)
+        with pytest.raises(BundleInconsistentError,
+                           match=r"parameters sha256 is not in its stored text form"):
+            bd.deserialize_bundle(raw)
+
+    def test_well_formed_digest_that_does_not_match_names_numpy(self, encoder_bundle):
+        def edit(d):
+            stored = d["parameters"]["sha256"]
+            d["parameters"]["sha256"] = ("0" if stored[0] != "0" else "1") + stored[1:]
+
+        raw = _mutate(bd.serialize_bundle(encoder_bundle), edit)
+        with pytest.raises(BundleInconsistentError,
+                           match=r"numpy \(.*\) does not draw the seeded initialization"):
+            bd.deserialize_bundle(raw)
 
     def test_init_this_numpy_does_not_draw_is_named(self, encoder_bundle, monkeypatch):
         raw = bd.serialize_bundle(encoder_bundle)

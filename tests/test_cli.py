@@ -319,7 +319,7 @@ class TestTrainPredictEvaluate:
         # keyword hits the vocabulary, without it the text is all-OOV.
         tfidf = vectorizer.fit(["grawk grawk", "melith calm"])
         weights = np.zeros(tfidf.dimension)
-        weights[tfidf.token_to_index["grawk"]] = 4.0
+        weights[tfidf.tokens.index("grawk")] = 4.0
         model = linear.LinearModel(weights=weights, bias=0.0)
         payloads = {}
         for name, policy in [
@@ -441,6 +441,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ERROR ID_MISMATCH" in err
         assert "intruder-id" in err
+
+    def test_id_holding_a_cr_is_echoed_on_one_line(self, tmp_path, capsys):
+        gold, preds = gold_and_predictions(tmp_path)
+        lines = preds.read_text().splitlines()
+        lines[1] = "g\r0" + lines[1][lines[1].index("\t"):]
+        preds.write_bytes(("\n".join(lines) + "\n").encode())
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(preds)) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ID_MISMATCH: unmatched ids: g0, g\\x0d0"
+        ]
+
+    @pytest.mark.parametrize("char, escaped", [
+        ("\n", "\\x0a"), ("\r", "\\x0d"), ("\x1b", "\\x1b"), ("\x7f", "\\x7f"),
+        ("\x85", "\\x85"), ("\u2028", "\\u2028"), ("\u2029", "\\u2029"),
+    ])
+    def test_path_holding_a_control_character_is_echoed_on_one_line(
+        self, tmp_path, capsys, char, escaped
+    ):
+        gold, _ = gold_and_predictions(tmp_path)
+        missing = tmp_path / f"no{char}such.tsv"
+        assert run_cli("evaluate", "--gold", str(gold), "--pred", str(missing)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR FILE_NOT_FOUND: file not found: {tmp_path}/no{escaped}such.tsv"
+        ]
 
     @pytest.mark.parametrize("case, code, expected", [
         ("input", 2, "FILE_NOT_FOUND"),
@@ -1041,7 +1065,7 @@ class TestDumpOutputs:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        arms = {"encoder_synth": ["enc"], "wide_codemixed": ["lr", "enc"]}
+        arms = {"encoder_synth": ["enc"], "wide_codemixed": ["lr", "enc", "lr3"]}
         codes = sorted(tmp_path.glob("*/seed1/*.code"))
         assert len(codes) == 3 * sum(map(len, arms.values()))
         assert all(code.read_text() == "0\n" for code in codes)

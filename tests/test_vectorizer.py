@@ -24,6 +24,9 @@ from abusivetext.vectorizer import (
 )
 
 
+SEP = NGRAM_SEPARATOR
+
+
 def oracle_vectors(
     corpus: list[str], query: str, l2_normalize: bool = True
 ) -> dict[str, float]:
@@ -62,7 +65,7 @@ def reference_transform(model, text: str) -> SparseVector:
     weight) tuples, the norm's squares added one by one in index order. The
     oracle for the arrays transform_rows builds."""
     counts = Counter(reference_tokenize(text, model.config.ngram_max))
-    token_to_index = model.token_to_index
+    token_to_index = {token: i for i, token in enumerate(model.tokens)}
     entries = sorted(
         (token_to_index[token], count * model.idf[token_to_index[token]])
         for token, count in counts.items()
@@ -174,7 +177,7 @@ class TestFit:
     def test_indices_are_lexicographic_and_stable(self):
         corpus = ["delta alpha", "charlie bravo alpha"]
         m1, m2 = fit(corpus), fit(corpus)
-        assert m1.token_to_index == m2.token_to_index
+        assert m1.tokens == m2.tokens
         tokens = m1.tokens
         assert tokens == sorted(tokens)
 
@@ -192,19 +195,89 @@ class TestFit:
     ])
     def test_document_frequencies_of_another_type_or_shape_rejected(self, dfs):
         with pytest.raises(ValueError, match="int64 array of shape"):
-            TfIdfModel(tokens=["a", "b", "c"], document_frequency=dfs, n_documents=2)
+            TfIdfModel.from_tokens(["a", "b", "c"], dfs, n_documents=2)
 
     @pytest.mark.parametrize("tokens", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
     def test_tokens_not_strictly_ascending_rejected(self, tokens):
         with pytest.raises(ValueError, match="strictly ascending"):
-            TfIdfModel(tokens, np.ones(len(tokens), dtype=np.int64), n_documents=1)
+            TfIdfModel.from_tokens(tokens, np.ones(len(tokens), dtype=np.int64), n_documents=1)
 
     def test_equality_compares_document_frequencies(self):
         model = fit(["a b", "a c", "b c"])
-        other = TfIdfModel(model.tokens, np.array([1, 2, 2]), n_documents=3)
+        other = TfIdfModel.from_tokens(model.tokens, np.array([1, 2, 2]), n_documents=3)
         assert other != model
         assert other.idf.tolist() != model.idf.tolist()
-        assert TfIdfModel(model.tokens, model.document_frequency.copy(), 3) == model
+        assert TfIdfModel.from_tokens(model.tokens, model.document_frequency.copy(), 3) == model
+
+
+def word_id_form(**edits) -> dict:
+    """fit(["a b c", "a b c", "a b"], ngram_max 3, max_vocab 5) in its stored
+    form: unigrams a and b, the inner word c, and the n-grams a b, a b c and
+    b c; then the given fields replaced."""
+    form = {
+        "unigrams": ["a", "b"],
+        "inner_words": ["c"],
+        "ngram_positions": np.array([[1, 1, 2], [2, 2, 3], [0, 3, 0]], dtype=np.int64),
+        "document_frequency": np.array([3, 3, 2, 3, 2], dtype=np.int64),
+        "n_documents": 3,
+        "config": TfIdfConfig(ngram_max=3, max_vocab=5),
+    }
+    return {**form, **edits}
+
+
+def positions(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+
+
+class TestWordIdForm:
+    def test_fit_gives_the_stored_form(self):
+        model = fit(["a b c", "a b c", "a b"], TfIdfConfig(ngram_max=3, max_vocab=5))
+        assert model == TfIdfModel(**word_id_form())
+        assert model.tokens == ["a", f"a{SEP}b", f"a{SEP}b{SEP}c", "b", f"b{SEP}c"]
+
+    @pytest.mark.parametrize("edits, match", [
+        ({"unigrams": ["b", "a"]}, "strictly ascending"),
+        ({"unigrams": ["a", "a"]}, "strictly ascending"),
+        ({"inner_words": ["c", "c"]}, "strictly ascending"),
+        ({"unigrams": ["a", "b", "c"]}, "both a unigram and an inner word"),
+        ({"inner_words": [f"c{SEP}x"]}, "non-empty and hold no whitespace"),
+        ({"unigrams": ["a", "b c"]}, "non-empty and hold no whitespace"),
+        ({"unigrams": ["", "b"]}, "non-empty and hold no whitespace"),
+        ({"inner_words": ["c", "e"]}, "every inner word must be used"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, 4], [0, 3, 0])}, r"lie in 0\.\.3"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, -3], [0, 3, 0])}, r"lie in 0\.\.3"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, 0], [0, 3, 3])}, "at least two words"),
+        ({"ngram_positions": positions([1, 1, 2])}, "at least two words"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, 3], [0, 3, 0], [1, 0, 0]),
+          "config": TfIdfConfig(ngram_max=4)}, "must not follow a 0"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, 3], [0, 3, 0], [0, 0, 0])},
+         "last row"),
+        ({"ngram_positions": positions([], [])}, "last row"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, 3], [3, 0, 0])},
+         "strictly ascending as joined strings"),
+        ({"ngram_positions": positions([1, 1, 2], [2, 2, 3], [3, 3, 0])},
+         "strictly ascending as joined strings"),
+        ({"config": TfIdfConfig(ngram_max=2)}, "exceed ngram_max 2"),
+        ({"ngram_positions": np.array([[1, 1, 2], [2, 2, 3], [0, 3, 0]], dtype=np.int32)},
+         "2-d int64 array"),
+        ({"ngram_positions": np.array([1, 2], dtype=np.int64)}, "2-d int64 array"),
+        ({"document_frequency": np.array([3, 3, 2, 3], dtype=np.int64)}, "of shape"),
+    ])
+    def test_any_other_form_is_refused(self, edits, match):
+        with pytest.raises(ValueError, match=match):
+            TfIdfModel(**word_id_form(**edits))
+
+    def test_n_grams_ascend_as_strings_not_as_word_tuples(self):
+        # "a␟b" sorts after "ab␟a", since U+241F follows every ASCII letter,
+        # though the tuple (a, b) sorts before (ab, a).
+        form = word_id_form(
+            unigrams=["a", "ab", "b"], inner_words=[],
+            ngram_positions=positions([2, 1], [1, 3]),
+            document_frequency=np.ones(5, dtype=np.int64),
+        )
+        assert TfIdfModel(**form).tokens == ["a", "ab", f"ab{SEP}a", f"a{SEP}b", "b"]
+        with pytest.raises(ValueError, match="strictly ascending as joined strings"):
+            TfIdfModel(**{**form, "ngram_positions": positions([1, 2], [3, 1])})
 
 
 class TestTransform:
@@ -243,7 +316,7 @@ class TestTransform:
 class TestInvariants:
     def test_single_token_documents_give_unit_entries(self):
         model = fit(["red green", "blue red", "green"])
-        for token in model.token_to_index:
+        for token in model.tokens:
             vector = transform(model, token)
             assert len(vector.entries) == 1
             assert vector.entries[0][1] == pytest.approx(1.0, abs=1e-9)
@@ -335,6 +408,43 @@ class TestTransformRows:
         assert [transform(model, t) for t in texts] == [
             reference_transform(model, t) for t in texts
         ]
+
+    @pytest.mark.parametrize("corpus, texts, ngram_max, max_vocab", [
+        # Cleaning keeps U+241F when strip_specials is off; it splits words.
+        ([f"x{SEP}y z", "x y", f"{SEP}z x y"],
+         [f"x{SEP}y", f"z{SEP}{SEP}x y", SEP, f"y {SEP}z", f"x y{SEP}"], 3, None),
+        # Words that prefix each other order differently as strings and as
+        # word tuples.
+        (["a ab abc", "ab a b", "abc ab a", "b ba a ab"],
+         ["a ab", "ab a b abc", "ba a ab", "a a a", "abc ab a b ba"], 3, None),
+        # Empty and all-OOV rows beside rows with hits.
+        (["a b c", "c b a"], ["", "zz qq", "a b", "   ", "qq a b c qq", "zz"], 2, None),
+        # Trigram windows that end, start or hold an OOV word.
+        (["a b c", "a b d"], ["a b zz", "a b c zz", "zz a b c", "a zz c", "b c"], 3, None),
+        # A cut that keeps n-grams without some of their words (inner words).
+        (["a b c", "a b c", "a b"], ["a b c", "b c d", "c", "c b a b c"], 3, 5),
+    ], ids=["separator", "prefixes", "empty and OOV", "OOV in trigrams", "inner words"])
+    def test_bit_equal_to_the_reference_on_hand_cases(self, corpus, texts, ngram_max, max_vocab):
+        model = fit(corpus, TfIdfConfig(ngram_max=ngram_max, max_vocab=max_vocab))
+        # tokenize reads U+241F as whitespace; the reference splits on
+        # whitespace alone.
+        expected = Rows.pack([reference_transform(model, t.replace(SEP, " ")) for t in texts],
+                             model.dimension)
+        assert_same_rows(transform_rows(model, texts), expected)
+        assert expected.data.size > 0
+
+    def test_keys_of_windows_past_the_int64_range(self):
+        # 41**12 > 2**63: twelve positions in a table of 40 words cannot be
+        # one base-41 number.
+        rng = Random(12)
+        words = [f"w{k:02d}" for k in range(40)]
+        corpus = [" ".join(rng.choice(words) for _ in range(24)) for _ in range(8)]
+        model = fit(corpus, TfIdfConfig(ngram_max=12))
+        assert 41**12 > 2**63 and model.ngram_positions.shape[0] == 12
+        texts = corpus + [text.replace(text.split()[5], "oov") for text in corpus]
+        texts += [" ".join(rng.choice(words) for _ in range(30)) for _ in range(4)]
+        expected = Rows.pack([reference_transform(model, t) for t in texts], model.dimension)
+        assert_same_rows(transform_rows(model, texts), expected)
 
     def test_take_picks_rows_in_the_given_order(self):
         model = fit(["a b", "a c", "b c d"])

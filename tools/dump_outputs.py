@@ -6,9 +6,15 @@ For each workload in bench/workloads.py and seed, it writes the inputs into
 DIR/<workload>/seed<n>/ and runs each arm's train, predict and evaluate there
 through ``cli.main``, BLAS at one thread, keeping each command's stdout,
 stderr and exit code as <arm>.<command>.out, .err and .code. ``diff -r`` of
-two trees made from two checkouts lists every output that changed."""
+two trees made from two checkouts lists every output that changed.
+
+On the ``wide_codemixed`` inputs it also runs ``lr3``, an LR arm at
+``ngram_max`` 3 cut to 4,000 tokens by ``max_vocab``. The benchmark's LR arm
+keeps every bigram, so its vocabulary has no inner words and two n-gram
+position rows; this one has inner words and a third row."""
 import argparse
 import contextlib
+import dataclasses
 import io
 import os
 import sys
@@ -20,7 +26,24 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from abusivetext import cli  # noqa: E402
-from workloads import WORKLOADS, write_inputs  # noqa: E402
+from workloads import WORKLOADS, Arm, write_inputs  # noqa: E402
+
+EXTRA_ARMS = {
+    "wide_codemixed": (Arm(
+        name="lr3",
+        train_args=("--config", "lr3.json"),
+        f1_floor=0.0,
+        run_config={
+            "train_path": "train.tsv",
+            "dev_path": "dev.tsv",
+            "model_path": "lr3.bundle.json",
+            "model_kind": "tfidf_lr",
+            "seed": 7,
+            "tfidf": {"ngram_max": 3, "max_vocab": 4000},
+            "lr": {"epochs": 20},
+        },
+    ),),
+}
 
 
 def commands(arm) -> dict[str, list[str]]:
@@ -41,6 +64,8 @@ def main() -> None:
     first, _, last = args.seeds.partition("-")
     root = args.out.resolve()
     for name, workload in WORKLOADS.items():
+        # Extra arms change the arms alone, never the generated inputs.
+        workload = dataclasses.replace(workload, arms=workload.arms + EXTRA_ARMS.get(name, ()))
         for seed in range(int(first), int(last or first) + 1):
             work = root / name / f"seed{seed}"
             write_inputs(workload, seed, work)
