@@ -13,9 +13,12 @@ Exit codes:
     4  bundle format version mismatch  (BUNDLE_VERSION)
     5  bundle fails consistency checks (BUNDLE_INCONSISTENT)
     6  gold/prediction ids disagree    (ID_MISMATCH)
+    7  command line not understood     (USAGE)
     1  any other error
 
-Failures print one machine-parsable line to stderr: ``ERROR <CODE>: <message>``.
+Failures, a command line argparse cannot parse included, print one
+machine-parsable line to stderr: ``ERROR <CODE>: <message>``; ``--help``
+prints to stdout and exits 0.
 The message escapes every C0 and C1 control character, DEL, U+2028 and
 U+2029 as ``\\xNN`` or ``\\uNNNN``, so no value it echoes can break that line.
 """
@@ -26,7 +29,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import metrics, textprep
 from .configs import MODEL_KINDS, RunConfig
@@ -62,6 +65,7 @@ EXIT_DEV_REQUIRED = 3
 EXIT_BUNDLE_VERSION = 4
 EXIT_BUNDLE_INCONSISTENT = 5
 EXIT_ID_MISMATCH = 6
+EXIT_USAGE = 7
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +283,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # Argument parsing and error mapping
 # ---------------------------------------------------------------------------
 
+class UsageError(Exception):
+    """A command line argparse cannot parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2; its
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abusivetext",
         description="Train, run, and evaluate binary abusive-comment classifiers.",
     )
@@ -336,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _classify_error(exc: Exception) -> tuple[str, int]:
+    if isinstance(exc, UsageError):
+        return "USAGE", EXIT_USAGE
     if isinstance(exc, InputNotFound):
         return "FILE_NOT_FOUND", EXIT_FILE_NOT_FOUND
     if isinstance(exc, OSError):
@@ -369,9 +387,8 @@ _ONE_LINE = str.maketrans({
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single mapping point to exit codes
         code, exit_code = _classify_error(exc)

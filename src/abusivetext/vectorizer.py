@@ -8,12 +8,12 @@ so serialized models are byte-stable across runs.
 A fitted vocabulary has one form, the one the bundle stores: a word table
 (the unigrams, then the inner words that occur only inside kept n-grams),
 each n-gram as the 1-based table positions of its words, and the document
-frequencies (see TfIdfModel). Its constructor checks that form and derives
-the joined token list and an integer matching index from it once; fit
-derives the form once from the tokens it keeps. transform_rows maps each
-word to its table position and finds unigram and n-gram hits by integer
-keys, building no n-gram string. Documents are transformed into one CSR
-matrix (``Rows``), the only form in which TF-IDF rows reach the logistic
+frequencies (see TfIdfModel). Its one constructor checks that form and
+derives the joined token list and an integer matching index from it once;
+fit writes the form of the joined-string tokens it keeps. transform_rows
+maps each word to its table position and finds unigram and n-gram hits by
+integer keys, building no n-gram string. Documents are transformed into one
+CSR matrix (``Rows``), the only form in which TF-IDF rows reach the logistic
 regression.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -110,16 +110,16 @@ class TfIdfModel:
     joined-string order, then 0 to the end. ``document_frequency`` holds
     each token's df, in token (index) order, as one int64 array.
 
-    The constructor refuses any other form, so that every vocabulary has
-    exactly one: a word that is empty or holds whitespace or
-    NGRAM_SEPARATOR, unsorted or repeated words, a word in both lists, an
-    inner word no n-gram uses, a position past the table, an n-gram of
-    fewer than two words or longer than ``config.ngram_max``, a 0 before a
-    word, an all-zero last row, and n-grams that do not strictly ascend as
-    joined strings. From the form it derives, once, ``tokens`` (unigrams and
-    joined n-grams in ascending, that is index, order), the float64 ``idf``
-    and the integer index transform_rows matches with; none of them is
-    compared or stored."""
+    The constructor, the one way fit and load build a model, refuses any
+    other form, so that every vocabulary has exactly one: a word that is
+    empty or holds whitespace or NGRAM_SEPARATOR, unsorted or repeated
+    words, a word in both lists, an inner word no n-gram uses, a position
+    past the table, an n-gram of fewer than two words or longer than
+    ``config.ngram_max``, a 0 before a word, an all-zero last row, and
+    n-grams that do not strictly ascend as joined strings. From the form it
+    derives, once, ``tokens`` (unigrams and joined n-grams in ascending,
+    that is index, order), the float64 ``idf`` and the integer index
+    transform_rows matches with; none of them is compared or stored."""
 
     unigrams: list[str]
     inner_words: list[str]
@@ -193,39 +193,6 @@ class TfIdfModel:
                     positions[:n, of_length], index_of[len(unigrams) + of_length], len(words) + 1
                 )
 
-    @classmethod
-    def from_tokens(
-        cls, tokens: list[str], document_frequency: np.ndarray, n_documents: int,
-        config: TfIdfConfig = TfIdfConfig(),
-    ) -> "TfIdfModel":
-        """The model of a strictly ascending token list, n-grams joined with
-        NGRAM_SEPARATOR, and each token's df in that order."""
-        unigrams = [t for t in tokens if NGRAM_SEPARATOR not in t]
-        ngrams = [t for t in tokens if NGRAM_SEPARATOR in t]
-        # Positions in order of first use: the unigrams', then each inner
-        # word's where an n-gram first names it. Each n-gram is split once.
-        first_use = {w: i for i, w in enumerate(unigrams, start=1)}
-        lengths, used = [], []
-        for ngram in ngrams:
-            words = ngram.split(NGRAM_SEPARATOR)
-            lengths.append(len(words))
-            used += [first_use.setdefault(w, len(first_use) + 1) for w in words]
-        inner_words = sorted(list(first_use)[len(unigrams) :])
-        table_position = np.arange(len(first_use) + 1)
-        table_position[[first_use[w] for w in inner_words]] = np.arange(
-            len(unigrams) + 1, len(first_use) + 1
-        )
-        lengths = np.array(lengths, dtype=np.intp)
-        positions = np.zeros((int(lengths.max(initial=0)), len(ngrams)), dtype=np.int64)
-        # Word k of n-gram j goes to row k of column j.
-        column = np.repeat(np.arange(len(ngrams)), lengths)
-        row = np.arange(len(column)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        positions[row, column] = table_position[used]
-        model = cls(unigrams, inner_words, positions, document_frequency, n_documents, config)
-        if model.tokens != tokens:
-            raise ValueError("vocabulary tokens must be strictly ascending")
-        return model
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TfIdfModel):
             return NotImplemented
@@ -291,6 +258,7 @@ def fit(corpus: Sequence[str], config: TfIdfConfig = TfIdfConfig()) -> TfIdfMode
     Tokens with df < min_df are dropped; when max_vocab caps the size, the
     survivors are the top tokens by (df descending, token ascending). The
     smoothed idf keeps every weight finite and positive even at df = N.
+    The kept tokens are written in the stored form, each n-gram split once.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot fit TF-IDF on an empty corpus")
@@ -308,7 +276,17 @@ def fit(corpus: Sequence[str], config: TfIdfConfig = TfIdfConfig()) -> TfIdfMode
     # Every token the corpus holds is counted; only the kept ones outlive
     # this line, so the count is freed before the model is built.
     del document_frequency
-    return TfIdfModel.from_tokens(kept, dfs, n_documents, config)
+    unigrams = [t for t in kept if NGRAM_SEPARATOR not in t]
+    # Row k holds word k of each n-gram, "" (position 0) past its end.
+    rows = list(zip_longest(*(t.split(NGRAM_SEPARATOR) for t in kept if NGRAM_SEPARATOR in t),
+                            fillvalue=""))
+    inner_words = sorted(set().union(*rows).difference(unigrams, [""]))
+    position = {word: i for i, word in enumerate(["", *unigrams, *inner_words])}
+    positions = np.zeros((len(rows), len(kept) - len(unigrams)), dtype=np.int64)
+    for k, row in enumerate(rows):
+        positions[k] = list(map(position.__getitem__, row))
+    del rows, kept  # freed before the constructor spells the n-grams again
+    return TfIdfModel(unigrams, inner_words, positions, dfs, n_documents, config)
 
 
 class Rows(NamedTuple):

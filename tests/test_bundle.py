@@ -258,8 +258,9 @@ class TestRoundTrip:
         # not be single-space joined; no model holds it, so no bundle can.
         # The hostile vocabulary cases edit such words into a saved bundle.
         with pytest.raises(ValueError, match="non-empty and hold no whitespace"):
-            vectorizer.TfIdfModel.from_tokens(
-                sorted([token, "zz"]), np.array([1, 1]), 1, tfidf_lr_bundle.payload.tfidf.config
+            vectorizer.TfIdfModel(
+                sorted([token, "zz"]), [], np.zeros((0, 0), dtype=np.int64), np.array([1, 1]), 1,
+                tfidf_lr_bundle.payload.tfidf.config,
             )
 
     @settings(max_examples=40, deadline=None)

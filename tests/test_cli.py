@@ -442,6 +442,25 @@ class TestExitCodes:
         assert "ERROR ID_MISMATCH" in err
         assert "intruder-id" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--bogus"],
+        ["predict", "--input", "test.tsv", "--out", "preds.tsv"],
+        ["train", "--seed", "abc"],
+        [],
+    ], ids=["unknown flag", "required flag missing", "flag of the wrong type", "no command"])
+    def test_command_line_not_understood_is_7_on_one_line(self, argv, capsys):
+        assert run_cli(*argv) == 7
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and re.match(r"ERROR USAGE: ", err)
+
+    def test_help_still_exits_0_on_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli("train", "--help")
+        assert exited.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: abusivetext train") and err == ""
+
     def test_id_holding_a_cr_is_echoed_on_one_line(self, tmp_path, capsys):
         gold, preds = gold_and_predictions(tmp_path)
         lines = preds.read_text().splitlines()
@@ -1065,7 +1084,7 @@ class TestDumpOutputs:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        arms = {"encoder_synth": ["enc"], "wide_codemixed": ["lr", "enc", "lr3"]}
+        arms = {"encoder_synth": ["enc"], "wide_codemixed": ["lr", "enc", "lr3", "lr_mindf"]}
         codes = sorted(tmp_path.glob("*/seed1/*.code"))
         assert len(codes) == 3 * sum(map(len, arms.values()))
         assert all(code.read_text() == "0\n" for code in codes)

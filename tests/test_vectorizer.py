@@ -1,4 +1,5 @@
 """TF-IDF fitting and transformation against a first-principles oracle."""
+import dataclasses
 import math
 from collections import Counter
 from random import Random
@@ -47,10 +48,24 @@ def oracle_vectors(
     return weights
 
 
+def reference_words(text: str) -> list[str]:
+    """The maximal runs of characters that are neither whitespace nor
+    NGRAM_SEPARATOR, found one character at a time."""
+    words, word = [], ""
+    for char in text + " ":
+        if char.isspace() or char == NGRAM_SEPARATOR:
+            if word:
+                words.append(word)
+            word = ""
+        else:
+            word += char
+    return words
+
+
 def reference_tokenize(text: str, ngram_max: int = 1) -> list[str]:
     """Each n-gram joined from its own slice of the words, unigrams first:
     the oracle for the zip-based n-grams tokenize builds."""
-    words = text.split()
+    words = reference_words(text)
     tokens = list(words)
     for n in range(2, min(ngram_max, len(words)) + 1):
         tokens.extend(
@@ -116,7 +131,7 @@ class TestTokenize:
         assert tokenize(text, ngram_max) == tokenize(text.replace(NGRAM_SEPARATOR, " "), ngram_max)
 
     @given(
-        st.lists(st.sampled_from(["a", "b", "cc", "a", " ", "  ", "\t", "\u3000"]),
+        st.lists(st.sampled_from(["a", "b", "cc", "a", " ", "  ", "\t", "\u3000", "␟"]),
                  max_size=14).map("".join),
         st.integers(1, 6),
     )
@@ -195,19 +210,57 @@ class TestFit:
     ])
     def test_document_frequencies_of_another_type_or_shape_rejected(self, dfs):
         with pytest.raises(ValueError, match="int64 array of shape"):
-            TfIdfModel.from_tokens(["a", "b", "c"], dfs, n_documents=2)
+            dataclasses.replace(fit(["a b", "a c"]), document_frequency=dfs)
 
     @pytest.mark.parametrize("tokens", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
     def test_tokens_not_strictly_ascending_rejected(self, tokens):
         with pytest.raises(ValueError, match="strictly ascending"):
-            TfIdfModel.from_tokens(tokens, np.ones(len(tokens), dtype=np.int64), n_documents=1)
+            TfIdfModel(tokens, [], np.zeros((0, 0), dtype=np.int64),
+                       np.ones(len(tokens), dtype=np.int64), n_documents=1)
 
     def test_equality_compares_document_frequencies(self):
         model = fit(["a b", "a c", "b c"])
-        other = TfIdfModel.from_tokens(model.tokens, np.array([1, 2, 2]), n_documents=3)
+        other = dataclasses.replace(model, document_frequency=np.array([1, 2, 2]))
         assert other != model
         assert other.idf.tolist() != model.idf.tolist()
-        assert TfIdfModel.from_tokens(model.tokens, model.document_frequency.copy(), 3) == model
+        same = dataclasses.replace(model, document_frequency=model.document_frequency.copy())
+        assert same == model
+
+
+def reference_fit(corpus: list[str], config: TfIdfConfig) -> tuple[dict, list[str]]:
+    """fit's stored form and token list from first principles: a Counter of
+    each document's distinct joined-string tokens, the min_df filter, the
+    cut by (-df, token) and a sort; then plain loops that split the kept
+    n-grams and number their words."""
+    df = Counter()
+    for document in corpus:
+        df.update(set(reference_tokenize(document, config.ngram_max)))
+    kept = [token for token in df if df[token] >= config.min_df]
+    if config.max_vocab is not None:
+        kept = sorted(kept, key=lambda token: (-df[token], token))[: config.max_vocab]
+    kept.sort()
+    unigrams = [token for token in kept if SEP not in token]
+    ngrams = [token.split(SEP) for token in kept if SEP in token]
+    inner_words = []
+    for words in ngrams:
+        for word in words:
+            if word not in unigrams and word not in inner_words:
+                inner_words.append(word)
+    inner_words.sort()
+    table = unigrams + inner_words
+    positions = np.zeros((max(map(len, ngrams), default=0), len(ngrams)), dtype=np.int64)
+    for j, words in enumerate(ngrams):
+        for k, word in enumerate(words):
+            positions[k, j] = table.index(word) + 1
+    form = {
+        "unigrams": unigrams,
+        "inner_words": inner_words,
+        "ngram_positions": positions,
+        "document_frequency": np.array([df[token] for token in kept], dtype=np.int64),
+        "n_documents": len(corpus),
+        "config": config,
+    }
+    return form, kept
 
 
 def word_id_form(**edits) -> dict:
@@ -234,6 +287,26 @@ class TestWordIdForm:
         model = fit(["a b c", "a b c", "a b"], TfIdfConfig(ngram_max=3, max_vocab=5))
         assert model == TfIdfModel(**word_id_form())
         assert model.tokens == ["a", f"a{SEP}b", f"a{SEP}b{SEP}c", "b", f"b{SEP}c"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from(["a", "ab", "abc", "b", "ba", "கல்", "கல்வி"]),
+                     max_size=7).map(" ".join),
+            min_size=1, max_size=8,
+        ),
+        ngram_max=st.integers(1, 4),
+        min_df=st.integers(1, 3),
+        max_vocab=st.none() | st.integers(0, 8),
+    )
+    def test_fit_gives_the_reference_form(self, corpus, ngram_max, min_df, max_vocab):
+        # Words that prefix each other order differently as joined strings
+        # and as word tuples.
+        config = TfIdfConfig(ngram_max=ngram_max, min_df=min_df, max_vocab=max_vocab)
+        form, tokens = reference_fit(corpus, config)
+        model = fit(corpus, config)
+        assert model == TfIdfModel(**form)
+        assert model.tokens == tokens
 
     @pytest.mark.parametrize("edits, match", [
         ({"unigrams": ["b", "a"]}, "strictly ascending"),
@@ -426,10 +499,7 @@ class TestTransformRows:
     ], ids=["separator", "prefixes", "empty and OOV", "OOV in trigrams", "inner words"])
     def test_bit_equal_to_the_reference_on_hand_cases(self, corpus, texts, ngram_max, max_vocab):
         model = fit(corpus, TfIdfConfig(ngram_max=ngram_max, max_vocab=max_vocab))
-        # tokenize reads U+241F as whitespace; the reference splits on
-        # whitespace alone.
-        expected = Rows.pack([reference_transform(model, t.replace(SEP, " ")) for t in texts],
-                             model.dimension)
+        expected = Rows.pack([reference_transform(model, t) for t in texts], model.dimension)
         assert_same_rows(transform_rows(model, texts), expected)
         assert expected.data.size > 0
 

@@ -8,10 +8,13 @@ through ``cli.main``, BLAS at one thread, keeping each command's stdout,
 stderr and exit code as <arm>.<command>.out, .err and .code. ``diff -r`` of
 two trees made from two checkouts lists every output that changed.
 
-On the ``wide_codemixed`` inputs it also runs ``lr3``, an LR arm at
-``ngram_max`` 3 cut to 4,000 tokens by ``max_vocab``. The benchmark's LR arm
-keeps every bigram, so its vocabulary has no inner words and two n-gram
-position rows; this one has inner words and a third row."""
+On the ``wide_codemixed`` inputs it also runs two LR arms the benchmark's
+does not: ``lr3``, at ``ngram_max`` 3 cut to 4,000 tokens by ``max_vocab``,
+and ``lr_mindf``, at ``ngram_max`` 3 keeping the tokens of df >= 2 by
+``min_df``. The benchmark's LR arm keeps every bigram, so its vocabulary has
+no inner words, two n-gram position rows and no token dropped for its df;
+``lr3`` has inner words and a third row, and ``lr_mindf`` a third row with
+every token of df 1 dropped."""
 import argparse
 import contextlib
 import dataclasses
@@ -28,21 +31,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from abusivetext import cli  # noqa: E402
 from workloads import WORKLOADS, Arm, write_inputs  # noqa: E402
 
-EXTRA_ARMS = {
-    "wide_codemixed": (Arm(
-        name="lr3",
-        train_args=("--config", "lr3.json"),
+def lr_arm(name: str, tfidf: dict) -> Arm:
+    """An LR arm with the given TF-IDF settings, trained from <name>.json."""
+    return Arm(
+        name=name,
+        train_args=("--config", f"{name}.json"),
         f1_floor=0.0,
         run_config={
             "train_path": "train.tsv",
             "dev_path": "dev.tsv",
-            "model_path": "lr3.bundle.json",
+            "model_path": f"{name}.bundle.json",
             "model_kind": "tfidf_lr",
             "seed": 7,
-            "tfidf": {"ngram_max": 3, "max_vocab": 4000},
+            "tfidf": tfidf,
             "lr": {"epochs": 20},
         },
-    ),),
+    )
+
+
+EXTRA_ARMS = {
+    "wide_codemixed": (
+        lr_arm("lr3", {"ngram_max": 3, "max_vocab": 4000}),
+        lr_arm("lr_mindf", {"ngram_max": 3, "min_df": 2}),
+    ),
 }
 
 
